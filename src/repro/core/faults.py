@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from repro.core.chip import Chip
 from repro.errors import MemoryFault
-from repro.memory.address import IG_SHIFT
 
 
 class FaultController:
@@ -71,35 +70,28 @@ class FaultController:
     # Cache placement remap around disabled quads
     # ------------------------------------------------------------------
     def _install_cache_remap(self) -> None:
-        """Wrap the memory subsystem's placement to skip disabled caches."""
+        """Point the memory subsystem's placement away from disabled caches.
+
+        ``remap_caches`` also drops both placement memos (per line and
+        per single-cache group byte): entries resolved before the fault
+        may name the cache that is now disabled.
+        """
         memory = self.chip.memory
         disabled = self._disabled_caches
+        n_caches = memory.config.n_dcaches
         healthy = [
-            cache_id for cache_id in range(memory.config.n_dcaches)
+            cache_id for cache_id in range(n_caches)
             if cache_id not in disabled
         ]
         if not healthy:
             raise MemoryFault("no healthy data caches remain")
-        original = type(memory).target_cache
-
-        def remapped(ms, ig_byte: int, physical: int, quad_id: int) -> int:
-            target = original(ms, ig_byte, physical, quad_id)
-            if target in disabled:
-                # Deterministic fallback: next healthy cache in id order.
-                target = healthy[target % len(healthy)]
-                if ig_byte:
-                    # The original call above memoized the *unremapped*
-                    # target, and MemorySubsystem.access probes the memo
-                    # inline before calling us — overwrite the entry so
-                    # every path agrees on the line's one healthy home.
-                    key = (ig_byte << IG_SHIFT) | (physical & ms._line_mask)
-                    ms._target_memo[key] = target
-            return target
-
-        memory.target_cache = remapped.__get__(memory, type(memory))
-        # Entries memoized before the fault may point at caches that are
-        # now disabled; drop them (they rebuild through the remap).
-        memory._target_memo.clear()
+        # Deterministic fallback: a disabled cache's lines go to a
+        # healthy cache picked by its id.
+        memory.remap_caches([
+            healthy[cache_id % len(healthy)] if cache_id in disabled
+            else cache_id
+            for cache_id in range(n_caches)
+        ])
 
     # ------------------------------------------------------------------
     @property

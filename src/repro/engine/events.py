@@ -1,59 +1,49 @@
 """Time-ordered event queue primitives.
 
-:class:`EventQueue` is a fast wrapper over :mod:`heapq` keyed by
-``(time, sequence)`` so that same-cycle events pop in insertion order.
-The common case in the engine — many processes resuming at the *current*
-cycle — bypasses the heap entirely through a same-cycle **run list**:
-when a pop reveals several events tied at the earliest time, the whole
-tie group is drained into a plain list that subsequent pops index into,
-and pushes at that same time append to the list. Both directions are
-O(1) instead of O(log n), and the observable order is identical to the
-pure-heap implementation (ties pop in push order, always).
+:class:`EventQueue` is a *calendar queue*: one FIFO deque of payloads
+per occupied cycle (a ``dict`` keyed by time) plus a heap of the
+distinct occupied times. Pushing at a cycle that already has events is
+one ``dict`` probe and a deque append; only the first event of a cycle
+touches the heap, and only the last event popped from it pops the heap. The engine's common case — many processes resuming at
+the same cycles — therefore costs one heap operation per distinct cycle
+instead of two per event. Events at one time pop in push order, except
+that :meth:`EventQueue.push_front` puts one ahead of them.
 
 :class:`Waiter` is a parking lot for processes blocked on a condition
 (barrier arrival, thread join, lock release): it holds them outside the
-scheduler heap until another process wakes them at an explicit time.
+scheduler queue until another process wakes them at an explicit time.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from itertools import count
 from typing import Any, Iterator
 
 
 class EventQueue:
-    """A min-heap of ``(time, payload)`` with stable FIFO tie-breaking.
+    """Events keyed by integer time, FIFO within one time.
 
-    Internally two structures cooperate:
-
-    * ``_heap`` — the classic ``(time, seq, payload)`` heap;
-    * ``_ready`` / ``_ready_time`` — the same-cycle run list: a deque of
-      payloads all scheduled at ``_ready_time``, consumed from the left.
-
-    Invariant: while the run list is non-empty, the heap holds no entry
-    at exactly ``_ready_time`` (pushes at that time append to the run
-    list instead), so FIFO order within the tie group is preserved by
-    construction. The heap may still hold *earlier* entries (a generic
-    client may push into the past of the run list); :meth:`pop` and
-    :meth:`peek_time` check for that and serve the heap first.
+    Invariant: ``_slots`` holds exactly the times in the ``_times`` heap
+    and every slot is non-empty, so ``_times[0]`` is always the earliest
+    event's time. :meth:`Scheduler.run <repro.engine.scheduler.Scheduler.run>`
+    drains the head slot in place and keeps the invariant itself.
     """
 
-    __slots__ = ("n", "next_time", "_heap", "_seq", "_ready", "_ready_time")
+    __slots__ = ("n", "next_time", "_slots", "_times")
 
     def __init__(self) -> None:
         #: Number of queued events. A plain attribute so the scheduler's
         #: inner loop can test emptiness without a ``__bool__`` call.
         self.n = 0
-        #: Earliest queued time, maintained on every push/pop so hot
-        #: callers read an attribute instead of calling :meth:`peek_time`.
-        #: Meaningless while the queue is empty.
+        #: Earliest queued time (``_times[0]``), maintained on every
+        #: push/pop so hot callers read an attribute instead of calling
+        #: :meth:`peek_time`. Meaningless while the queue is empty.
         self.next_time = 0
-        self._heap: list[tuple[int, int, Any]] = []
-        self._seq = count()
-        self._ready: deque[Any] = deque()
-        self._ready_time = 0
+        #: time -> deque of the payloads queued at that time, in order.
+        self._slots: dict[int, deque[Any]] = {}
+        #: Min-heap of the distinct times present in ``_slots``.
+        self._times: list[int] = []
 
     def __len__(self) -> int:
         return self.n
@@ -63,13 +53,15 @@ class EventQueue:
 
     def push(self, time: int, payload: Any) -> None:
         """Schedule *payload* at *time* (ties pop in push order)."""
-        if self.n == 0 or time < self.next_time:
-            self.next_time = time
+        slot = self._slots.get(time)
+        if slot is None:
+            self._slots[time] = deque((payload,))
+            heappush(self._times, time)
+            if self.n == 0 or time < self.next_time:
+                self.next_time = time
+        else:
+            slot.append(payload)
         self.n += 1
-        if self._ready and time == self._ready_time:
-            self._ready.append(payload)
-            return
-        heappush(self._heap, (time, next(self._seq), payload))
 
     def push_front(self, time: int, payload: Any) -> None:
         """Schedule *payload* at *time*, ahead of every event already
@@ -78,52 +70,30 @@ class EventQueue:
         The one sanctioned exception to FIFO tie-breaking: a parallel-DES
         domain re-queues a gated mailbox poll exactly where it was popped
         from, so same-cycle events that originally sat behind it still
-        run after it (see :meth:`Scheduler.wake`).
+        run after it (see :meth:`Scheduler.wake`). Two front pushes at
+        one time pop last-pushed first.
         """
-        if self.n == 0 or time < self.next_time:
-            self.next_time = time
-        self.n += 1
-        if self._ready and time == self._ready_time:
-            self._ready.appendleft(payload)
-            return
-        # Negative sequence numbers sort ahead of every normal push at
-        # the same time; the magnitude still comes from the shared
-        # counter so later front-pushes do not collide.
-        heappush(self._heap, (time, -next(self._seq), payload))
+        slot = self._slots.get(time)
+        if slot is None:
+            self.push(time, payload)
+        else:
+            slot.appendleft(payload)
+            self.n += 1
 
     def pop(self) -> tuple[int, Any]:
         """Remove and return the earliest ``(time, payload)``."""
-        ready = self._ready
-        heap = self._heap
-        if ready:
-            rtime = self._ready_time
-            if not heap or heap[0][0] >= rtime:
-                self.n -= 1
-                payload = ready.popleft()
-                # Run list non-empty: still the head (the guard above
-                # says nothing in the heap beats ``rtime``); otherwise
-                # the heap head (if any) takes over.
-                if not ready and heap:
-                    self.next_time = heap[0][0]
-                return rtime, payload
-            # A generic client pushed into the run list's past: serve it.
-            self.n -= 1
-            time, _, payload = heappop(heap)
-            self.next_time = heap[0][0] \
-                if heap and heap[0][0] < rtime else rtime
-            return time, payload
-        time, _, payload = heappop(heap)
+        if not self.n:
+            raise IndexError("pop from an empty event queue")
+        time = self.next_time
+        slot = self._slots[time]
+        payload = slot.popleft()
         self.n -= 1
-        if heap:
-            head = heap[0][0]
-            if head == time:
-                # A tie group: drain it into the run list so the rest of
-                # the group pops (and same-cycle pushes append) without
-                # the heap.
-                while heap and heap[0][0] == time:
-                    ready.append(heappop(heap)[2])
-                self._ready_time = time
-            self.next_time = head
+        if not slot:
+            del self._slots[time]
+            times = self._times
+            heappop(times)
+            if times:
+                self.next_time = times[0]
         return time, payload
 
     def peek_time(self) -> int:

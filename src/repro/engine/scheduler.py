@@ -19,6 +19,8 @@ thread join).
 
 from __future__ import annotations
 
+from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator
 
 from repro.engine.events import EventQueue
@@ -149,77 +151,106 @@ class Scheduler:
         real deadlock (see :mod:`repro.pdes`).
         """
         queue = self.queue
+        slots = queue._slots
+        times = queue._times
         probe = self.probe  # hoisted: attach probes before run(), not during
-        pop = queue.pop
-        push = queue.push
         steps = 0
-        # The body below is :meth:`_step` inlined into the resume loop —
-        # one Python frame per process resumption is measurable at the
-        # millions-of-events scale (see docs/performance.md).
+        # The queue's pop and push are inlined into the resume loop: one
+        # Python frame per process resumption is measurable at the
+        # millions-of-events scale (see docs/performance.md). The head
+        # cycle's slot is drained in place, so a tie group costs one
+        # heap pop in all.
         try:
             while queue.n:
                 if self.stop:
                     break
-                if until is not None and queue.next_time > until:
+                time = queue.next_time
+                if until is not None and time > until:
                     self.now = until
                     return self.now
-                time, process = pop()
                 if time < self.now:
                     raise SimulationError(
                         f"time went backwards: {time} < {self.now}"
                     )
                 self.now = time
-                process.time = time
-                send = process.gen.send
-                if process.started:
-                    value = time
-                else:
-                    process.started = True
-                    value = None  # first resume: next(gen) == send(None)
+                slot = slots[time]
                 while True:
-                    try:
-                        request = send(value)
-                    except StopIteration:
-                        request = _FINISHED
-                    steps += 1
-                    if probe is not None:
-                        probe(queue.n, time)
-                    if isinstance(request, int):
-                        if request < time:
-                            raise SimulationError(
-                                f"{process.name} rescheduled into the past "
-                                f"({request} < {time})"
-                            )
-                        process.time = request
-                        # Fast path: the process rescheduled itself at a
-                        # time strictly before every queued event (it
-                        # would pop next anyway), so resume it directly
-                        # and skip the heap round-trip. Ties must go
-                        # through the queue — FIFO order says earlier-
-                        # pushed events run first — and so must anything
-                        # past the `until` horizon.
-                        if (until is not None and request > until) or \
-                                (queue.n and request >= queue.next_time):
-                            push(request, process)
+                    process = slot.popleft()
+                    queue.n -= 1
+                    if not slot:
+                        # The cycle's last event: retire its slot now, so
+                        # the queue is consistent while the process runs
+                        # (a push at this cycle opens a fresh slot).
+                        del slots[time]
+                        heappop(times)
+                        if times:
+                            queue.next_time = times[0]
+                    process.time = time
+                    send = process.gen.send
+                    if process.started:
+                        value = time
+                    else:
+                        process.started = True
+                        value = None  # first resume: next(gen) == send(None)
+                    while True:
+                        try:
+                            request = send(value)
+                        except StopIteration:
+                            request = _FINISHED
+                        steps += 1
+                        if probe is not None:
+                            probe(queue.n, time)
+                        if isinstance(request, int):
+                            if request < time:
+                                raise SimulationError(
+                                    f"{process.name} rescheduled into the "
+                                    f"past ({request} < {time})"
+                                )
+                            process.time = request
+                            # Fast path: the process rescheduled itself at
+                            # a time strictly before every queued event (it
+                            # would pop next anyway), so resume it directly
+                            # and skip the queue round-trip. Ties must go
+                            # through the queue — FIFO order says earlier-
+                            # pushed events run first — and so must
+                            # anything past the `until` horizon.
+                            if (until is not None and request > until) or \
+                                    (queue.n and request >= queue.next_time):
+                                # EventQueue.push, inlined.
+                                later = slots.get(request)
+                                if later is None:
+                                    slots[request] = deque((process,))
+                                    heappush(times, request)
+                                    if not queue.n or \
+                                            request < queue.next_time:
+                                        queue.next_time = request
+                                else:
+                                    later.append(process)
+                                queue.n += 1
+                                break
+                            if request != time:
+                                time = request
+                                self.now = request
+                            value = request
+                            continue
+                        if request is _FINISHED:
+                            self._n_live -= 1
+                            process._finish()
                             break
-                        if request != time:
-                            time = request
-                            self.now = request
-                        value = request
-                        continue
-                    if request is _FINISHED:
-                        self._n_live -= 1
-                        process._finish()
+                        if request is BLOCK:
+                            process.blocked = True
+                            self._n_parked += 1
+                            self._parked_processes.add(process)
+                            break
+                        raise SimulationError(
+                            f"{process.name} yielded {request!r}; "
+                            f"expected int time or BLOCK"
+                        )
+                    # Next event of the same cycle, unless the slot is
+                    # spent (a fast-path resume always spends it) or a
+                    # process asked the window to stop.
+                    if not slot or self.stop:
                         break
-                    if request is BLOCK:
-                        process.blocked = True
-                        self._n_parked += 1
-                        self._parked_processes.add(process)
-                        break
-                    raise SimulationError(
-                        f"{process.name} yielded {request!r}; "
-                        f"expected int time or BLOCK"
-                    )
         finally:
             self.stop = False
             self.steps += steps

@@ -29,29 +29,52 @@ class MemoryBank(TimelineResource):
         #: Cycles requests queued behind earlier ones (bank conflicts).
         self.conflict_cycles = 0
         self.failed = False
+        # Burst constants hoisted from the (frozen) config.
+        self._burst_cycles = config.burst_cycles
+        self._burst_bytes = config.burst_bytes
 
     # ------------------------------------------------------------------
     def _require_healthy(self) -> None:
         if self.failed:
             raise MemoryFault(f"bank {self.bank_id} has failed")
 
+    def _burst(self, time: int) -> int:
+        """Reserve one burst at or after *time*; returns its grant.
+
+        :meth:`_require_healthy` and :meth:`reserve`, inlined: every
+        line fill and writeback of a run comes through here. *time* is
+        a simulated time, never negative, so reserve's argument check
+        cannot fire.
+        """
+        if self.failed:
+            raise MemoryFault(f"bank {self.bank_id} has failed")
+        if time < self._last_request:
+            self.reorderings += 1
+        else:
+            self._last_request = time
+        busy = self._burst_cycles
+        next_free = self.next_free
+        if time >= next_free:
+            grant = time
+        else:
+            grant = next_free
+            self.conflict_cycles += next_free - time
+        self.next_free = grant + busy
+        self.busy_cycles += busy
+        self.n_requests += 1
+        return grant
+
     def read_burst(self, time: int) -> int:
         """Service a 64-byte burst read (line fill). Returns completion time."""
-        self._require_healthy()
-        grant = self.reserve(time, self.config.burst_cycles)
-        self.bytes_read += self.config.burst_bytes
-        if grant != time:
-            self.conflict_cycles += grant - time
-        return grant + self.config.burst_cycles
+        grant = self._burst(time)
+        self.bytes_read += self._burst_bytes
+        return grant + self._burst_cycles
 
     def write_burst(self, time: int) -> int:
         """Service a 64-byte burst write (line writeback)."""
-        self._require_healthy()
-        grant = self.reserve(time, self.config.burst_cycles)
-        self.bytes_written += self.config.burst_bytes
-        if grant != time:
-            self.conflict_cycles += grant - time
-        return grant + self.config.burst_cycles
+        grant = self._burst(time)
+        self.bytes_written += self._burst_bytes
+        return grant + self._burst_cycles
 
     def read_block(self, time: int) -> int:
         """Service one isolated 32-byte block read (non-burst)."""

@@ -43,7 +43,7 @@ from repro.memory.address import (
 from repro.memory.backing import BackingStore
 from repro.memory.bank import MemoryBank
 from repro.memory.cache import CacheUnit
-from repro.memory.interest_groups import InterestGroup
+from repro.memory.interest_groups import InterestGroup, Level
 from repro.memory.offchip import OffChipMemory
 from repro.memory.switch import CrossbarSwitch, build_cache_switch
 
@@ -125,6 +125,16 @@ class MemorySubsystem:
         #: recomputation (the keyspace — 256 groups x 256 K lines — is
         #: too large to leave unbounded).
         self._target_memo: dict[int, int] = {}
+        #: Target caches of the single-cache (``ONE``) groups, indexed by
+        #: interest-group byte, ``None`` until first resolved. A ONE
+        #: group's set has one member whatever the line or requester, so
+        #: the byte alone decides the target and the per-line memo is
+        #: never consulted for it. OWN and scrambled groups stay ``None``.
+        self._ig_target: list[int | None] = [None] * 256
+        #: Placement around disabled caches (fault tolerance): ``None``
+        #: on a healthy chip, else a list mapping each cache id to the
+        #: cache that takes its lines. See :meth:`remap_caches`.
+        self._cache_remap: list[int] | None = None
         #: Optional attached coherence checker (repro.sanitizer). When
         #: set, sanitized threads route their accesses through observing
         #: facades; this subsystem itself only consults it on the cold
@@ -151,12 +161,14 @@ class MemorySubsystem:
         self._cache_sets = [cache._sets for cache in self.caches]
         self._cset_shift = self.caches[0]._set_shift
         self._cset_mask = self.caches[0]._set_mask
-        #: In-flight line fills: (cache_id, line) -> completion time. A hit
-        #: on a line whose fill is still in flight waits for the fill —
-        #: the effect that penalizes the paper's cyclic partitioning,
-        #: where eight threads pile onto each line "while the cache line
-        #: is still being retrieved from main memory" (Section 3.2.2).
-        self._inflight: dict[tuple[int, int], int] = {}
+        #: In-flight line fills, keyed by ``(cache_id << IG_SHIFT) | line``
+        #: (an int, not a tuple, so a hit builds no key object) ->
+        #: completion time. A hit on a line whose fill is still in
+        #: flight waits for the fill — the effect that penalizes the
+        #: paper's cyclic partitioning, where eight threads pile onto
+        #: each line "while the cache line is still being retrieved from
+        #: main memory" (Section 3.2.2).
+        self._inflight: dict[int, int] = {}
         # access-kind counters (dense list; see the kind_counts property)
         self._kind_counts = [0] * len(_KIND_ORDER)
 
@@ -184,11 +196,17 @@ class MemorySubsystem:
 
         Interest group zero (OWN) is the requester's own cache; every
         other group maps a line to one fixed cache independent of the
-        requester, so the scramble result is memoized per
-        ``(group, line)`` — see ``_target_memo`` for the bound.
+        requester, so the answer is memoized: per group byte for the
+        single-cache groups (``_ig_target``), per ``(group, line)`` for
+        the scrambled ones (``_target_memo``, bounded). Disabled caches
+        are remapped before anything is memoized.
         """
+        remap = self._cache_remap
         if ig_byte == 0:  # OWN: the requester's own quad cache
-            return quad_id
+            return quad_id if remap is None else remap[quad_id]
+        target = self._ig_target[ig_byte]
+        if target is not None:
+            return target
         line = physical & self._line_mask
         key = (ig_byte << IG_SHIFT) | line
         memo = self._target_memo
@@ -198,10 +216,26 @@ class MemorySubsystem:
             target = group.target_cache(
                 physical >> self._line_shift, self.config.n_dcaches, quad_id
             )
+            if remap is not None:
+                target = remap[target]
+            if group.level is Level.ONE:
+                self._ig_target[ig_byte] = target
+                return target
             if len(memo) >= self._TARGET_MEMO_MAX:
                 memo.clear()
             memo[key] = target
         return target
+
+    def remap_caches(self, remap: list[int]) -> None:
+        """Place every line whose home is cache *c* in ``remap[c]``.
+
+        The fault controller calls this when a quad's cache is withdrawn.
+        Both placement memos are dropped: entries resolved before the
+        remap may name a cache that is now disabled.
+        """
+        self._cache_remap = list(remap)
+        self._target_memo.clear()
+        self._ig_target = [None] * 256
 
     # ------------------------------------------------------------------
     # The main timed access path
@@ -232,11 +266,13 @@ class MemorySubsystem:
             target = quad_id
             local = True
         else:
-            # Inlined memo probe of target_cache(); the method runs only
-            # to fill (or refresh) the bounded memo.
-            target = self._target_memo.get((ig_byte << IG_SHIFT) | line)
+            # Inlined memo probes of target_cache(); the method runs only
+            # to fill (or refresh) the memos.
+            target = self._ig_target[ig_byte]
             if target is None:
-                target = self.target_cache(ig_byte, physical, quad_id)
+                target = self._target_memo.get((ig_byte << IG_SHIFT) | line)
+                if target is None:
+                    target = self.target_cache(ig_byte, physical, quad_id)
             local = target == quad_id
 
         # Single-beat switch traversal, inlined (CrossbarSwitch.transfer
@@ -293,7 +329,7 @@ class MemorySubsystem:
             complete = issue_end + self._hit_extra[local]
             inflight = self._inflight
             if inflight:
-                fill_key = (target, line)
+                fill_key = (target << IG_SHIFT) | line
                 fill_done = inflight.get(fill_key)
                 if fill_done is not None:
                     if issue_end < fill_done:
@@ -321,7 +357,7 @@ class MemorySubsystem:
                 complete = issue_end
             else:
                 complete = issue_end + self._miss_extra[local] + queue_delay
-                self._inflight[(target, line)] = complete
+                self._inflight[(target << IG_SHIFT) | line] = complete
         self._kind_counts[kind_index] += 1
         kind = _KIND_AT[kind_index]
         if self._trace_enabled:
@@ -350,9 +386,11 @@ class MemorySubsystem:
         if ig_byte == 0:
             target = quad_id
         else:
-            target = self._target_memo.get((ig_byte << IG_SHIFT) | line)
+            target = self._ig_target[ig_byte]
             if target is None:
-                target = self.target_cache(ig_byte, physical, quad_id)
+                target = self._target_memo.get((ig_byte << IG_SHIFT) | line)
+                if target is None:
+                    target = self.target_cache(ig_byte, physical, quad_id)
         if self._cset_shift is not None:
             lines = self._cache_sets[target][
                 (line >> self._cset_shift) & self._cset_mask

@@ -13,7 +13,7 @@ from repro.core.spr import BarrierSPRFile
 from repro.core.thread_unit import ThreadUnit
 from repro.errors import BarrierError, ConfigError, MemoryFault
 from repro.memory.address import make_effective
-from repro.memory.interest_groups import IG_ALL
+from repro.memory.interest_groups import IG_ALL, single_cache_group
 
 CFG = ChipConfig.paper()
 
@@ -349,6 +349,29 @@ class TestFaultTolerance:
             target = chip.memory.target_cache(IG_ALL, phys, 0)
             assert target != 2
             assert target == chip.memory.target_cache(IG_ALL, phys, 0)
+
+    def test_single_cache_group_follows_the_remap(self):
+        # A ONE group pinned to quad 3 resolves by its byte alone; once
+        # quad 3 fails, every placement path must move to one healthy
+        # cache, including for the line resolved before the fault.
+        chip = Chip()
+        memory = chip.memory
+        ig = single_cache_group(3).encode()
+        before = make_effective(0x4000, ig)
+        assert memory.access(0, 0, before, 8, False).cache_id == 3
+        assert memory.target_cache(ig, 0x4000, 0) == 3
+        FaultController(chip).fail_fpu(3)
+        home = memory.target_cache(ig, 0x4000, 0)
+        assert home != 3 and not chip.quads[home].disabled
+        for physical in (0x4000, 0x8040):
+            ea = make_effective(physical, ig)
+            for quad in (0, 5):
+                assert memory.target_cache(ig, physical, quad) == home
+            assert memory.access(100, 5, ea, 8, False).cache_id == home
+            assert memory.flush_line(200, 5, ea).cache_id == home
+            assert memory.caches[home].line(physical) is None
+            memory.warm_access(5, ea, False)
+            assert memory.caches[home].line(physical) is not None
 
     def test_accesses_still_resolve_after_quad_failure(self):
         chip = Chip()

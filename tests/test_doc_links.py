@@ -13,6 +13,20 @@ class TestDocLinks:
     def test_shipped_docs_have_no_dead_links(self):
         assert dead_links(default_paths(ROOT)) == []
 
+    def test_default_scan_covers_top_level_docs(self):
+        scanned = set(default_paths(ROOT))
+        assert ROOT / "EXPERIMENTS.md" in scanned
+        assert set(ROOT.glob("*.md")) | set((ROOT / "docs").glob("*.md")) \
+            == scanned
+
+    def test_default_scan_flags_a_dead_top_level_link(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "page.md").write_text("[up](../NOTES.md)\n")
+        (tmp_path / "NOTES.md").write_text("[gone](docs/missing.md)\n")
+        dead = dead_links(default_paths(tmp_path))
+        assert [(path.name, target) for path, _, target in dead] \
+            == [("NOTES.md", "docs/missing.md")]
+
     def test_index_covers_every_docs_page(self):
         index = (ROOT / "docs" / "README.md").read_text()
         for page in sorted((ROOT / "docs").glob("*.md")):

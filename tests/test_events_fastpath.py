@@ -1,10 +1,10 @@
-"""EventQueue fast-path unit tests and a reference-model property test.
+"""EventQueue unit tests and a reference-model property test.
 
-The run-list fast path must be *observably identical* to a plain
-``(time, seq)`` heap: same pop order (FIFO within a tie group), same
-lengths, same peek times. The unit tests pin each branch of the fast
-path; the Hypothesis test drives random interleavings of push/pop
-against the pure-heap reference implementation.
+The calendar queue must be *observably identical* to a plain
+``(time, seq)`` heap: same pop order (FIFO within a tie group, front
+pushes ahead of it), same lengths, same peek times. The unit tests pin
+each behaviour; the Hypothesis tests drive random interleavings of
+push/push_front/pop against the pure-heap reference implementation.
 """
 
 from heapq import heappop, heappush
@@ -30,6 +30,11 @@ class ReferenceQueue:
     def push(self, time, payload) -> None:
         heappush(self._heap, (time, next(self._seq), payload))
 
+    def push_front(self, time, payload) -> None:
+        # A negative sequence number sorts ahead of every normal push at
+        # the same time; later front pushes sort further ahead (LIFO).
+        heappush(self._heap, (time, -next(self._seq), payload))
+
     def pop(self):
         time, _, payload = heappop(self._heap)
         return time, payload
@@ -39,9 +44,12 @@ class ReferenceQueue:
             raise IndexError("peek into an empty event queue")
         return self._heap[0][0]
 
+    def peek_time_or(self, default):
+        return self._heap[0][0] if self._heap else default
+
 
 # ---------------------------------------------------------------------------
-# Unit tests: one per fast-path branch
+# Unit tests
 # ---------------------------------------------------------------------------
 def test_fifo_tie_breaking():
     queue = EventQueue()
@@ -51,13 +59,13 @@ def test_fifo_tie_breaking():
         [(7, f"p{i}") for i in range(5)]
 
 
-def test_tie_group_drains_into_run_list():
+def test_tie_group_pops_in_push_order():
     queue = EventQueue()
     for i in range(4):
         queue.push(3, i)
     queue.push(9, "later")
-    # First pop reveals the tie group; the rest must come from the run
-    # list in FIFO order, with next_time tracking correctly throughout.
+    # The tie group pops in FIFO order, with next_time staying on the
+    # group until its last event is gone.
     assert queue.pop() == (3, 0)
     assert queue.peek_time() == 3
     assert queue.pop() == (3, 1)
@@ -68,24 +76,24 @@ def test_tie_group_drains_into_run_list():
     assert len(queue) == 0
 
 
-def test_same_cycle_push_appends_behind_run_list():
+def test_same_cycle_push_queues_behind_tie_group():
     queue = EventQueue()
     queue.push(5, "a")
     queue.push(5, "b")
     queue.push(5, "c")
-    assert queue.pop() == (5, "a")  # drains b, c into the run list
+    assert queue.pop() == (5, "a")  # b, c still queued at 5
     queue.push(5, "d")  # same-cycle push: behind the existing tie group
     assert queue.pop() == (5, "b")
     assert queue.pop() == (5, "c")
     assert queue.pop() == (5, "d")
 
 
-def test_push_into_run_list_past_serves_heap_first():
+def test_push_earlier_than_head_pops_first():
     queue = EventQueue()
     queue.push(10, "x")
     queue.push(10, "y")
-    assert queue.pop() == (10, "x")  # "y" now sits in the run list
-    queue.push(4, "early")  # earlier than the active run list
+    assert queue.pop() == (10, "x")  # "y" still queued at 10
+    queue.push(4, "early")  # earlier than the current head
     assert queue.peek_time() == 4
     assert queue.pop() == (4, "early")
     assert queue.peek_time() == 10
@@ -116,6 +124,30 @@ def test_next_time_tracks_earliest_push():
         [(3, "b"), (5, "c"), (8, "a")]
 
 
+def test_push_front_goes_ahead_of_ties_lifo():
+    queue = EventQueue()
+    queue.push(5, "a")
+    queue.push(5, "b")
+    assert queue.pop() == (5, "a")
+    queue.push_front(5, "f1")
+    queue.push_front(5, "f2")
+    queue.push(5, "c")
+    queue.push_front(3, "early")  # no events at 3 yet: a plain push
+    assert list(queue.drain()) == \
+        [(3, "early"), (5, "f2"), (5, "f1"), (5, "b"), (5, "c")]
+
+
+def test_peek_time_or_default_when_empty():
+    queue = EventQueue()
+    assert queue.peek_time_or(-1) == -1
+    queue.push(6, "a")
+    assert queue.peek_time_or(-1) == 6
+    queue.pop()
+    assert queue.peek_time_or(99) == 99
+    with pytest.raises(IndexError):
+        queue.pop()
+
+
 def test_drain_yields_sorted_fifo_order():
     queue = EventQueue()
     pushes = [(4, "a"), (1, "b"), (4, "c"), (1, "d"), (2, "e")]
@@ -128,30 +160,42 @@ def test_drain_yields_sorted_fifo_order():
 # ---------------------------------------------------------------------------
 # Property test: any interleaving matches the reference heap
 # ---------------------------------------------------------------------------
-#: Ops: push at a small time (ties are the interesting case), or pop.
+#: Ops: push or push_front at a small time (ties are the interesting
+#: case), or pop.
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), st.integers(min_value=0, max_value=8)),
+        st.tuples(st.just("push_front"),
+                  st.integers(min_value=0, max_value=8)),
         st.tuples(st.just("pop"), st.just(0)),
     ),
     max_size=200,
 )
 
 
+def _check_same(fast, reference):
+    assert len(fast) == len(reference)
+    assert fast.n == len(reference)
+    assert fast.peek_time_or(-1) == reference.peek_time_or(-1)
+    if len(reference):
+        assert fast.peek_time() == reference.peek_time()
+        assert fast.next_time == reference.peek_time()
+
+
 @settings(max_examples=200, deadline=None)
 @given(ops=_OPS)
 def test_matches_reference_heap(ops):
+    """Arbitrary times: pushes land before, at and after the head."""
     fast = EventQueue()
     reference = ReferenceQueue()
     for serial, (op, time) in enumerate(ops):
-        if op == "push":
-            fast.push(time, serial)
-            reference.push(time, serial)
-        elif len(reference):
-            assert fast.pop() == reference.pop()
-        assert len(fast) == len(reference)
-        if len(reference):
-            assert fast.peek_time() == reference.peek_time()
+        if op == "pop":
+            if len(reference):
+                assert fast.pop() == reference.pop()
+        else:
+            getattr(fast, op)(time, serial)
+            getattr(reference, op)(time, serial)
+        _check_same(fast, reference)
 
 
 @settings(max_examples=50, deadline=None)
@@ -159,21 +203,22 @@ def test_matches_reference_heap(ops):
 def test_scheduler_like_interleaving_matches_reference(ops):
     """Monotone-time interleavings (what the scheduler actually does).
 
-    Pushes land at ``now + delta`` for the last popped ``now``, so the
-    run-list is hot: most pushes hit the same-cycle append path.
+    Pushes land at ``now + delta`` for the last popped ``now``, so most
+    of them join a cycle that already has events.
     """
     fast = EventQueue()
     reference = ReferenceQueue()
     now = 0
     for serial, (op, delta) in enumerate(ops):
-        if op == "push":
-            fast.push(now + delta, serial)
-            reference.push(now + delta, serial)
-        elif len(reference):
-            expected = reference.pop()
-            assert fast.pop() == expected
-            now = expected[0]
-        assert len(fast) == len(reference)
+        if op == "pop":
+            if len(reference):
+                expected = reference.pop()
+                assert fast.pop() == expected
+                now = expected[0]
+        else:
+            getattr(fast, op)(now + delta, serial)
+            getattr(reference, op)(now + delta, serial)
+        _check_same(fast, reference)
 
 
 # ---------------------------------------------------------------------------

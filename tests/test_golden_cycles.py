@@ -1,6 +1,6 @@
 """Golden cycle-count regression tests.
 
-The engine fast paths (run-list scheduling, threaded-code dispatch,
+The engine fast paths (calendar-queue scheduling, threaded-code dispatch,
 allocation-free memory accesses) are pure host-side optimizations: they
 must not move a single simulated cycle. These tests pin the **exact**
 final cycle counts of representative runs — Table 2 microbenchmark
