@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import platform
 import sys
 import time
 
@@ -53,13 +55,6 @@ TELEMETRY_PATH = RESULTS_DIR / "BENCH_telemetry.json"
 #: this multiple of the committed pre-fast-path STREAM baseline.
 MIN_SPEEDUP = 2.0
 
-#: Basic-block superinstructions must keep the ISA-interpreter STREAM
-#: benchmark at least this much faster than per-instruction threaded
-#: dispatch on the same machine (the measured gain is ~1.5x; 1.3x
-#: leaves headroom for runner noise without letting the optimization
-#: silently rot).
-MIN_BLOCK_SPEEDUP = 1.3
-
 #: Allowed slack when CI compares a quick run against the committed
 #: artifact (shared runners are slow and noisy; 20% catches real
 #: regressions without tripping on machine variance).
@@ -74,13 +69,12 @@ SAMPLING_ERROR_TOLERANCE = 0.02
 MIN_SAMPLING_SPEEDUP = 1.5
 
 
-def _isa_stream_interp(n_per_thread: int, block_dispatch: bool) -> Interpreter:
+def _isa_stream_interp(n_per_thread: int) -> Interpreter:
     """Build the ISA-interpreter STREAM triad simulation (32 threads)."""
     n_threads = 32
     chip = Chip()
     program = stream_kernel_program("triad", 1)
-    interp = Interpreter(chip, model_fetch=False,
-                         block_dispatch=block_dispatch)
+    interp = Interpreter(chip, model_fetch=False)
     for t in range(n_threads):
         src = 0x10000 + t * 0x4000
         src2 = 0x100000 + t * 0x4000
@@ -95,16 +89,14 @@ def _isa_stream_interp(n_per_thread: int, block_dispatch: bool) -> Interpreter:
     return interp
 
 
-def _isa_stream(n_per_thread: int, block_dispatch: bool) -> int:
+def _isa_stream(n_per_thread: int) -> int:
     """STREAM triad through the ISA interpreter; returns final cycles.
 
     Unlike the direct-execution ``run_stream`` rows, this path executes
-    real encoded instructions, so it is the one the basic-block
-    superinstruction compiler (``repro.isa.blocks``) can accelerate.
-    The threaded/blocks pair measures that dispatcher head-to-head on
-    an identical simulation.
+    real encoded instructions through the basic-block compiler
+    (``repro.isa.blocks``).
     """
-    return _isa_stream_interp(n_per_thread, block_dispatch).run()
+    return _isa_stream_interp(n_per_thread).run()
 
 
 def _suite(quick: bool) -> list[tuple[str, object]]:
@@ -116,8 +108,7 @@ def _suite(quick: bool) -> list[tuple[str, object]]:
         radix = RadixParams(n_keys=256, n_threads=4)
         names = ("stream_triad_32t_3200", "fft_64_hw_4t", "radix_256_4t")
         isa_n = 100
-        isa_names = ("isa_stream_triad_32t_3200_threaded",
-                     "isa_stream_triad_32t_3200_blocks")
+        isa_name = "isa_stream_triad_32t_3200_blocks"
     else:
         # stream_triad_32t matches BENCH_telemetry.json exactly, so its
         # rate is directly comparable to the committed baseline.
@@ -127,14 +118,12 @@ def _suite(quick: bool) -> list[tuple[str, object]]:
         radix = RadixParams(n_keys=512, n_threads=4)
         names = ("stream_triad_32t", "fft_256_hw_4t", "radix_512_4t")
         isa_n = 400
-        isa_names = ("isa_stream_triad_32t_threaded",
-                     "isa_stream_triad_32t_blocks")
+        isa_name = "isa_stream_triad_32t_blocks"
     return [
         (names[0], lambda: run_stream(stream).cycles),
         (names[1], lambda: run_fft(fft).total_cycles),
         (names[2], lambda: run_radix(radix).cycles),
-        (isa_names[0], lambda: _isa_stream(isa_n, block_dispatch=False)),
-        (isa_names[1], lambda: _isa_stream(isa_n, block_dispatch=True)),
+        (isa_name, lambda: _isa_stream(isa_n)),
     ]
 
 
@@ -193,27 +182,11 @@ def run_suite(rounds: int = 5, quick: bool = False) -> dict:
     payload = {
         "suite": "engine_fast_path",
         "quick": quick,
+        "host": _host(),
         "statistic": "best_of_rounds",
         "workloads": workloads,
         "aggregate_simulated_cycles": total_cycles,
         "aggregate_simulated_cycles_per_sec": total_cycles / total_seconds,
-    }
-    threaded = next(n for n in workloads if n.endswith("_threaded"))
-    blocks = next(n for n in workloads if n.endswith("_blocks"))
-    if workloads[threaded]["simulated_cycles"] != \
-            workloads[blocks]["simulated_cycles"]:
-        raise AssertionError(
-            "block dispatch moved simulated cycles: "
-            f"{workloads[blocks]['simulated_cycles']} != "
-            f"{workloads[threaded]['simulated_cycles']}"
-        )
-    payload["superinstructions"] = {
-        "threaded": threaded,
-        "blocks": blocks,
-        "block_speedup": (
-            workloads[blocks]["simulated_cycles_per_sec"]
-            / workloads[threaded]["simulated_cycles_per_sec"]
-        ),
     }
     payload["sampling"] = _sampled_pair(workloads, rounds, quick)
     if baseline_rate and not quick:
@@ -230,7 +203,7 @@ def run_suite(rounds: int = 5, quick: bool = False) -> dict:
 def _sampled_pair(workloads: dict, rounds: int, quick: bool) -> dict:
     """Measure the ISA STREAM run exact and sampled, side by side.
 
-    The pair uses a larger element count than the dispatcher rows
+    The pair uses a larger element count than the ISA STREAM row
     (sampling amortizes over fast-forward, so the run must span several
     sampling periods) and adds both as ordinary workload rows; the
     returned section pairs them up with the wall-clock speedup and the
@@ -241,12 +214,12 @@ def _sampled_pair(workloads: dict, rounds: int, quick: bool) -> dict:
     exact_name = f"isa_stream_triad_{suffix}_sampled_exact"
     sampled_name = f"isa_stream_triad_{suffix}_sampled"
     exact_cycles, exact_best = _measure(
-        lambda: _isa_stream(n, block_dispatch=True), rounds)
+        lambda: _isa_stream(n), rounds)
 
     estimates = []
 
     def _sampled_run() -> int:
-        interp = _isa_stream_interp(n, block_dispatch=True)
+        interp = _isa_stream_interp(n)
         estimate = interp.run_sampled(SamplingConfig())
         estimates.append(estimate)
         return estimate.estimated_cycles
@@ -273,6 +246,16 @@ def _sampled_pair(workloads: dict, rounds: int, quick: bool) -> dict:
         "n_units": estimate.n_units,
         "error": (estimated_cycles - exact_cycles) / exact_cycles,
         "speedup": exact_best / sampled_best,
+    }
+
+
+def _host() -> dict:
+    """The machine the rates were measured on."""
+    return {
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
     }
 
 
@@ -307,19 +290,6 @@ def check_regression(payload: dict, committed_path: pathlib.Path) -> list[str]:
                 f"{entry['simulated_cycles_per_sec']:.0f} cyc/s "
                 f"- {REGRESSION_SLACK:.0%} floor ({floor:.0f})"
             )
-
-    # The superinstruction gate: block dispatch must stay at least
-    # MIN_BLOCK_SPEEDUP faster than per-instruction threaded dispatch
-    # *measured in the same run*, so shared-runner speed cancels out.
-    super_ = payload.get("superinstructions")
-    if super_ is None:
-        failures.append("superinstructions: section missing from this run")
-    elif super_["block_speedup"] < MIN_BLOCK_SPEEDUP:
-        failures.append(
-            f"superinstructions: block dispatch is only "
-            f"{super_['block_speedup']:.2f}x threaded dispatch "
-            f"(required {MIN_BLOCK_SPEEDUP:.1f}x)"
-        )
 
     # The sampled-mode gates: the estimate must stay within the shared
     # error tolerance of the exact run *measured in the same process*,
@@ -365,9 +335,6 @@ def main(argv: list[str] | None = None) -> int:
               f"({entry['simulated_cycles_per_sec']:.0f} cyc/s)")
     print(f"aggregate: {payload['aggregate_simulated_cycles_per_sec']:.0f} "
           "simulated cycles/sec")
-    super_ = payload["superinstructions"]
-    print(f"block dispatch speedup ({super_['blocks']} vs "
-          f"{super_['threaded']}): {super_['block_speedup']:.2f}x")
     sampling = payload["sampling"]
     print(f"sampled mode ({sampling['sampled']} vs {sampling['exact']}): "
           f"{sampling['speedup']:.2f}x wall-clock, "
@@ -416,9 +383,7 @@ def test_engine_suite_quick():
     assert payload["aggregate_simulated_cycles"] > 0
     for entry in payload["workloads"].values():
         assert entry["simulated_cycles_per_sec"] > 0
-    # run_suite already asserts the threaded/blocks cycle counts match;
-    # the schema must expose the speedup for the CI gate.
-    assert payload["superinstructions"]["block_speedup"] > 0
+    assert payload["sampling"]["exact_cycles"] > 0
 
 
 if __name__ == "__main__":

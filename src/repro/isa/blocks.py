@@ -1,50 +1,56 @@
-"""Basic-block superinstructions for the ISA interpreter.
+"""Instruction semantics as generated code: the block compiler.
 
-The threaded-code dispatcher (:mod:`repro.isa.interpreter`) pays one
-Python call, one scoreboard merge, and one ``state.pc`` store per
-*dynamic instruction*. This module moves that cost to the basic-block
-level: each straight-line run of instructions compiles — once per
-``(latency table, PIB window)`` pair, cached on the
-:class:`~repro.isa.program.Program` — into **one fused closure** of
-generated Python source that
+This module is the one definition of what every instruction does. The
+interpreter (:mod:`repro.isa.interpreter`) dispatches once per entry of
+a :class:`BlockTable`; each entry is a closure of generated Python
+source that executes a straight-line run of instructions. A table is
+compiled once per ``(latency table, PIB window)`` pair and cached on
+the :class:`~repro.isa.program.Program`. The generated code
 
 * threads the issue clock and the per-register scoreboard through
   locals, touching ``state.regs`` / ``state.ready`` once per register
   per block instead of once per instruction;
 * folds every compile-time-constant quantity (latency rows, immediates,
   retire counts, load/store/flop counter deltas) into literals;
-* writes ``state.pc`` only at block exit.
+* writes ``state.pc`` at block exit, and before each memory or atomic
+  yield, so a coherence sanitizer attributes every finding to the
+  instruction that made the access.
 
 **Block formation.** A leader is the program entry, every branch
 target, every fall-through past a block terminator, and every
 instruction whose address starts a new PIB window. A block runs from a
-leader to the first terminator: a branch or a ``halt``. *Generator*
-instructions (memory, FPU, SPR, atomic — the units that synchronize
-with the global event order) do **not** end a block: each one's
-scheduler yield is reproduced verbatim inside the fused closure, with
-the thread's architectural state (clock, counter deltas) flushed
-before parking, so the global event order — and therefore every
-simulated cycle count — is unchanged. Caching register/scoreboard
-values in locals across those yields is safe because that state is
-thread-private; everything shared (backing memory, FPU pipes, the SPR
-file) is read live, after the owning instruction's own yield.
+leader to the first terminator: a branch or a ``halt``. Instructions
+that touch shared hardware (memory, FPU, SPR, atomic — the units that
+synchronize with the global event order) do **not** end a block: each
+one's scheduler yield is reproduced verbatim inside the fused closure,
+with the thread's architectural clock flushed before parking, so the
+global event order — and therefore every simulated cycle count — is
+the same as executing one instruction at a time. Caching register and
+scoreboard values in locals across those yields is safe because that
+state is thread-private; everything shared (backing memory, FPU pipes,
+the SPR file) is read live, after the owning instruction's own yield.
 
-**Why blocks never span a PIB window.** The per-instruction loop
-consults the prefetch buffer before every instruction; straight-line
-fetch inside the 16-instruction window is free and only a window
-crossing can fetch. Cutting blocks at window boundaries makes the
-per-block PIB check in the dispatch loop equivalent to the
-per-instruction check, for both ``model_fetch`` modes, with no fetch
-logic inside blocks.
+**Why blocks never span a PIB window.** The dispatch loop consults the
+prefetch buffer before every entry; straight-line fetch inside the
+16-instruction window is free and only a window crossing can fetch.
+Cutting blocks at window boundaries makes the per-block PIB check
+equivalent to a per-instruction check, for both ``model_fetch`` modes,
+with no fetch logic inside blocks.
 
-**Fallbacks.** Non-leader indices (reachable only through ``jr`` into
-the middle of a block) keep their per-instruction handlers, so
-mid-block entry executes instruction-by-instruction until the next
-leader. A block containing an instruction the code generator cannot
-reproduce exactly (an odd register where a double pair is required —
-the per-instruction handler raises at run time) is not fused at all.
-Sanitized runs and ``CYCLOPS_NO_SUPERINST=1`` disable block dispatch
-entirely at the interpreter level (see ``Interpreter``).
+**One-instruction blocks.** Leaders are fused up front. Every other
+index (reachable only through ``jr`` into the middle of a block, or a
+lone straight-line leader) holds a lazy entry that compiles the
+one-instruction block at that index on its first dispatch and installs
+it in place. :func:`compile_program` is the table of one-instruction
+blocks alone. Faults the register file raises at run time (a double
+pair at an odd register) are emitted as the register-file call itself,
+so every block fuses.
+
+**Functional code.** :class:`_FunctionalEmitter` overrides only the
+timing hooks (scoreboard, yields, unit issue, memory access vs cache
+warming) and caches double pairs as float locals; the data movement is
+the timed emitter's. :func:`compile_functional` builds the timing-free
+table that :mod:`repro.sampling` fast-forwards with.
 """
 
 from __future__ import annotations
@@ -99,8 +105,7 @@ def _sx(expr: str) -> str:
 
 #: ALU value expression per mnemonic: (builder(a, b, imm), needs_mask).
 #: ``a``/``b`` are u32 expressions (a local name or the literal ``0``);
-#: masking to 32 bits happens at writeback exactly as the
-#: per-instruction handlers do.
+#: masking to 32 bits happens at writeback.
 _ALU_EXPR = {
     "add": (lambda a, b, imm: f"{a} + {b}", True),
     "sub": (lambda a, b, imm: f"{a} - {b}", True),
@@ -149,8 +154,7 @@ _FPU_VALUE_EXPR = {
     "fmov": "_a",
 }
 
-#: FPU sub-unit method and flop count per arithmetic mnemonic — mirrors
-#: the interpreter's ``_FPU_ARITH`` table.
+#: FPU sub-unit method and flop count per arithmetic mnemonic.
 _FPU_UNIT = {
     "fadd": ("add", 1), "fsub": ("add", 1), "fmul": ("multiply", 1),
     "fdiv": ("divide", 1), "fsqrt": ("sqrt", 1), "fmadd": ("fma", 2),
@@ -160,10 +164,6 @@ _FPU_UNIT = {
 
 _AMO_OPS = {"amoadd": "add", "amoswap": "swap",
             "amoand": "and", "amoor": "or"}
-
-
-class _Unfusable(Exception):
-    """The block contains an instruction codegen cannot reproduce."""
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,15 @@ def block_spans(program: Program,
 # Code generation for one block
 # ---------------------------------------------------------------------------
 class _BlockEmitter:
-    """Emits the fused Python source of one basic block."""
+    """Emits the fused Python source of one basic block.
+
+    The ``emit_*`` methods define each instruction's data movement;
+    the timing they charge goes through a small set of hooks
+    (:meth:`wait_deps`, :meth:`stall_to_e`, :meth:`retire`,
+    :meth:`park`, :meth:`access`, :meth:`fpu_issue`, :meth:`fence`, the
+    scoreboard writes and :meth:`flush`) that the functional subclass
+    overrides.
+    """
 
     def __init__(self, program: Program, lat, start: int, end: int) -> None:
         self.program = program
@@ -245,6 +253,9 @@ class _BlockEmitter:
         self.ns = 0      # stores
         self.nf = 0      # flops
         self.is_gen = False
+        #: What ``state.pc`` holds at this point of the block: the
+        #: dispatcher entered the block at ``start``.
+        self.pc = start
 
     # -- small emission helpers ---------------------------------------
     def emit(self, line: str) -> None:
@@ -267,6 +278,32 @@ class _BlockEmitter:
         self.local_r.add(reg)
         self.dirty_r.add(reg)
 
+    def read_double(self, reg: int) -> str:
+        """Double-precision read of the pair at *reg*.
+
+        An odd *reg* becomes the register-file call, which raises the
+        odd-pair ``ExecutionError`` when the instruction executes.
+        """
+        if reg % 2:
+            return f"state.regs.read_double({reg})"
+        lo = self.rv(reg)
+        hi = self.rv(reg + 1)
+        return f"_up_d(_pk_II({lo}, {hi}))[0]"
+
+    def write_double(self, reg: int, expr: str) -> None:
+        if reg % 2:
+            # The register file raises exactly as for an odd read.
+            self.emit(f"state.regs.write_double({reg}, {expr})")
+            return
+        if reg == 0:
+            # Pair-0 writes are discarded whole, like the register file's
+            # write_double.
+            return
+        self.emit(f"r{reg}, r{reg + 1} = _up_II(_pk_d({expr}))")
+        self.local_r.update((reg, reg + 1))
+        self.dirty_r.update((reg, reg + 1))
+
+    # -- timing hooks ---------------------------------------------------
     def tv(self, reg: int) -> str:
         if reg not in self.local_t:
             self.emit(f"t{reg} = _T[{reg}]")
@@ -277,25 +314,6 @@ class _BlockEmitter:
         self.emit(f"t{reg} = {expr}")
         self.local_t.add(reg)
         self.dirty_t.add(reg)
-
-    def read_double(self, reg: int) -> str:
-        """Double-precision read of pair *reg* (must be even)."""
-        if reg % 2:
-            raise _Unfusable(f"double read of odd r{reg}")
-        lo = self.rv(reg)
-        hi = self.rv(reg + 1)
-        return f"_up_d(_pk_II({lo}, {hi}))[0]"
-
-    def write_double(self, reg: int, expr: str) -> None:
-        if reg % 2:
-            raise _Unfusable(f"double write of odd r{reg}")
-        if reg == 0:
-            # Pair-0 writes are discarded whole, like the register file's
-            # write_double; the value expression was already evaluated.
-            return
-        self.emit(f"r{reg}, r{reg + 1} = _up_II(_pk_d({expr}))")
-        self.local_r.update((reg, reg + 1))
-        self.dirty_r.update((reg, reg + 1))
 
     def wait_deps(self, deps: tuple[int, ...]) -> None:
         """``e = max(it, ready[deps...])`` with locals, dupes skipped."""
@@ -319,6 +337,45 @@ class _BlockEmitter:
         self.nr += execution
         self.emit(f"it += {execution}")
 
+    def park(self, index: int, value: str = "e",
+             publish_pc: bool = False) -> None:
+        """Park at the scheduler until cycle *value*; ``e`` is the grant.
+
+        The architectural clock is synced first. *publish_pc* also
+        stores the instruction's index in ``state.pc``, which the
+        sanitizer's memory facade reads to attribute a finding.
+        """
+        self.is_gen = True
+        if publish_pc and index != self.pc:
+            self.emit(f"state.pc = {index}")
+            self.pc = index
+        self.emit("tu.issue_time = it")
+        self.emit(f"e = yield {value}")
+
+    def access(self, index: int, ea: str, access_mask: int,
+               access_size: int, is_store: bool) -> None:
+        """Time the memory access of instruction *index*."""
+        self.emit(
+            f"_o = state.memory.access(e, tu.quad_id, {ea} & "
+            f"{access_mask}, {access_size}, {is_store})"
+        )
+        self.emit("e = _o.issue_end - 1")
+        self.stall_to_e()
+
+    def fpu_issue(self, unit_attr: str, execution: int) -> None:
+        """Reserve FPU sub-unit *unit_attr*; ``_rt`` is the result time."""
+        self.emit(f"_ie, _rt = state.fpu.{unit_attr}(e)")
+        self.emit(f"e = _ie - {execution}")
+        self.stall_to_e()
+
+    def fence(self) -> None:
+        """``sync``: wait for every register's pending value."""
+        # The scoreboard locals must be visible in the array first.
+        for reg in sorted(self.dirty_t):
+            self.emit(f"_T[{reg}] = t{reg}")
+        self.emit("e = max(_T)")
+        self.stall_to_e()
+
     def flush(self) -> None:
         """Store the clock and counter deltas back to state (block exit).
 
@@ -326,7 +383,7 @@ class _BlockEmitter:
         reads them while a thread is parked — so the whole block's
         deltas land in one batch of compile-time constants here. The
         architectural clock is different: it is flushed before every
-        yield (see :meth:`pre_yield`) as well as here.
+        yield (see :meth:`park`) as well as here.
         """
         self.emit("tu.issue_time = it")
         self.emit("c = tu.counters")
@@ -351,10 +408,17 @@ class _BlockEmitter:
         self.dirty_r.clear()
         self.dirty_t.clear()
 
-    def pre_yield(self) -> None:
-        """Sync the architectural clock before parking at a yield."""
-        self.is_gen = True
-        self.emit("tu.issue_time = it")
+    def prologue(self, fn_name: str) -> list[str]:
+        """Opening lines of the generated ``def``."""
+        return [
+            f"def {fn_name}(state):",
+            "    tu = state.tu",
+            "    _R = state.regs._regs",
+            "    _T = state.ready",
+            "    it = tu.issue_time",
+            "    nst = 0",
+            "    nse = 0",
+        ]
 
     # -- per-unit emitters --------------------------------------------
     def emit_alu(self, inst: Instruction) -> None:
@@ -387,30 +451,20 @@ class _BlockEmitter:
 
     def emit_system(self, inst: Instruction) -> None:
         name = inst.opcode.name
-        if name == "nop":
-            self.retire(1)
-            return
+        if name == "sync":
+            self.fence()
+        self.retire(1)
         if name == "tid":
-            self.retire(1)
             self.write_r(inst.rd, "tu.tid")
             self.write_t(inst.rd, "it")
-            return
-        if name == "sync":
-            # Conservative fence: waits on every register, so the
-            # scoreboard locals must be visible in the array first.
-            for reg in sorted(self.dirty_t):
-                self.emit(f"_T[{reg}] = t{reg}")
-            self.emit("e = max(_T)")
-            self.stall_to_e()
-            self.retire(1)
-            return
-        raise _Unfusable(f"system op {name}")
 
     def emit_halt(self) -> None:
         self.retire(1)
         self.flush()
         self.flush_registers()
-        self.emit("c.finish_time = it")
+        # The functional clock does not advance, so its finish time is
+        # the last detailed issue time; the timed flush just stored it.
+        self.emit("c.finish_time = tu.issue_time")
         self.emit("state.halted = True")
         self.emit("return")
 
@@ -448,26 +502,20 @@ class _BlockEmitter:
         name = inst.opcode.name
         size = MEM_SIZES[name]
         is_store = inst.opcode.unit is UnitClass.STORE
-        align_mask = ~(size - 1) if size >= 4 else ~3
-        access_size = size if size >= 4 else 4
         rd = inst.rd
         self.wait_deps(inst.scoreboard_deps())
-        self.pre_yield()
-        self.emit("e = yield e")
+        self.park(index, publish_pc=True)
         ea = self.rv(inst.ra)
         if inst.imm:
             self.emit(f"_ea = ({ea} + ({inst.imm})) & 4294967295")
             ea = "_ea"
         self.emit(f"_ph = {ea} & 16777215")
-        # interest-group bits | aligned offset — the two mask terms
-        # partition the address bits, so they fold into a single AND.
-        access_mask = 0xFF000000 | (0xFFFFFF & align_mask)
-        self.emit(
-            f"_o = state.memory.access(e, tu.quad_id, {ea} & "
-            f"{access_mask}, {access_size}, {is_store})"
-        )
-        self.emit("e = _o.issue_end - 1")
-        self.stall_to_e()
+        # Sub-word accesses are timed as their containing word. The
+        # interest-group bits and the aligned offset partition the
+        # address bits, so they fold into a single AND.
+        align_mask = ~(size - 1) if size >= 4 else ~3
+        self.access(index, ea, 0xFF000000 | (0xFFFFFF & align_mask),
+                    max(size, 4), is_store)
         self.retire(1)
         if is_store:
             self.ns += 1
@@ -493,8 +541,6 @@ class _BlockEmitter:
         else:
             self.nl += 1
             if name == "ld":
-                if rd % 2:
-                    raise _Unfusable("ld into odd pair")
                 self.write_double(rd, "state.backing.load_f64(_ph)")
                 self.write_t(rd, "_o.complete")
                 self.write_t(rd + 1 if rd + 1 < 64 else rd, f"t{rd}")
@@ -510,11 +556,12 @@ class _BlockEmitter:
                 self.write_t(rd, "_o.complete")
 
     def emit_atomic(self, index: int, inst: Instruction) -> None:
+        # The read-modify-write happens inside the memory system, which
+        # times it; the functional emitter spells it out instead.
         op = _AMO_OPS[inst.opcode.name]
         self.wait_deps((inst.ra, inst.rb))
         a, b = self.rv(inst.ra), self.rv(inst.rb)
-        self.pre_yield()
-        self.emit("e = yield e")
+        self.park(index, publish_pc=True)
         self.emit(
             f"_o, _old = state.memory.atomic_rmw_u32(e, tu.quad_id, "
             f"{a}, {op!r}, {b})"
@@ -530,86 +577,56 @@ class _BlockEmitter:
     def emit_fpu(self, index: int, inst: Instruction) -> None:
         name = inst.opcode.name
         ra, rb, rd = inst.ra, inst.rb, inst.rd
-        deps = inst.scoreboard_deps()
-        rd1 = rd + 1 if rd + 1 < 64 else rd
-
+        to_double = True
         if name in ("cvtif", "cvtfi"):
-            self.wait_deps(deps)
-            a = self.rv(ra)  # loads the local before the yield if needed
-            if name == "cvtfi":
-                src = self.read_double(ra)
-            self.pre_yield()
-            self.emit("e = yield e")
-            self.emit("_ie, _rt = state.fpu.convert(e)")
-            self.emit("e = _ie - 1")
-            self.stall_to_e()
-            self.retire(1)
-            self.nf += 1
+            unit_attr, flops, execution = "convert", 1, 1
             if name == "cvtif":
-                self.write_double(rd, f"float({_sx(a)})")
-                self.write_t(rd, "_rt")
-                self.write_t(rd1, "_rt")
+                value = f"float({_sx(self.rv(ra))})"
             else:
-                self.write_r(rd, f"int({src}) & 4294967295")
-                self.write_t(rd, "_rt")
-            return
-
-        if name in ("fcmplt", "fcmpeq"):
+                to_double = False
+                value = f"int({self.read_double(ra)}) & 4294967295"
+        else:
             self.emit(f"_a = {self.read_double(ra)}")
             b_expr = self.read_double(rb) if rb % 2 == 0 else "0.0"
             self.emit(f"_b = {b_expr}")
-            cmp = "<" if name == "fcmplt" else "=="
-            self.emit(f"_v = 1 if _a {cmp} _b else 0")
-            self.wait_deps(deps)
-            self.pre_yield()
-            self.emit("e = yield e")
-            self.emit("_ie, _rt = state.fpu.add(e)")
-            self.emit("e = _ie - 1")
-            self.stall_to_e()
-            self.retire(1)
-            self.nf += 1
-            self.write_r(rd, "_v")
-            self.write_t(rd, "_rt")
-            return
-
-        unit_attr, flops = _FPU_UNIT[name]
-        execution = getattr(self.lat, inst.opcode.latency_row)[0]
-        self.emit(f"_a = {self.read_double(ra)}")
-        b_expr = self.read_double(rb) if rb % 2 == 0 else "0.0"
-        self.emit(f"_b = {b_expr}")
-        if name in ("fmadd", "fmsub"):
-            self.emit(f"_d = {self.read_double(rd)}")
-        if name == "fdiv":
-            self.emit("if _b == 0.0:")
-            self.emit("    raise _fdiv_zero(tu)")
-        self.emit(f"_v = {_FPU_VALUE_EXPR[name]}")
-        if rd % 2:
-            raise _Unfusable("FPU result into odd pair")
-        self.wait_deps(deps)
-        self.pre_yield()
-        self.emit("e = yield e")
-        self.emit(f"_ie, _rt = state.fpu.{unit_attr}(e)")
-        self.emit(f"e = _ie - {execution}")
-        self.stall_to_e()
+            if name in ("fcmplt", "fcmpeq"):
+                unit_attr, flops, execution = "add", 1, 1
+                to_double = False
+                cmp = "<" if name == "fcmplt" else "=="
+                self.emit(f"_v = 1 if _a {cmp} _b else 0")
+            else:
+                unit_attr, flops = _FPU_UNIT[name]
+                execution = getattr(self.lat, inst.opcode.latency_row)[0]
+                if name in ("fmadd", "fmsub"):
+                    self.emit(f"_d = {self.read_double(rd)}")
+                if name == "fdiv":
+                    self.emit("if _b == 0.0:")
+                    self.emit("    raise _fdiv_zero(tu)")
+                self.emit(f"_v = {_FPU_VALUE_EXPR[name]}")
+            value = "_v"
+        self.wait_deps(inst.scoreboard_deps())
+        self.park(index)
+        self.fpu_issue(unit_attr, execution)
         self.retire(execution)
         self.nf += flops
-        self.write_double(rd, "_v")
-        self.write_t(rd, "_rt")
-        self.write_t(rd1, "_rt")
+        if to_double:
+            self.write_double(rd, value)
+            self.write_t(rd, "_rt")
+            self.write_t(rd + 1 if rd + 1 < 64 else rd, "_rt")
+        else:
+            self.write_r(rd, value)
+            self.write_t(rd, "_rt")
 
     def emit_spr(self, index: int, inst: Instruction) -> None:
-        name = inst.opcode.name
-        if name == "mtspr":
+        if inst.opcode.name == "mtspr":
             self.wait_deps((inst.ra,))
             a = self.rv(inst.ra)
-            self.pre_yield()
-            self.emit("e = yield e")
+            self.park(index)
             self.stall_to_e()
             self.retire(1)
             self.emit(f"state.spr.write(tu.tid, {a} & 255)")
         else:  # mfspr
-            self.pre_yield()
-            self.emit("e = yield it")
+            self.park(index, value="it")
             self.stall_to_e()
             self.retire(1)
             self.write_r(inst.rd, "state.spr.read_or() & 4294967295")
@@ -623,26 +640,13 @@ class _BlockEmitter:
         self.emit("return")
 
     # -- driver --------------------------------------------------------
-    def prologue(self, fn_name: str) -> list[str]:
-        """Opening lines of the generated ``def`` (overridable)."""
-        return [
-            f"def {fn_name}(state):",
-            "    tu = state.tu",
-            "    _R = state.regs._regs",
-            "    _T = state.ready",
-            "    it = tu.issue_time",
-            "    nst = 0",
-            "    nse = 0",
-        ]
-
     def compile_source(self, fn_name: str) -> str:
-        """The fused ``def`` for this block, or raises ``_Unfusable``."""
+        """The source of the fused ``def`` for this block."""
         instructions = self.program.instructions
         self.lines = self.prologue(fn_name)
         for index in range(self.start, self.end):
             inst = instructions[index]
             unit = inst.opcode.unit
-            name = inst.opcode.name
             if unit in ALU_UNITS:
                 self.emit_alu(inst)
             elif unit is UnitClass.BRANCH:
@@ -656,90 +660,28 @@ class _BlockEmitter:
                 self.emit_fpu(index, inst)
             elif unit is UnitClass.SPR:
                 self.emit_spr(index, inst)
-            elif name == "halt":
+            elif inst.opcode.name == "halt":
                 self.emit_halt()
                 return "\n".join(self.lines) + "\n"
-            elif unit is UnitClass.SYSTEM:
-                self.emit_system(inst)
             else:
-                raise _Unfusable(f"unit {unit} has no emitter")
+                self.emit_system(inst)
         self.exit_to(str(self.end))
         return "\n".join(self.lines) + "\n"
 
+    def entry(self, fn):
+        """The table entry of compiled block *fn*."""
+        return self.is_gen, fn
 
-# ---------------------------------------------------------------------------
-# The block table
-# ---------------------------------------------------------------------------
-class BlockTable:
-    """Compiled dispatch table of one program under one latency table.
-
-    ``entries`` parallels the instruction list: a block leader's entry
-    is its fused closure; every other index keeps its per-instruction
-    handler so arbitrary ``jr`` targets stay executable. Entries are
-    ``(is_generator, fn)`` exactly like the threaded-code table, so the
-    interpreter's dispatch loop is table-agnostic.
-    """
-
-    __slots__ = ("entries", "n_blocks", "n_fused", "lengths", "source")
-
-    def __init__(self, entries: list, n_blocks: int, n_fused: int,
-                 lengths: list[int], source: str) -> None:
-        self.entries = entries
-        self.n_blocks = n_blocks
-        self.n_fused = n_fused
-        #: Instruction count of each fused block (telemetry histogram).
-        self.lengths = lengths
-        #: Generated Python source of every fused block (debugging aid).
-        self.source = source
-
-
-def compile_blocks(program: Program, lat, window_bytes: int,
-                   handlers: list) -> BlockTable:
-    """Compile *program*'s basic blocks against latency table *lat*.
-
-    *handlers* is the per-instruction threaded-code table (the fallback
-    for non-leader entries and unfusable blocks). The result is cached
-    on the program keyed by ``(lat identity, window_bytes)`` — see
-    :meth:`Program` — so sharing a program across threads or re-running
-    it compiles nothing.
-    """
-    cache = program._blocks
-    if cache is None:
-        cache = program._blocks = {}
-    key = (id(lat), window_bytes)
-    cached = cache.get(key)
-    if cached is not None and cached[0] is lat:
-        return cached[1]
-
-    spans = block_spans(program, window_bytes)
-    entries = list(handlers)
-    pieces: list[str] = []
-    fused: list[tuple[int, str, bool]] = []
-    lengths: list[int] = []
-    for start, end in spans:
-        if end - start == 1 and not _is_terminator(
-                program.instructions[start]):
-            # A lone straight-line instruction cut off by a leader or a
-            # window boundary: the fused form would be the handler.
-            continue
-        emitter = _BlockEmitter(program, lat, start, end)
-        try:
-            source = emitter.compile_source(f"_blk_{start}")
-        except _Unfusable:
-            continue
-        pieces.append(source)
-        fused.append((start, f"_blk_{start}", emitter.is_gen))
-        lengths.append(end - start)
-    module = "\n".join(pieces)
-    namespace = dict(_NAMESPACE)
-    if module:
-        code = compile(module, f"<blocks:{program.base:#x}>", "exec")
-        exec(code, namespace)
-    for start, fn_name, is_gen in fused:
-        entries[start] = (is_gen, namespace[fn_name])
-    table = BlockTable(entries, len(spans), len(fused), lengths, module)
-    cache[key] = (lat, table)
-    return table
+    @staticmethod
+    def lazy(entries: list, index: int, single):
+        """A table entry that installs ``single(index)`` when first run."""
+        def first_dispatch(state):
+            is_gen, fn = entries[index] = single(index)
+            if is_gen:
+                yield from fn(state)
+            else:
+                fn(state)
+        return True, first_dispatch
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +709,10 @@ class _FunctionalEmitter(_BlockEmitter):
 
     Same architectural semantics as the timed emitter — register
     values, memory data, instruction/load/store/flop counters, faults —
-    with every clock, scoreboard, cache, FPU-pipe, and scheduler
-    interaction deleted: the closures are plain calls with no yields.
+    because only the timing hooks are overridden: every clock,
+    scoreboard, cache, FPU-pipe and scheduler interaction is dropped,
+    memory accesses warm the caches instead, and the closures are
+    plain calls with no yields.
 
     Double pairs are additionally cached as *float* locals (``d12``) so
     hot FP loops never round-trip through the packed u32 representation.
@@ -810,11 +754,7 @@ class _FunctionalEmitter(_BlockEmitter):
         super().write_r(reg, expr)
 
     def read_double(self, reg: int) -> str:
-        if reg % 2:
-            # The register file raises exactly like the timed handlers;
-            # embedding the call keeps the fault without unfusing.
-            return f"state.regs.read_double({reg})"
-        if reg == 0:
+        if reg % 2 or reg == 0:
             return super().read_double(reg)
         if reg not in self.local_d:
             lo, hi = self.rv(reg), self.rv(reg + 1)
@@ -824,21 +764,21 @@ class _FunctionalEmitter(_BlockEmitter):
         return f"d{reg}"
 
     def write_double(self, reg: int, expr: str) -> None:
-        if reg % 2:
-            self.emit(f"state.regs.write_double({reg}, {expr})")
-            return
-        if reg == 0:
-            # Pair-0 writes are discarded whole, like the timed emitter.
+        if reg % 2 or reg == 0:
+            super().write_double(reg, expr)
             return
         self._drop_int_view(reg)
         self.emit(f"d{reg} = {expr}")
         self.local_d.add(reg)
         self.dirty_d.add(reg)
 
-    # -- timing machinery deleted ---------------------------------------
-    def tv(self, reg: int) -> str:  # pragma: no cover - never reached
-        raise AssertionError("functional codegen has no scoreboard")
+    def flush_registers(self) -> None:
+        super().flush_registers()
+        for reg in sorted(self.dirty_d):
+            self.emit(f"_R[{reg}], _R[{reg + 1}] = _up_II(_pk_d(d{reg}))")
+        self.dirty_d.clear()
 
+    # -- timing hooks, dropped ------------------------------------------
     def write_t(self, reg: int, expr: str) -> None:
         pass
 
@@ -848,11 +788,34 @@ class _FunctionalEmitter(_BlockEmitter):
     def stall_to_e(self) -> None:
         pass
 
-    def pre_yield(self) -> None:
-        pass
-
     def retire(self, execution: int) -> None:
         self.ni += 1
+
+    def park(self, index: int, value: str = "e",
+             publish_pc: bool = False) -> None:
+        pass
+
+    def fpu_issue(self, unit_attr: str, execution: int) -> None:
+        pass
+
+    def fence(self) -> None:
+        # The fence orders only the scoreboard, which functional mode
+        # does not model; architecturally it is a nop.
+        pass
+
+    def access(self, index: int, ea: str, access_mask: int,
+               access_size: int, is_store: bool) -> None:
+        # Functional warming: same aligned line-classified address the
+        # timed path would access, minus all timing (see
+        # MemorySubsystem.warm_access). Memoized per static op on the
+        # line-aligned address: a unit-stride stream touches one line
+        # for several consecutive accesses and only the first needs
+        # tag/LRU work. A static op is always a load or always a
+        # store, so the store flag needs no key space.
+        self.emit(f"_k = {ea} & 4294967232")
+        self.emit(f"if _wmg({index}) != _k:")
+        self.emit(f"    _wm[{index}] = _k")
+        self.emit(f"    _warm(_qid, {ea} & {access_mask}, {is_store})")
 
     def flush(self) -> None:
         self.emit("c = tu.counters")
@@ -865,12 +828,6 @@ class _FunctionalEmitter(_BlockEmitter):
         if self.nf:
             self.emit(f"c.flops += {self.nf}")
 
-    def flush_registers(self) -> None:
-        super().flush_registers()
-        for reg in sorted(self.dirty_d):
-            self.emit(f"_R[{reg}], _R[{reg + 1}] = _up_II(_pk_d(d{reg}))")
-        self.dirty_d.clear()
-
     def prologue(self, fn_name: str) -> list[str]:
         return [
             f"def {fn_name}(state):",
@@ -881,90 +838,6 @@ class _FunctionalEmitter(_BlockEmitter):
             "    _wmg = _wm.get",
             "    _qid = tu.quad_id",
         ]
-
-    # -- per-unit emitters ----------------------------------------------
-    def emit_system(self, inst: Instruction) -> None:
-        name = inst.opcode.name
-        if name == "nop":
-            self.retire(1)
-            return
-        if name == "tid":
-            self.retire(1)
-            self.write_r(inst.rd, "tu.tid")
-            return
-        if name == "sync":
-            # The fence orders only the scoreboard, which functional
-            # mode does not model; architecturally it is a nop.
-            self.retire(1)
-            return
-        raise _Unfusable(f"system op {name}")
-
-    def emit_halt(self) -> None:
-        self.retire(1)
-        self.flush()
-        self.flush_registers()
-        # The functional clock does not advance; the last detailed
-        # issue time is the best-known finish time for this thread.
-        self.emit("c.finish_time = tu.issue_time")
-        self.emit("state.halted = True")
-        self.emit("return")
-
-    def emit_memory(self, index: int, inst: Instruction) -> None:
-        name = inst.opcode.name
-        size = MEM_SIZES[name]
-        is_store = inst.opcode.unit is UnitClass.STORE
-        align_mask = ~(size - 1) if size >= 4 else ~3
-        rd = inst.rd
-        ea = self.rv(inst.ra)
-        if inst.imm:
-            self.emit(f"_ea = ({ea} + ({inst.imm})) & 4294967295")
-            ea = "_ea"
-        self.emit(f"_ph = {ea} & 16777215")
-        # Functional warming: same aligned line-classified address the
-        # timed path would access, minus all timing (see
-        # MemorySubsystem.warm_access). Memoized per static op on the
-        # line-aligned address: a unit-stride stream touches one line
-        # for several consecutive accesses and only the first needs
-        # tag/LRU work. A static op is always a load or always a
-        # store, so the store flag needs no key space.
-        access_mask = 0xFF000000 | (0xFFFFFF & align_mask)
-        self.emit(f"_k = {ea} & 4294967232")
-        self.emit(f"if _wmg({index}) != _k:")
-        self.emit(f"    _wm[{index}] = _k")
-        self.emit(f"    _warm(_qid, {ea} & {access_mask}, {is_store})")
-        self.retire(1)
-        if is_store:
-            self.ns += 1
-            if name == "sd":
-                self.emit(
-                    f"state.backing.store_f64(_ph, {self.read_double(rd)})"
-                )
-            elif name == "sw":
-                self.emit(f"state.backing.store_u32(_ph, {self.rv(rd)})")
-            else:
-                self.emit("_wb = _ph - _ph % 4")
-                self.emit(
-                    "_dat = bytearray(state.backing.read_block(_wb, 4))"
-                )
-                if name == "sh":
-                    self.emit(
-                        "_dat[_ph % 4:_ph % 4 + 2] = "
-                        f"_pk_H({self.rv(rd)} & 65535)"
-                    )
-                else:  # sb
-                    self.emit(f"_dat[_ph % 4] = {self.rv(rd)} & 255")
-                self.emit("state.backing.write_block(_wb, bytes(_dat))")
-        else:
-            self.nl += 1
-            if name == "ld":
-                self.write_double(rd, "state.backing.load_f64(_ph)")
-            elif name == "lw":
-                self.write_r(rd, "state.backing.load_u32(_ph)")
-            else:  # lhu / lbu
-                self.write_r(
-                    rd,
-                    f"_ifb(state.backing.read_block(_ph, {size}), 'little')",
-                )
 
     def emit_atomic(self, index: int, inst: Instruction) -> None:
         op = _AMO_OPS[inst.opcode.name]
@@ -987,133 +860,156 @@ class _FunctionalEmitter(_BlockEmitter):
         self.ns += 1
         self.write_r(inst.rd, "_old")
 
-    def emit_fpu(self, index: int, inst: Instruction) -> None:
-        name = inst.opcode.name
-        ra, rb, rd = inst.ra, inst.rb, inst.rd
-        if name == "cvtif":
-            a = self.rv(ra)
-            self.retire(1)
-            self.nf += 1
-            self.write_double(rd, f"float({_sx(a)})")
-            return
-        if name == "cvtfi":
-            src = self.read_double(ra)
-            self.retire(1)
-            self.nf += 1
-            self.write_r(rd, f"int({src}) & 4294967295")
-            return
-        if name in ("fcmplt", "fcmpeq"):
-            self.emit(f"_a = {self.read_double(ra)}")
-            b_expr = self.read_double(rb) if rb % 2 == 0 else "0.0"
-            self.emit(f"_b = {b_expr}")
-            cmp = "<" if name == "fcmplt" else "=="
-            self.retire(1)
-            self.nf += 1
-            self.write_r(rd, f"1 if _a {cmp} _b else 0")
-            return
-        flops = _FPU_UNIT[name][1]
-        self.emit(f"_a = {self.read_double(ra)}")
-        b_expr = self.read_double(rb) if rb % 2 == 0 else "0.0"
-        self.emit(f"_b = {b_expr}")
-        if name in ("fmadd", "fmsub"):
-            self.emit(f"_d = {self.read_double(rd)}")
-        if name == "fdiv":
-            self.emit("if _b == 0.0:")
-            self.emit("    raise _fdiv_zero(tu)")
-        self.retire(1)
-        self.nf += flops
-        self.write_double(rd, _FPU_VALUE_EXPR[name])
+    def entry(self, fn):
+        return fn
 
-    def emit_spr(self, index: int, inst: Instruction) -> None:
-        if inst.opcode.name == "mtspr":
-            a = self.rv(inst.ra)
-            self.retire(1)
-            self.emit(f"state.spr.write(tu.tid, {a} & 255)")
-        else:  # mfspr
-            self.retire(1)
-            self.write_r(inst.rd, "state.spr.read_or() & 4294967295")
+    @staticmethod
+    def lazy(entries: list, index: int, single):
+        def first_dispatch(state):
+            fn = entries[index] = single(index)
+            fn(state)
+        return first_dispatch
 
 
-def _functional_fallback(index: int, reason: str):
-    def _unsupported(state):
-        raise ExecutionError(
-            f"functional fast-forward cannot execute instruction "
-            f"{index}: {reason}"
-        )
-    return _unsupported
+# ---------------------------------------------------------------------------
+# Dispatch tables
+# ---------------------------------------------------------------------------
+class BlockTable:
+    """Compiled dispatch table of one program.
 
-
-class FunctionalTable:
-    """Timing-free dispatch table of one program.
-
-    ``entries`` parallels the instruction list with plain closures
-    ``fn(state)`` — no generators, no ``(is_gen, fn)`` tagging — one
-    fused closure per multi-instruction block leader and a
-    single-instruction closure everywhere else, so ``jr`` into block
-    middles executes exactly like the timed tables. The table is
-    latency-independent (timing never enters the generated code) and
-    cached directly on ``Program._functional``.
+    ``entries`` parallels the instruction list. A block leader's entry
+    is its fused closure; every other index holds a lazy entry that
+    compiles the one-instruction block there on first dispatch (via
+    ``single``) and replaces itself, so ``jr`` into a block's interior
+    stays executable without compiling every index up front. Timed
+    entries are ``(is_generator, fn)`` pairs; functional entries are
+    plain ``fn(state)`` closures.
     """
 
-    __slots__ = ("entries", "n_fused", "lengths", "source")
+    __slots__ = ("entries", "n_fused", "lengths", "source", "single")
 
-    def __init__(self, entries: list, n_fused: int,
-                 lengths: list[int], source: str) -> None:
+    def __init__(self, entries: list, n_fused: int, lengths: list[int],
+                 source: str, single) -> None:
         self.entries = entries
         self.n_fused = n_fused
+        #: Instruction count of each fused block (telemetry histogram).
         self.lengths = lengths
+        #: Generated Python source of every fused block (debugging aid).
         self.source = source
+        #: ``index -> entry`` of the compiled one-instruction block.
+        self.single = single
 
 
-def compile_functional(program: Program) -> FunctionalTable:
+def _exec(program: Program, source: str, name: str) -> dict:
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, f"<{name}:{program.base:#x}>", "exec"), namespace)
+    return namespace
+
+
+def _single_compiler(program: Program, cls, *args):
+    """``index -> entry`` of the one-instruction block there (memoized).
+
+    Blocks are emitted by ``cls(program, *args, start, end)``.
+    """
+    memo: dict[int, object] = {}
+
+    def single(index: int):
+        entry = memo.get(index)
+        if entry is None:
+            emitter = cls(program, *args, index, index + 1)
+            source = emitter.compile_source("_insn")
+            fn = _exec(program, source, f"insn{index}")["_insn"]
+            entry = memo[index] = emitter.entry(fn)
+        return entry
+
+    return single
+
+
+def _build_table(program: Program, spans, single, name: str,
+                 cls, *args) -> BlockTable:
+    """Fuse each span at its leader; every other index is lazy."""
+    instructions = program.instructions
+    pieces: list[str] = []
+    fused: list[tuple[int, _BlockEmitter]] = []
+    lengths: list[int] = []
+    for start, end in spans:
+        if end - start == 1 and not _is_terminator(instructions[start]):
+            # A lone straight-line instruction cut off by a leader or a
+            # window boundary: its lazy entry is the same block.
+            continue
+        emitter = cls(program, *args, start, end)
+        pieces.append(emitter.compile_source(f"_blk_{start}"))
+        fused.append((start, emitter))
+        lengths.append(end - start)
+    module = "\n".join(pieces)
+    namespace = _exec(program, module, name) if module else {}
+    entries: list = [None] * len(instructions)
+    entries[:] = [cls.lazy(entries, i, single) for i in range(len(entries))]
+    for start, emitter in fused:
+        entries[start] = emitter.entry(namespace[f"_blk_{start}"])
+    return BlockTable(entries, len(fused), lengths, module, single)
+
+
+def compile_program(program: Program, lat) -> BlockTable:
+    """The program's table of one-instruction blocks under *lat*.
+
+    Every entry compiles on its first dispatch. The table is cached on
+    the program in a dict keyed on the latency table's identity (each
+    entry keeps its table alive, so ids cannot be recycled underneath
+    it): a program alternating between two chip configs — an ablation
+    sweep, say — hits the cache on both instead of recompiling on every
+    switch.
+    """
+    cache = program._threaded
+    if cache is None:
+        cache = program._threaded = {}
+    cached = cache.get(id(lat))
+    if cached is not None and cached[0] is lat:
+        return cached[1]
+    single = _single_compiler(program, _BlockEmitter, lat)
+    table = _build_table(program, (), single, "insns", _BlockEmitter, lat)
+    cache[id(lat)] = (lat, table)
+    return table
+
+
+def compile_blocks(program: Program, lat, window_bytes: int,
+                   handlers: BlockTable) -> BlockTable:
+    """Compile *program*'s basic blocks against latency table *lat*.
+
+    *handlers* is the program's :func:`compile_program` table under the
+    same *lat*; non-leader entries compile through it on first dispatch,
+    so both tables share each one-instruction block. The result is
+    cached on the program keyed by ``(lat identity, window_bytes)`` —
+    see :class:`Program` — so sharing a program across threads or
+    re-running it compiles nothing.
+    """
+    cache = program._blocks
+    if cache is None:
+        cache = program._blocks = {}
+    key = (id(lat), window_bytes)
+    cached = cache.get(key)
+    if cached is not None and cached[0] is lat:
+        return cached[1]
+    table = _build_table(program, block_spans(program, window_bytes),
+                         handlers.single, "blocks", _BlockEmitter, lat)
+    cache[key] = (lat, table)
+    return table
+
+
+def compile_functional(program: Program) -> BlockTable:
     """Compile *program*'s functional (timing-free) dispatch table.
 
-    Every index gets a single-instruction closure; multi-instruction
-    basic blocks additionally fuse into one closure installed at the
-    leader. An instruction the functional generator cannot reproduce
-    gets a closure that raises ``ExecutionError`` on first dispatch —
-    fast-forward has no timed fallback to hide behind.
+    Same builder as the timed tables: fused at leaders, lazy elsewhere.
+    The table is latency-independent and cached on
+    ``Program._functional``.
     """
     cached = program._functional
     if cached is not None:
         return cached
-
-    n = len(program.instructions)
-    pieces: list[str] = []
-    singles: list[tuple[int, str | None, str | None]] = []
-    for i in range(n):
-        emitter = _FunctionalEmitter(program, i, i + 1)
-        try:
-            source = emitter.compile_source(f"_fi_{i}")
-        except _Unfusable as exc:
-            singles.append((i, None, str(exc)))
-            continue
-        pieces.append(source)
-        singles.append((i, f"_fi_{i}", None))
-    fused: list[tuple[int, str]] = []
-    lengths: list[int] = []
-    for start, end in block_spans(program, _FUNCTIONAL_WINDOW):
-        if end - start <= 1:
-            continue
-        emitter = _FunctionalEmitter(program, start, end)
-        try:
-            source = emitter.compile_source(f"_fb_{start}")
-        except _Unfusable:
-            continue
-        pieces.append(source)
-        fused.append((start, f"_fb_{start}"))
-        lengths.append(end - start)
-    module = "\n".join(pieces)
-    namespace = dict(_NAMESPACE)
-    if module:
-        code = compile(module, f"<functional:{program.base:#x}>", "exec")
-        exec(code, namespace)
-    entries: list = [None] * n
-    for i, fn_name, reason in singles:
-        entries[i] = (namespace[fn_name] if fn_name is not None
-                      else _functional_fallback(i, reason))
-    for start, fn_name in fused:
-        entries[start] = namespace[fn_name]
-    table = FunctionalTable(entries, len(fused), lengths, module)
+    table = _build_table(
+        program, block_spans(program, _FUNCTIONAL_WINDOW),
+        _single_compiler(program, _FunctionalEmitter), "functional",
+        _FunctionalEmitter,
+    )
     program._functional = table
     return table

@@ -50,10 +50,10 @@ class Instruction:
 
         Double-precision operands occupy an even/odd register pair, so
         each pair operand expands to ``(reg, reg + 1)``. The result is a
-        static property of the instruction; the interpreter's threaded-
-        code compiler resolves it once per static instruction instead of
-        per dynamic execution. ``sync`` is the one exception (it waits on
-        *every* register) and is handled by its handler directly.
+        static property of the instruction; the block emitter resolves it
+        once per static instruction instead of per dynamic execution.
+        ``sync`` is the one exception (it waits on *every* register) and
+        is emitted as a fence directly.
         """
         unit = self.opcode.unit
         name = self.opcode.name

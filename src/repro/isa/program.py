@@ -21,18 +21,20 @@ class Program:
     instructions: list[Instruction] = field(default_factory=list)
     labels: dict[str, int] = field(default_factory=dict)
     base: int = 0x0
-    #: Threaded-code cache: ``{id(latency_table): (latency_table,
-    #: handlers)}``, filled by the interpreter the first time this
-    #: program runs. Handlers are keyed to the latency table they were
-    #: compiled against (the value keeps the table alive, which makes
-    #: the ``id`` key safe), so a program can move between chips with
-    #: different configs — or alternate between two configs in an
-    #: ablation sweep — without recompiling. Mutating ``instructions``
-    #: after a run leaves a stale cache — assemble a new Program instead.
+    #: One-instruction block cache: ``{id(latency_table):
+    #: (latency_table, table)}``, filled by the interpreter the first
+    #: time this program runs — see
+    #: :func:`repro.isa.blocks.compile_program`. Tables are keyed to the
+    #: latency table they were compiled against (the value keeps the
+    #: table alive, which makes the ``id`` key safe), so a program can
+    #: move between chips with different configs — or alternate between
+    #: two configs in an ablation sweep — without recompiling. Mutating
+    #: ``instructions`` after a run leaves a stale cache — assemble a new
+    #: Program instead.
     _threaded: dict | None = field(
         init=False, default=None, repr=False, compare=False
     )
-    #: Basic-block superinstruction cache, same lifecycle, keyed by
+    #: Basic-block table cache, same lifecycle, keyed by
     #: ``(id(latency_table), pib_window_bytes)`` — see
     #: :func:`repro.isa.blocks.compile_blocks`.
     _blocks: dict | None = field(

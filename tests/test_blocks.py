@@ -1,8 +1,9 @@
 """Tests for basic-block superinstructions (repro.isa.blocks).
 
-The golden/differential suites prove block dispatch is cycle-exact;
-these tests pin the machinery itself: block formation rules, compile
-caches that survive alternating latency tables, every fallback switch,
+The golden/differential suites prove the compiled blocks are
+cycle-exact; these tests pin the machinery itself: block formation
+rules, lazily compiled one-instruction entries, compile caches that
+survive alternating latency tables, sanitized chips on blocks,
 mid-block entry through ``jr``, and the telemetry counters.
 """
 
@@ -10,6 +11,7 @@ import pytest
 
 from repro.config import ChipConfig
 from repro.core.chip import Chip
+from repro.errors import ExecutionError
 from repro.isa.assembler import assemble
 from repro.isa.blocks import block_spans, compile_blocks
 from repro.isa.interpreter import Interpreter, compile_program
@@ -67,30 +69,79 @@ def test_generators_stay_inside_blocks():
     table = _table(program, lat)
     assert table.n_fused == 1
     assert table.lengths == [5]
-    # Non-leader slots keep their per-instruction handlers.
-    handlers = compile_program(program, lat)
-    assert table.entries[0] is not handlers[0]
-    assert all(table.entries[i] is handlers[i] for i in range(1, 5))
+    assert table.source.count("def ") == 1
+    # Non-leader slots compile through the per-instruction table's
+    # one-instruction blocks, on first dispatch only.
+    assert table.single is compile_program(program, lat).single
 
 
 def test_lone_plain_instruction_keeps_handler():
     # A single-instruction straight-line block (created here by the
-    # branch target) gains nothing from fusion; its entry must be the
-    # per-instruction handler itself.
+    # branch fall-through and target) is not fused up front: its entry
+    # compiles on first dispatch and installs the one-instruction block
+    # the per-instruction table shares.
     program = assemble(
-        "j skip\n"
-        "addi r3, r3, 1\n"
+        "bne r0, r0, skip\n"
+        "addi r3, r0, 1\n"
         "skip:\n"
         "halt\n"
     )
-    lat = ChipConfig().latency
+    chip = Chip(sanitize=False)
+    lat = chip.config.latency
     handlers = compile_program(program, lat)
     table = _table(program, lat)
-    assert table.entries[1] is handlers[1]
+    assert table.lengths == [1, 1]  # bne and halt; not the addi
+    lazy = table.entries[1]
+    interp = Interpreter(chip, model_fetch=False)
+    state = interp.add_thread(0, program)
+    interp.run()
+    assert state.regs.read(3) == 1
+    assert table.entries[1] is not lazy
+    assert table.entries[1] is handlers.single(1)
+    # The per-instruction table never dispatched index 1 itself.
+    assert handlers.entries[1] is not table.entries[1]
 
 
 # ---------------------------------------------------------------------------
-# Caches (the satellite fix: no thrash when two latency tables alternate)
+# Odd double pairs
+# ---------------------------------------------------------------------------
+#: (instruction, odd register it names as a pair, test id).
+_ODD_PAIR_OPS = [
+    ("fadd r10, r11, r12", 11, "fadd_src"),
+    ("fadd r11, r10, r12", 11, "fadd_dst"),
+    ("ld r13, 0(r4)", 13, "ld"),
+    ("sd r13, 0(r4)", 13, "sd"),
+    ("cvtfi r3, r11", 11, "cvtfi"),
+    ("fcmplt r3, r11, r12", 11, "fcmplt"),
+]
+#: ``alone`` makes the instruction a one-instruction block between a
+#: branch fall-through and a branch target; ``in_block`` buries it in
+#: the middle of a fused block.
+_PLACEMENTS = {
+    "alone": "bne r0, r0, end\n{}\nend:\nhalt\n",
+    "in_block": "addi r5, r0, 1\naddi r6, r0, 2\n{}\naddi r7, r0, 3\nhalt\n",
+}
+
+
+@pytest.mark.parametrize("placement", sorted(_PLACEMENTS))
+@pytest.mark.parametrize("inst,odd", [op[:2] for op in _ODD_PAIR_OPS],
+                         ids=[op[2] for op in _ODD_PAIR_OPS])
+def test_odd_pair_faults(inst, odd, placement):
+    # A double operand at an odd register fuses like any other block
+    # and raises the register file's own fault when it executes.
+    interp = Interpreter(Chip(sanitize=False), model_fetch=False)
+    interp.add_thread(0, assemble(_PLACEMENTS[placement].format(inst)),
+                      init_regs={4: 0x800})
+    with pytest.raises(ExecutionError) as info:
+        interp.run()
+    assert str(info.value) == (
+        "double-precision pair must start at an even register, "
+        f"got r{odd}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Caches (no thrash when two latency tables alternate)
 # ---------------------------------------------------------------------------
 def test_compile_caches_survive_alternating_latency_tables():
     program = assemble("addi r3, r0, 1\nhalt\n")
@@ -110,25 +161,12 @@ def test_compile_caches_survive_alternating_latency_tables():
 
 
 # ---------------------------------------------------------------------------
-# Fallback switches
+# Sanitized chips
 # ---------------------------------------------------------------------------
-def test_kwarg_disables_block_dispatch():
-    # sanitize=False pins a clean chip even when the suite itself runs
-    # under CYCLOPS_SANITIZE=1.
-    chip = Chip(sanitize=False)
-    assert Interpreter(chip).block_dispatch is True
-    assert Interpreter(chip, block_dispatch=False).block_dispatch is False
-
-
-def test_env_disables_block_dispatch(monkeypatch):
-    monkeypatch.setenv("CYCLOPS_NO_SUPERINST", "1")
-    assert Interpreter(Chip(sanitize=False)).block_dispatch is False
-
-
-def test_sanitizer_forces_per_instruction_dispatch():
-    # The sanitizer's pc_of facade assumes state.pc moves every
-    # instruction, so a sanitized chip must fall back — and still
-    # produce the same cycles as block dispatch on a clean chip.
+def test_sanitized_chip_runs_blocks():
+    # Blocks store state.pc before every memory yield, which is all the
+    # sanitizer's pc_of facade needs: a sanitized chip dispatches the
+    # same fused block, with the same cycles, as a clean chip.
     source = (
         "addi r4, r0, 2048\n"
         "addi r3, r0, 7\n"
@@ -139,15 +177,15 @@ def test_sanitizer_forces_per_instruction_dispatch():
     )
     sanitized = Chip(sanitize=True)
     interp = Interpreter(sanitized)
-    assert interp.block_dispatch is False
     state = interp.add_thread(0, assemble(source))
     cycles = interp.run()
 
     reference = Interpreter(Chip(sanitize=False))
-    assert reference.block_dispatch is True
     ref_state = reference.add_thread(0, assemble(source))
     assert reference.run() == cycles
     assert ref_state.regs.read(5) == state.regs.read(5) == 14
+    assert interp._dispatches == reference._dispatches == 1
+    assert sanitized.sanitizer.findings == []
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +193,9 @@ def test_sanitizer_forces_per_instruction_dispatch():
 # ---------------------------------------------------------------------------
 def test_jr_into_block_interior():
     # A computed jr lands on a pc that no static branch targets, i.e.
-    # the *interior* of a fused block. The interior pc keeps its
-    # per-instruction handler, so execution resumes there and rejoins
-    # block dispatch at the next leader — with timing identical to the
-    # pure per-instruction interpreter.
+    # the *interior* of a fused block. The interior pc compiles its
+    # one-instruction block on first dispatch, so execution resumes
+    # there and rejoins block dispatch at the next leader.
     source = (
         "addi r2, r0, 16\n"   # byte address of `target` below
         "jr r2\n"
@@ -168,21 +205,20 @@ def test_jr_into_block_interior():
         "addi r4, r4, 2\n"
         "halt\n"
     )
-
-    def run(block_dispatch):
-        chip = Chip(sanitize=False)
-        interp = Interpreter(chip, model_fetch=False,
-                             block_dispatch=block_dispatch)
-        state = interp.add_thread(0, assemble(source))
-        cycles = interp.run()
-        return cycles, state.regs.read(3), state.regs.read(4)
-
     program = assemble(source)
     spans = block_spans(program, _WINDOW)
     assert (2, 7) in spans or any(s < 4 < e - 1 for s, e in spans), spans
-    threaded, blocks = run(False), run(True)
-    assert threaded == blocks
-    assert blocks[1:] == (0, 3)  # skipped the r3 adds, ran the r4 adds
+
+    def run(model_fetch):
+        interp = Interpreter(Chip(sanitize=False), model_fetch=model_fetch)
+        state = interp.add_thread(0, assemble(source))
+        cycles = interp.run()
+        return (cycles, state.regs.read(3), state.regs.read(4),
+                max(state.ready), state.tu.counters.instructions)
+
+    # Skipped the r3 adds, ran the r4 adds: five instructions retired.
+    assert run(False) == (6, 0, 3, 5, 5)
+    assert run(True) == (30, 0, 3, 29, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +241,8 @@ def test_block_metrics_published():
     interp.run()
     snap = inst.registry.snapshot()
     # Two fused blocks: the 3-instruction loop body and the halt
-    # singleton. The lone entry addi keeps its plain handler, so it
-    # never counts as compiled.
+    # singleton. The lone entry addi compiles lazily, outside the
+    # fused count.
     assert snap["counters"]["engine.blocks.compiled"] == 2
     # entry once, loop body four times, halt once.
     assert snap["counters"]["engine.blocks.dispatches"] == 6
@@ -227,4 +263,4 @@ def test_no_metrics_without_instrumentation():
     interp = Interpreter(chip, model_fetch=False)
     interp.add_thread(0, assemble("addi r3, r0, 1\nhalt\n"))
     interp.run()  # must not raise; chip.telemetry is None
-    assert interp._block_dispatched > 0
+    assert interp._dispatches > 0

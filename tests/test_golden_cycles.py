@@ -1,8 +1,8 @@
 """Golden cycle-count regression tests.
 
-The engine fast paths (calendar-queue scheduling, threaded-code dispatch,
-allocation-free memory accesses) are pure host-side optimizations: they
-must not move a single simulated cycle. These tests pin the **exact**
+The engine fast paths (calendar-queue scheduling, fused basic-block
+dispatch, allocation-free memory accesses) are pure host-side
+optimizations: they must not move a single simulated cycle. These tests pin the **exact**
 final cycle counts of representative runs — Table 2 microbenchmark
 chains through the ISA interpreter, and the paper workloads through the
 direct-execution runtime — so any change that shifts timing, however
@@ -48,33 +48,21 @@ _CHAINS = [
 ]
 
 
-#: Both dispatchers must land on the same goldens: the block compiler
-#: (repro.isa.blocks) is a host-side optimization with per-instruction
-#: threaded code as its reference semantics.
-_DISPATCHERS = pytest.mark.parametrize(
-    "block_dispatch", [False, True], ids=["threaded", "blocks"]
-)
-
-
-@_DISPATCHERS
 @pytest.mark.parametrize(
     "setup,body,model_fetch,golden",
     [case[1:] for case in _CHAINS],
     ids=[case[0] for case in _CHAINS],
 )
-def test_isa_chain_goldens(setup, body, model_fetch, golden,
-                           block_dispatch):
+def test_isa_chain_goldens(setup, body, model_fetch, golden):
     source = setup + "\n" + "\n".join([body] * 8) + "\nhalt\n"
     chip = Chip(ChipConfig())
-    interpreter = Interpreter(chip, model_fetch=model_fetch,
-                              block_dispatch=block_dispatch)
+    interpreter = Interpreter(chip, model_fetch=model_fetch)
     state = interpreter.add_thread(0, assemble(source))
     final = interpreter.run()
     assert (final, max(state.ready)) == golden
 
 
-@_DISPATCHERS
-def test_pointer_chase_golden(block_dispatch):
+def test_pointer_chase_golden():
     """Dependent loads with instruction fetch modeled (PIB + I-cache)."""
     chip = Chip(ChipConfig())
     base = 0x800
@@ -83,8 +71,7 @@ def test_pointer_chase_golden(block_dispatch):
             base + 4 * i, base + 4 * ((i + 1) % 16)
         )
     source = "addi r5, r0, 2048\n" + "lw r5, 0(r5)\n" * 9 + "halt\n"
-    interpreter = Interpreter(chip, model_fetch=True,
-                              block_dispatch=block_dispatch)
+    interpreter = Interpreter(chip, model_fetch=True)
     state = interpreter.add_thread(0, assemble(source))
     final = interpreter.run()
     assert (final, max(state.ready)) == (101, 106)

@@ -127,18 +127,22 @@ class TestSeededBugs:
         assert "participate" in san.findings[0].message
 
     def test_isa_thread_findings_carry_pc(self):
-        """ISA-interpreter threads report the faulting instruction."""
-        chip = Chip(sanitize=True)
-        writer = chip.sanitizer.thread_view(chip.memory, tid=4)
-        writer.store_u32(0, 1, EA_OWN, 7)   # dirty in quad 1, unflushed
-        interp = Interpreter(chip, model_fetch=False)
-        interp.add_thread(0, assemble("lw r3, 0(r4)\nhalt"),
-                          init_regs={4: 0x1000})
-        interp.run()
-        stale = [f for f in chip.sanitizer.findings
-                 if f.kind == "stale-read"]
-        assert len(stale) == 1
-        assert stale[0].pc == 0x0 and stale[0].tid == 0
+        """ISA-interpreter threads report the faulting instruction, also
+        when the stale load sits in the middle of a fused block."""
+        for source, pc in (("lw r3, 0(r4)\nhalt", 0x0),
+                           ("addi r5, r0, 1\naddi r6, r0, 2\n"
+                            "lw r3, 0(r4)\nhalt", 0x8)):
+            chip = Chip(sanitize=True)
+            writer = chip.sanitizer.thread_view(chip.memory, tid=4)
+            writer.store_u32(0, 1, EA_OWN, 7)  # dirty in quad 1, unflushed
+            interp = Interpreter(chip, model_fetch=False)
+            interp.add_thread(0, assemble(source), init_regs={4: 0x1000})
+            interp.run()
+            stale = [f for f in chip.sanitizer.findings
+                     if f.kind == "stale-read"]
+            assert len(stale) == 1
+            assert stale[0].pc == pc and stale[0].tid == 0
+            assert interp._dispatches == 1
 
 
 class TestCleanRuns:
