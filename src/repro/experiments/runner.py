@@ -7,22 +7,17 @@ Subcommands::
     run all -o out/      also write one report file per experiment
     run <id> --json f    also write machine-readable results as JSON
     run all -j 4         fan out through the repro.jobs worker pool
-    run all --serve URL  execute remotely on a repro.serve server
 
-With ``--serve URL`` each experiment is submitted to a running
-``python -m repro.serve`` instance (see ``docs/serving.md``): the
-server owns pooling, result caching, and admission control, and this
-process only renders what comes back — including warm-cache results
-that never re-simulate. With ``-j N`` the experiments run through
-:mod:`repro.jobs`: whole
-experiments become jobs (and the decomposable sweeps — fig3, family,
-saturation, bandwidth, contention — fan out their individual
-simulation points), results are cached by
-content so a re-run only simulates what changed, and a crashing or
-hanging experiment no longer takes ``run all`` down with it. Failures
-are collected and reported at the end; the exit code is 0 on success,
-1 when any experiment failed, and 2 for usage errors such as an
-unknown experiment id.
+Without ``-j`` the experiments run serially in this process. With
+``-j N`` they run through :mod:`repro.jobs`, the one way experiments
+leave the process: whole experiments become jobs (and the decomposable
+sweeps — fig3, family, saturation, bandwidth, contention — fan out
+their individual simulation points), results are cached by content so
+a re-run only simulates what changed, and a crashing or hanging
+experiment no longer takes ``run all`` down with it. Failures are
+collected and reported at the end; the exit code is 0 on success, 1
+when any experiment failed, and 2 for usage errors such as an unknown
+experiment id or a flag that does not apply to the chosen mode.
 """
 
 from __future__ import annotations
@@ -82,11 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--retries", type=int, default=2,
                          help="with -j: attempts after a crash/timeout "
                               "(default 2)")
-    run_cmd.add_argument("--serve", default=None, metavar="URL",
-                         help="execute experiments remotely on a "
-                              "repro.serve server (e.g. "
-                              "http://127.0.0.1:8642); mutually "
-                              "exclusive with -j and --sanitize")
     run_cmd.add_argument("--sampled", nargs="?", const="1", default=None,
                          metavar="SPEC",
                          help="set CYCLOPS_SAMPLE around the run: '1' for "
@@ -94,8 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "like 'period=16384,measure=256' (see "
                               "docs/sampled-sim.md); only ISA-interpreter "
                               "experiments sample — kernel-closure "
-                              "workloads reject it; incompatible with -j "
-                              "and --serve")
+                              "workloads reject it; incompatible with -j")
     run_cmd.add_argument("--sanitize", action="store_true",
                          help="run under the coherence sanitizer (see "
                               "docs/memory-model.md); incompatible with "
@@ -131,32 +120,29 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: unknown experiment {args.experiment!r}\n"
               f"known experiments: {known}, all", file=sys.stderr)
         return 2
-    if args.jobs is not None and args.jobs < 1:
-        print(f"error: -j must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.serve and args.jobs is not None:
-        print("error: --serve executes remotely; drop -j", file=sys.stderr)
-        return 2
-    if args.serve and args.sanitize:
-        print("error: --sanitize requires local serial execution "
-              "(drop --serve)", file=sys.stderr)
-        return 2
-    if args.sampled is not None and args.jobs is not None:
+    use_jobs = args.jobs is not None
+    usage_errors = (
+        (use_jobs and args.jobs < 1, f"-j must be >= 1, got {args.jobs}"),
         # Worker processes do not inherit a mutated parent environment
         # through the job specs; refuse rather than silently run exact.
-        print("error: --sampled requires serial execution (drop -j)",
-              file=sys.stderr)
-        return 2
-    if args.sampled is not None and args.serve:
-        print("error: --sampled is a local environment override; the "
-              "serve server runs its own (drop --serve)", file=sys.stderr)
-        return 2
-    if args.sanitize and args.jobs is not None:
+        (use_jobs and args.sampled is not None,
+         "--sampled requires serial execution (drop -j)"),
         # Worker processes would collect findings in their own session
         # rosters and silently drop them; refuse rather than mislead.
-        print("error: --sanitize requires serial execution (drop -j)",
-              file=sys.stderr)
-        return 2
+        (use_jobs and args.sanitize,
+         "--sanitize requires serial execution (drop -j)"),
+        (args.sanitize_report is not None and not args.sanitize,
+         "--sanitize-report requires --sanitize"),
+        (not use_jobs and args.no_cache, "--no-cache requires -j"),
+        (not use_jobs and args.cache_dir is not None,
+         "--cache-dir requires -j"),
+        (not use_jobs and args.job_timeout is not None,
+         "--job-timeout requires -j"),
+    )
+    for failed, message in usage_errors:
+        if failed:
+            print(f"error: {message}", file=sys.stderr)
+            return 2
     if args.sanitize:
         from repro.sanitizer import session as sanitizer_session
         sanitizer_session.reset()
@@ -182,38 +168,8 @@ def main(argv: list[str] | None = None) -> int:
             json_reports[experiment_id] = entry
 
     failures: dict[str, str] = {}
-    use_jobs = args.jobs is not None
     runner = None
-    serve_stats = None
-    if args.serve:
-        # Remote execution: each experiment becomes one /submit request;
-        # the server owns pooling, caching, and admission control.
-        from repro.errors import ServeError
-        from repro.serve.client import ServeClient
-
-        client = ServeClient(args.serve)
-        serve_stats = {"requests": 0, "cached": 0, "failed": 0}
-        for experiment_id in ids:
-            started = time.time()
-            spec = experiment_spec(experiment_id, args.quick)
-            try:
-                outcome = client.submit_with_retry({"spec": spec.to_dict()})[0]
-            except (ServeError, OSError) as error:
-                failures[experiment_id] = (
-                    f"remote execution on {args.serve} failed: {error}")
-                continue
-            serve_stats["requests"] += 1
-            if outcome.get("ok"):
-                if outcome.get("cached"):
-                    serve_stats["cached"] += 1
-                emit(experiment_id,
-                     ExperimentReport.from_dict(outcome["value"]),
-                     time.time() - started)
-            else:
-                serve_stats["failed"] += 1
-                failures[experiment_id] = \
-                    outcome.get("error") or "remote job failed"
-    elif use_jobs:
+    if use_jobs:
         cache = None
         if not args.no_cache:
             cache = ResultCache(args.cache_dir) if args.cache_dir \
@@ -285,8 +241,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         if runner is not None:
             json_reports["_jobs"] = dict(runner.stats)
-        if serve_stats is not None:
-            json_reports["_serve"] = serve_stats
         path = pathlib.Path(args.json)
         if path.parent != pathlib.Path("."):
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -591,9 +591,7 @@ def install_signal_handlers(
     signal escalates to ``force=True``, killing the in-flight jobs too.
     Returns a zero-argument function that restores the previous
     handlers. Only callable from the main thread (a CPython
-    ``signal.signal`` constraint); asyncio servers should use
-    ``loop.add_signal_handler`` with the same ``request_stop`` calls
-    instead.
+    ``signal.signal`` constraint).
     """
     previous: dict[int, object] = {}
     hits = {"count": 0}

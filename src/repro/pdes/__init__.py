@@ -31,7 +31,8 @@ from __future__ import annotations
 import os
 from typing import Any
 
-from repro.errors import DeadlockError, PdesCrashError, PdesError
+from repro.errors import (ConfigError, DeadlockError, PdesCrashError,
+                          PdesError)
 from repro.pdes.coordinator import Coordinator
 from repro.pdes.partition import PartitionMap
 from repro.pdes.program import CellProgram
@@ -61,8 +62,15 @@ def run_system_parallel(system, domains: int) -> int | None:
     ``system.pdes_fallback_reason`` set and the parent system untouched
     — when the partition is rejected or the parallel run degrades; a
     single crash is retried once first, since the protocol is
-    deterministic.
+    deterministic. A malformed :data:`TIMEOUT_ENV` raises
+    :class:`~repro.errors.ConfigError`.
     """
+    raw_timeout = os.environ.get(TIMEOUT_ENV, DEFAULT_TIMEOUT)
+    try:
+        timeout = float(raw_timeout)
+    except ValueError:
+        raise ConfigError(
+            f"{TIMEOUT_ENV}={raw_timeout!r} is not a number of seconds")
     system.pdes_fallback_reason = None
     system.pdes_stats = None
     try:
@@ -71,7 +79,6 @@ def run_system_parallel(system, domains: int) -> int | None:
     except PdesError as error:
         system.pdes_fallback_reason = str(error)
         return None
-    timeout = float(os.environ.get(TIMEOUT_ENV, DEFAULT_TIMEOUT))
     crashes: list[str] = []
     results = None
     for _attempt in range(2):

@@ -60,29 +60,12 @@ from repro.system.topology import Coord
 #: process die immediately (mirrors ``REPRO_JOBS_INJECT_CRASH``).
 CRASH_ENV = "CYCLOPS_PDES_INJECT_CRASH"
 
-#: Pre-rename spelling, still honored with a DeprecationWarning (every
-#: other simulator knob uses the ``CYCLOPS_`` prefix).
-LEGACY_CRASH_ENV = "REPRO_PDES_INJECT_CRASH"
-
 
 def crash_injection_target() -> str | None:
-    """The domain id selected for crash injection, or ``None``.
+    """The domain id selected for crash injection (:data:`CRASH_ENV`),
+    or ``None``."""
+    return os.environ.get(CRASH_ENV)
 
-    Reads :data:`CRASH_ENV`; falls back to :data:`LEGACY_CRASH_ENV`
-    (warning once per process) so existing CI scripts keep working
-    through the rename. The new spelling wins when both are set.
-    """
-    target = os.environ.get(CRASH_ENV)
-    if target is not None:
-        return target
-    target = os.environ.get(LEGACY_CRASH_ENV)
-    if target is not None:
-        import warnings
-        warnings.warn(
-            f"{LEGACY_CRASH_ENV} is deprecated; set {CRASH_ENV} instead",
-            DeprecationWarning, stacklevel=2,
-        )
-    return target
 
 #: "Infinitely far in the future" for promise arithmetic.
 INF_TIME = 1 << 62

@@ -114,13 +114,17 @@ class TestRunnerCli:
     def test_bad_worker_count_exits_2(self, capsys):
         assert main(["run", "table2", "-j", "0"]) == 2
         assert "-j must be >= 1" in capsys.readouterr().err
+        # Pool-only flags are refused without -j, not silently ignored.
+        for flag in (["--no-cache"], ["--cache-dir", "c"],
+                     ["--job-timeout", "5"]):
+            assert main(["run", "table2", "--quick", *flag]) == 2
+            err = capsys.readouterr().err
+            assert f"{flag[0]} requires -j" in err
+            assert len(err.splitlines()) == 1
 
-    def test_sampled_flag_rejects_jobs_and_serve(self, capsys):
+    def test_sampled_flag_rejects_jobs(self, capsys):
         assert main(["run", "table2", "--sampled", "-j", "2"]) == 2
         assert "--sampled requires serial" in capsys.readouterr().err
-        assert main(["run", "table2", "--sampled",
-                     "--serve", "http://127.0.0.1:1"]) == 2
-        assert "--sampled" in capsys.readouterr().err
 
     def test_sampled_flag_sets_and_restores_env(self, capsys, monkeypatch):
         import os

@@ -225,6 +225,10 @@ class TestEnablement:
         assert experiments_main(
             ["run", "table1", "--quick", "--sanitize", "-j", "2"]) == 2
         assert "--sanitize requires serial" in capsys.readouterr().err
+        assert experiments_main(
+            ["run", "table1", "--quick", "--sanitize-report", "r.json"]) == 2
+        assert "--sanitize-report requires --sanitize" in \
+            capsys.readouterr().err
 
 
 class TestReporting:
