@@ -35,6 +35,9 @@ class FPU:
         #: Cycles requests waited for a busy sub-unit (quad contention).
         self.contention_cycles = 0
         self.failed = False
+        # FMA timing hoisted from the (frozen) config.
+        self._fma_execution, self._fma_latency = \
+            config.latency.fp_multiply_add
 
     # ------------------------------------------------------------------
     def _issue_pipelined(self, unit: PipelinedUnit, time: int,
@@ -69,7 +72,6 @@ class FPU:
         The grant is the first cycle where the adder and multiplier issue
         slots are simultaneously free at or after *time*.
         """
-        execution, latency = self.config.latency.fp_multiply_add
         adder = self.adder
         multiplier = self.multiplier
         grant = time
@@ -79,25 +81,23 @@ class FPU:
             grant = multiplier.next_free
         # TimelineResource.reserve(grant, execution) on both pipes,
         # inlined (two frames per FMA): both are free at *grant*, so each
-        # grants exactly *grant*; every counter reserve keeps is kept.
-        if grant < adder._last_request:
-            adder.reorderings += 1
-        else:
-            adder._last_request = grant
-        adder.next_free = grant + execution
+        # grants exactly *grant*; every counter reserve keeps is kept. A
+        # pipe's last request never passes its next free cycle, so
+        # *grant* is never out of order (``reorderings`` cannot move).
+        execution = self._fma_execution
+        issue_end = grant + execution
+        adder._last_request = grant
+        adder.next_free = issue_end
         adder.busy_cycles += execution
         adder.n_requests += 1
-        if grant < multiplier._last_request:
-            multiplier.reorderings += 1
-        else:
-            multiplier._last_request = grant
-        multiplier.next_free = grant + execution
+        multiplier._last_request = grant
+        multiplier.next_free = issue_end
         multiplier.busy_cycles += execution
         multiplier.n_requests += 1
         self.operations += 1
         if grant != time:
             self.contention_cycles += grant - time
-        return grant + execution, grant + execution + latency
+        return issue_end, issue_end + self._fma_latency
 
     def divide(self, time: int) -> tuple[int, int]:
         """Double-precision divide: occupies the div/sqrt unit fully."""

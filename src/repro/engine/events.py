@@ -20,6 +20,10 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Iterator
 
+#: ``EventQueue.next_time`` while the queue is empty: later than any
+#: event, so "does *t* come before everything queued?" is one comparison.
+NEVER = 1 << 62
+
 
 class EventQueue:
     """Events keyed by integer time, FIFO within one time.
@@ -36,10 +40,10 @@ class EventQueue:
         #: Number of queued events. A plain attribute so the scheduler's
         #: inner loop can test emptiness without a ``__bool__`` call.
         self.n = 0
-        #: Earliest queued time (``_times[0]``), maintained on every
-        #: push/pop so hot callers read an attribute instead of calling
-        #: :meth:`peek_time`. Meaningless while the queue is empty.
-        self.next_time = 0
+        #: Earliest queued time (``_times[0]``), or :data:`NEVER` while
+        #: the queue is empty; maintained on every push/pop so hot
+        #: callers read an attribute instead of calling :meth:`peek_time`.
+        self.next_time = NEVER
         #: time -> deque of the payloads queued at that time, in order.
         self._slots: dict[int, deque[Any]] = {}
         #: Min-heap of the distinct times present in ``_slots``.
@@ -57,7 +61,7 @@ class EventQueue:
         if slot is None:
             self._slots[time] = deque((payload,))
             heappush(self._times, time)
-            if self.n == 0 or time < self.next_time:
+            if time < self.next_time:
                 self.next_time = time
         else:
             slot.append(payload)
@@ -92,8 +96,7 @@ class EventQueue:
             del self._slots[time]
             times = self._times
             heappop(times)
-            if times:
-                self.next_time = times[0]
+            self.next_time = times[0] if times else NEVER
         return time, payload
 
     def peek_time(self) -> int:

@@ -23,7 +23,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator
 
-from repro.engine.events import EventQueue
+from repro.engine.events import NEVER, EventQueue
 from repro.errors import DeadlockError, SimulationError
 
 #: Sentinel yielded by a process that parks itself until woken.
@@ -38,19 +38,28 @@ ProcessBody = Generator[Any, int, None]
 class Process:
     """A schedulable generator with bookkeeping for joins and accounting."""
 
-    __slots__ = ("pid", "name", "gen", "time", "done", "blocked", "started",
+    __slots__ = ("pid", "name", "gen", "send", "time", "done", "blocked",
                  "_exit_callbacks")
 
     def __init__(self, pid: int, gen: ProcessBody, name: str = "") -> None:
         self.pid = pid
         self.name = name or f"process-{pid}"
         self.gen = gen
+        #: Resume with a granted time: ``gen.send``, bound once, after a
+        #: first call that starts the generator (see :meth:`_first_send`).
+        self.send: Callable[[int], Any] = self._first_send
         #: The process's local clock: last known simulated time.
         self.time = 0
         self.done = False
         self.blocked = False
-        self.started = False
         self._exit_callbacks: list[Callable[[int], None]] = []
+
+    def _first_send(self, granted: int) -> Any:
+        """Start the generator (``send(None)``: it has no yield to
+        receive *granted* yet) and bind ``gen.send`` for every later
+        resume."""
+        send = self.send = self.gen.send
+        return send(None)
 
     def on_exit(self, callback: Callable[[int], None]) -> None:
         """Run *callback(final_time)* when the process finishes."""
@@ -183,18 +192,12 @@ class Scheduler:
                         # (a push at this cycle opens a fresh slot).
                         del slots[time]
                         heappop(times)
-                        if times:
-                            queue.next_time = times[0]
-                    process.time = time
-                    send = process.gen.send
-                    if process.started:
-                        value = time
-                    else:
-                        process.started = True
-                        value = None  # first resume: next(gen) == send(None)
+                        queue.next_time = times[0] if times else NEVER
+                    # process.time is already *time*: every push, wake
+                    # and spawn sets it before queueing the process.
                     while True:
                         try:
-                            request = send(value)
+                            request = process.send(time)
                         except StopIteration:
                             request = _FINISHED
                         steps += 1
@@ -209,20 +212,20 @@ class Scheduler:
                             process.time = request
                             # Fast path: the process rescheduled itself at
                             # a time strictly before every queued event (it
-                            # would pop next anyway), so resume it directly
+                            # would pop next anyway; an empty queue's
+                            # next_time is NEVER), so resume it directly
                             # and skip the queue round-trip. Ties must go
                             # through the queue — FIFO order says earlier-
                             # pushed events run first — and so must
                             # anything past the `until` horizon.
-                            if (until is not None and request > until) or \
-                                    (queue.n and request >= queue.next_time):
+                            if request >= queue.next_time or \
+                                    (until is not None and request > until):
                                 # EventQueue.push, inlined.
                                 later = slots.get(request)
                                 if later is None:
                                     slots[request] = deque((process,))
                                     heappush(times, request)
-                                    if not queue.n or \
-                                            request < queue.next_time:
+                                    if request < queue.next_time:
                                         queue.next_time = request
                                 else:
                                     later.append(process)
@@ -231,7 +234,6 @@ class Scheduler:
                             if request != time:
                                 time = request
                                 self.now = request
-                            value = request
                             continue
                         if request is _FINISHED:
                             self._n_live -= 1

@@ -24,6 +24,12 @@ class ExperimentReport:
     measurements: dict[str, float] = field(default_factory=dict)
     #: Render the series plot with log axes (Figure 3 is log-log).
     log_plot: bool = False
+    #: Names in ``measurements`` that are host wall-clock figures (a
+    #: speedup over the exact engine, say). They differ run to run, so
+    #: ``run --quick --json`` — which pooled and serial runs must
+    #: reproduce exactly — leaves them out, as it leaves out
+    #: ``elapsed_seconds``.
+    host_timed: list[str] = field(default_factory=list)
 
     def render(self, plot: bool = True) -> str:
         """Full plain-text report (tables, data series, ASCII figure)."""
@@ -67,6 +73,7 @@ class ExperimentReport:
             "series": [s.to_dict() for s in self.series],
             "measurements": dict(self.measurements),
             "log_plot": self.log_plot,
+            "host_timed": list(self.host_timed),
         }
 
     @classmethod
@@ -86,6 +93,7 @@ class ExperimentReport:
             notes=list(data.get("notes", [])),
             measurements=dict(data.get("measurements", {})),
             log_plot=bool(data.get("log_plot", False)),
+            host_timed=list(data.get("host_timed", [])),
         )
 
 

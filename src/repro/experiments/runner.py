@@ -44,6 +44,10 @@ from repro.jobs.pool import JobEvent, JobRunner
 from repro.jobs.spec import jsonify
 from repro.telemetry.metrics import MetricsRegistry
 
+#: Pool attempts after a crash or timeout when ``-j`` is given without
+#: ``--retries``.
+DEFAULT_RETRIES = 2
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -74,9 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--job-timeout", type=float, default=None,
                          metavar="S",
                          help="with -j: per-experiment timeout in seconds")
-    run_cmd.add_argument("--retries", type=int, default=2,
+    run_cmd.add_argument("--retries", type=int, default=None,
                          help="with -j: attempts after a crash/timeout "
-                              "(default 2)")
+                              f"(default {DEFAULT_RETRIES})")
     run_cmd.add_argument("--sampled", nargs="?", const="1", default=None,
                          metavar="SPEC",
                          help="set CYCLOPS_SAMPLE around the run: '1' for "
@@ -138,6 +142,7 @@ def main(argv: list[str] | None = None) -> int:
          "--cache-dir requires -j"),
         (not use_jobs and args.job_timeout is not None,
          "--job-timeout requires -j"),
+        (not use_jobs and args.retries is not None, "--retries requires -j"),
     )
     for failed, message in usage_errors:
         if failed:
@@ -161,8 +166,11 @@ def main(argv: list[str] | None = None) -> int:
             (out_dir / f"{experiment_id}.txt").write_text(text)
         if args.json:
             entry = jsonify(report.to_dict())
-            if not args.quick:
-                # Host wall-clock is noisy; --quick output stays diffable.
+            # Host wall-clock is noisy; --quick output stays diffable.
+            if args.quick:
+                for name in report.host_timed:
+                    entry["measurements"].pop(name, None)
+            else:
                 entry["elapsed_seconds"] = round(elapsed, 3)
             entry["quick"] = bool(args.quick)
             json_reports[experiment_id] = entry
@@ -178,7 +186,8 @@ def main(argv: list[str] | None = None) -> int:
             n_workers=args.jobs,
             cache=cache,
             timeout=args.job_timeout,
-            retries=args.retries,
+            retries=DEFAULT_RETRIES if args.retries is None
+            else args.retries,
             metrics=MetricsRegistry(),
             on_event=_progress,
         )

@@ -25,21 +25,28 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.config import ChipConfig
 from repro.errors import CacheConfigError
 
 
-@dataclass
+@dataclass(slots=True)
 class LineState:
-    """Tag-array state for one resident line."""
+    """Tag-array state for one resident line.
+
+    ``ready`` is the cycle the line's fill from memory completes; a hit
+    issued before it waits for the fill (the line is still on its way
+    from the bank). It is zero for a line allocated without a fetch (a
+    write-validate store) and after a timing reset.
+    """
 
     dirty: bool = False
     data: bytearray | None = None
+    ready: int = 0
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of a cache access: hit/miss plus any victim to write back."""
 
     hit: bool
@@ -53,6 +60,10 @@ class AccessResult:
 #: paths allocate nothing).
 _HIT = AccessResult(hit=True)
 _MISS_NO_VICTIM = AccessResult(hit=False)
+
+#: ``tuple.__new__`` called directly builds an eviction's result in one C
+#: call, without the named tuple's keyword-capable ``__new__`` frame.
+_tuple_new = tuple.__new__
 
 
 class CacheUnit:
@@ -71,16 +82,10 @@ class CacheUnit:
         self._sets: list[OrderedDict[int, LineState]] = [
             OrderedDict() for _ in range(self.n_sets)
         ]
-        # Set selection as shift + mask when the geometry allows (it
-        # always does for the paper's power-of-two caches); the div/mod
-        # fallback keeps exotic configs working.
-        if (self.line_bytes & (self.line_bytes - 1) == 0
-                and self.n_sets & (self.n_sets - 1) == 0):
-            self._set_shift = self.line_bytes.bit_length() - 1
-            self._set_mask = self.n_sets - 1
-        else:
-            self._set_shift = None
-            self._set_mask = 0
+        # Set selection is shift + mask: ChipConfig rejects any line
+        # size or set count that is not a power of two.
+        self._set_shift = self.line_bytes.bit_length() - 1
+        self._set_mask = self.n_sets - 1
         self._scratchpad = bytearray()
         #: Optional coherence-sanitizer observer (repro.sanitizer). It is
         #: notified of evictions, invalidates, and flushes — the events
@@ -114,9 +119,7 @@ class CacheUnit:
         return self.scratchpad_ways * self.n_sets * self.line_bytes
 
     def _set_index(self, line_addr: int) -> int:
-        if self._set_shift is not None:
-            return (line_addr >> self._set_shift) & self._set_mask
-        return (line_addr // self.line_bytes) % self.n_sets
+        return (line_addr >> self._set_shift) & self._set_mask
 
     # ------------------------------------------------------------------
     # Partitioning (Section 2.1 fast-memory feature)
@@ -186,6 +189,17 @@ class CacheUnit:
             else:
                 self.hits += 1
             return _HIT
+        return self.miss(lines, line_addr, is_store, allocate)
+
+    def miss(self, lines: OrderedDict[int, LineState], line_addr: int,
+             is_store: bool, allocate: bool = True) -> AccessResult:
+        """Count a miss on *line_addr* in its set *lines*; allocate it.
+
+        The second half of :meth:`access`, for callers that probed the
+        set themselves (the memory subsystem's inlined hit path): the
+        line must not be resident. The new line is the set's most
+        recently used entry, ``lines[line_addr]``.
+        """
         if is_store:
             self.store_misses += 1
         else:
@@ -197,7 +211,7 @@ class CacheUnit:
             raise CacheConfigError("cache has no ways left for caching")
         data = bytearray(self.line_bytes) if self.buffer_data else None
         if len(lines) < effective_ways:
-            lines[line_addr] = LineState(dirty=is_store, data=data)
+            lines[line_addr] = LineState(is_store, data)
             return _MISS_NO_VICTIM
         victim_line, victim_state = lines.popitem(last=False)
         victim_dirty = victim_state.dirty
@@ -209,13 +223,9 @@ class CacheUnit:
                 victim_data = bytes(victim_state.data)
         if self.observer is not None:
             self.observer.on_evict(self.cache_id, victim_line, victim_dirty)
-        lines[line_addr] = LineState(dirty=is_store, data=data)
-        return AccessResult(
-            hit=False,
-            victim_line=victim_line,
-            victim_dirty=victim_dirty,
-            victim_data=victim_data,
-        )
+        lines[line_addr] = LineState(is_store, data)
+        return _tuple_new(AccessResult,
+                          (False, victim_line, victim_dirty, victim_data))
 
     def invalidate(self, line_addr: int) -> LineState | None:
         """Drop a line without writing it back; returns its final state."""
@@ -263,3 +273,9 @@ class CacheUnit:
         self.hits = self.misses = 0
         self.store_hits = self.store_misses = 0
         self.evictions = self.writebacks = 0
+
+    def drop_pending_fills(self) -> None:
+        """Forget every resident line's fill time (timelines restart)."""
+        for lines in self._sets:
+            for state in lines.values():
+                state.ready = 0

@@ -58,13 +58,11 @@ class AccessKind(Enum):
     SCRATCHPAD = "scratchpad"
 
 
-#: Dense indices for the per-kind counters (list slots are cheaper than
-#: enum-keyed dict updates on the access fast path).
-_KIND_ORDER = (AccessKind.LOCAL_HIT, AccessKind.LOCAL_MISS,
-               AccessKind.REMOTE_HIT, AccessKind.REMOTE_MISS,
-               AccessKind.SCRATCHPAD)
-_LOCAL_HIT, _LOCAL_MISS, _REMOTE_HIT, _REMOTE_MISS, _SCRATCHPAD = range(5)
-_KIND_AT = _KIND_ORDER  # index -> AccessKind
+# Aliases: one global load on the access path instead of two lookups.
+_LOCAL_HIT = AccessKind.LOCAL_HIT
+_LOCAL_MISS = AccessKind.LOCAL_MISS
+_REMOTE_HIT = AccessKind.REMOTE_HIT
+_REMOTE_MISS = AccessKind.REMOTE_MISS
 
 
 class AccessOutcome(NamedTuple):
@@ -143,7 +141,6 @@ class MemorySubsystem:
         # Hot-path constants hoisted from the config (immutable per run).
         lat = config.latency
         self._hit_extra = (lat.mem_remote_hit[1], lat.mem_local_hit[1])
-        self._miss_extra = (lat.mem_remote_miss[1], lat.mem_local_miss[1])
         self._fetch_store_miss = config.store_miss_fetches_line or self.strict
         #: Bound methods hoisted for the access fast path (the switch,
         #: the caches, and the tracer are created once per subsystem and
@@ -151,26 +148,33 @@ class MemorySubsystem:
         self._transfer = self.cache_switch.transfer
         self._switch_ports = self.cache_switch.ports
         self._switch_bpc = self.cache_switch.bytes_per_cycle
-        self._cache_access = [cache.access for cache in self.caches]
         self._trace_enabled = tracer.enabled
-        #: Hit-path inlining: with power-of-two cache geometry (always,
-        #: for the paper's configs) ``access()`` probes the tag sets
-        #: directly and only calls :meth:`CacheUnit.access` on a miss.
-        #: The ``_sets`` lists are created once per cache and mutated in
-        #: place, so hoisting them here stays coherent.
+        #: Hit-path inlining: ``access()`` probes the tag sets directly
+        #: (shift and mask, as CacheUnit._set_index) and only calls
+        #: :meth:`CacheUnit.miss` on a miss. The ``_sets`` lists are
+        #: created once per cache and mutated in place, so hoisting them
+        #: here stays coherent.
         self._cache_sets = [cache._sets for cache in self.caches]
         self._cset_shift = self.caches[0]._set_shift
         self._cset_mask = self.caches[0]._set_mask
-        #: In-flight line fills, keyed by ``(cache_id << IG_SHIFT) | line``
-        #: (an int, not a tuple, so a hit builds no key object) ->
-        #: completion time. A hit on a line whose fill is still in
-        #: flight waits for the fill — the effect that penalizes the
-        #: paper's cyclic partitioning, where eight threads pile onto
-        #: each line "while the cache line is still being retrieved from
-        #: main memory" (Section 3.2.2).
-        self._inflight: dict[int, int] = {}
-        # access-kind counters (dense list; see the kind_counts property)
-        self._kind_counts = [0] * len(_KIND_ORDER)
+        #: Miss path: a fill's bank is ``enabled[(line // interleave) %
+        #: len(enabled)]`` (AddressMap.bank_of without its bounds check,
+        #: which the access has already made). ``_enabled`` is the
+        #: address map's live list: a bank failure edits it in place.
+        self._enabled_banks = self.address_map._enabled
+        self._interleave = config.interleave_bytes
+        #: A fill completes at its burst's end plus the Table 2 miss
+        #: latency beyond the burst, indexed by ``local``.
+        self._fill_extra = (lat.mem_remote_miss[1] - config.burst_cycles,
+                            lat.mem_local_miss[1] - config.burst_cycles)
+        self._reset_kind_counts()
+
+    def _reset_kind_counts(self) -> None:
+        # One attribute per kind (see the kind_counts property): an
+        # attribute increment is the cheapest counter on the access path.
+        self._n_local_hit = self._n_local_miss = 0
+        self._n_remote_hit = self._n_remote_miss = 0
+        self._n_scratchpad = 0
 
     #: The target-cache memo's size bound (entries) — cleared when full.
     _TARGET_MEMO_MAX = 1 << 16
@@ -178,7 +182,11 @@ class MemorySubsystem:
     @property
     def kind_counts(self) -> dict[AccessKind, int]:
         """Access counts by timing classification (Table 2 rows)."""
-        return dict(zip(_KIND_ORDER, self._kind_counts))
+        return {_LOCAL_HIT: self._n_local_hit,
+                _LOCAL_MISS: self._n_local_miss,
+                _REMOTE_HIT: self._n_remote_hit,
+                _REMOTE_MISS: self._n_remote_miss,
+                AccessKind.SCRATCHPAD: self._n_scratchpad}
 
     # ------------------------------------------------------------------
     # Interest-group resolution
@@ -244,11 +252,11 @@ class MemorySubsystem:
                is_store: bool) -> AccessOutcome:
         """Timed load/store of *size* bytes at a 32-bit effective address.
 
-        This is the simulator's hottest function: the dominant local-hit
-        path allocates nothing beyond the returned :class:`AccessOutcome`
+        This is the simulator's hottest function: the dominant hit path
+        allocates nothing beyond the returned :class:`AccessOutcome`
         tuple — the address split is inlined, the target cache comes from
-        the memo, the cache returns an interned hit result, and the kind
-        counter is a list slot.
+        the memo, the tag probe and the port reservation are inlined, and
+        a hit returns from inside the probe.
         """
         if effective >> 32:
             raise AddressError(
@@ -277,93 +285,102 @@ class MemorySubsystem:
 
         # Single-beat switch traversal, inlined (CrossbarSwitch.transfer
         # + TimelineResource.reserve are two frames per access; every
-        # counter they maintain is updated identically here). *time* is
+        # counter they maintain is updated identically here, and the
+        # switch's transfer count is derived from its ports). *time* is
         # a scheduler grant, so the reserve validation can't fire.
         if size <= self._switch_bpc:
-            switch = self.cache_switch
             port = self._switch_ports[target]
             if time < port._last_request:
                 port.reorderings += 1
             else:
                 port._last_request = time
             next_free = port.next_free
-            grant = time if time >= next_free else next_free
-            port.next_free = grant + 1
+            switch = self.cache_switch
+            if time >= next_free:
+                port.next_free = issue_end = time + 1
+            else:
+                port.next_free = issue_end = next_free + 1
+                switch.contention_cycles += next_free - time
             port.busy_cycles += 1
             port.n_requests += 1
-            switch.transfers += 1
             switch.bytes_moved += size
-            if grant != time:
-                switch.contention_cycles += grant - time
-            issue_end = grant + 1
         else:
             issue_end = self._transfer(target, time, size) + 1
 
-        # Tag probe, hit path inlined (see __init__): a hit — the
-        # dominant outcome — touches the OrderedDict set and two
-        # counters and allocates nothing; only misses pay for the full
-        # CacheUnit.access victim/allocation logic.
-        hit = False
-        if self._cset_shift is not None:
-            lines = self._cache_sets[target][
-                (line >> self._cset_shift) & self._cset_mask
-            ]
-            state = lines.get(line)
-            if state is not None:
-                lines.move_to_end(line)
-                cache = self.caches[target]
-                if is_store:
-                    state.dirty = True
-                    cache.store_hits += 1
-                else:
-                    cache.hits += 1
-                hit = True
+        # Tag probe, inlined: a hit — the dominant outcome — touches the
+        # OrderedDict set and two counters, allocates nothing, and
+        # returns from here; only a miss pays for CacheUnit.miss.
+        lines = self._cache_sets[target][
+            (line >> self._cset_shift) & self._cset_mask
+        ]
+        state = lines.get(line)
+        if state is not None:
+            lines.move_to_end(line)
+            if is_store:
+                state.dirty = True
+                self.caches[target].store_hits += 1
             else:
-                result = self._cache_access[target](line, is_store)
-        else:
-            result = self._cache_access[target](line, is_store)
-            hit = result.hit
+                self.caches[target].hits += 1
+            # A line whose fill is still on its way from memory delivers
+            # only once the fill lands — the effect that penalizes the
+            # paper's cyclic partitioning, where eight threads pile onto
+            # each line "while the cache line is still being retrieved
+            # from main memory" (Section 3.2.2). Grants on one port only
+            # move forward, so once a hit issues at or after the fill,
+            # every later one does too.
+            ready = state.ready
+            if ready < issue_end:
+                ready = issue_end
+            if local:
+                self._n_local_hit += 1
+                kind = _LOCAL_HIT
+            else:
+                self._n_remote_hit += 1
+                kind = _REMOTE_HIT
+            if self._trace_enabled:
+                self._trace(time, target, kind, physical, is_store)
+            return _tuple_new(AccessOutcome, (
+                issue_end, ready + self._hit_extra[local], kind, target))
 
-        if hit:
-            kind_index = _LOCAL_HIT if local else _REMOTE_HIT
-            complete = issue_end + self._hit_extra[local]
-            inflight = self._inflight
-            if inflight:
-                fill_key = (target << IG_SHIFT) | line
-                fill_done = inflight.get(fill_key)
-                if fill_done is not None:
-                    if issue_end < fill_done:
-                        # The line is still on its way from memory: the
-                        # hit delivers only once the fill lands.
-                        complete = fill_done + self._hit_extra[local]
-                    else:
-                        del inflight[fill_key]
+        result = self.caches[target].miss(lines, line, is_store)
+        if is_store and not self._fetch_store_miss:
+            # Write-validate: the line is allocated dirty; the store
+            # itself completes as soon as it issues.
+            complete = issue_end
         else:
-            kind_index = _LOCAL_MISS if local else _REMOTE_MISS
-            fetch_on_miss = (not is_store) or self._fetch_store_miss
-            queue_delay = 0
-            if fetch_on_miss:
-                bank = self.banks[self.address_map.bank_of(line)]
-                done = bank.read_burst(issue_end)
-                queue_delay = done - issue_end - self.config.burst_cycles
-                if self.strict:
-                    self._fill_line_buffer(self.caches[target], line)
-            if result.victim_dirty and result.victim_line is not None:
-                self._write_back(issue_end, result.victim_line,
-                                 result.victim_data)
-            if is_store and not fetch_on_miss:
-                # Write-validate: the line is allocated dirty; the store
-                # itself completes as soon as it issues.
-                complete = issue_end
-            else:
-                complete = issue_end + self._miss_extra[local] + queue_delay
-                self._inflight[(target << IG_SHIFT) | line] = complete
-        self._kind_counts[kind_index] += 1
-        kind = _KIND_AT[kind_index]
+            enabled = self._enabled_banks
+            done = self.banks[
+                enabled[line // self._interleave % len(enabled)]
+            ].read_burst(issue_end)
+            complete = done + self._fill_extra[local]
+            lines[line].ready = complete
+            if self.strict:
+                self._fill_line_buffer(self.caches[target], line)
+        if result.victim_dirty:
+            # A dirty victim's burst write queues on its bank.
+            victim = result.victim_line
+            if victim >= self.address_map._max_memory:
+                self.address_map.check(victim)
+            enabled = self._enabled_banks
+            self.banks[
+                enabled[victim // self._interleave % len(enabled)]
+            ].write_burst(issue_end)
+            if result.victim_data is not None:
+                self.backing.write_block(victim, result.victim_data)
+        if local:
+            self._n_local_miss += 1
+            kind = _LOCAL_MISS
+        else:
+            self._n_remote_miss += 1
+            kind = _REMOTE_MISS
         if self._trace_enabled:
-            self.tracer.emit(time, f"cache{target}", kind.value,
-                             f"phys={physical:#x} store={is_store}")
+            self._trace(time, target, kind, physical, is_store)
         return _tuple_new(AccessOutcome, (issue_end, complete, kind, target))
+
+    def _trace(self, time: int, target: int, kind: AccessKind,
+               physical: int, is_store: bool) -> None:
+        self.tracer.emit(time, f"cache{target}", kind.value,
+                         f"phys={physical:#x} store={is_store}")
 
     def warm_access(self, quad_id: int, effective: int,
                     is_store: bool) -> None:
@@ -376,8 +393,8 @@ class MemorySubsystem:
         workloads that re-read what they recently wrote). This keeps
         the tag arrays, LRU order, and dirty bits — and the hit/miss
         counters, which under sampling therefore cover *all*
-        instructions — moving without reserving ports, banks, or the
-        in-flight table. Dirty victims just drop: outside strict mode
+        instructions — moving without reserving ports or banks or
+        setting fill times. Dirty victims just drop: outside strict mode
         the data already lives in the backing store.
         """
         ig_byte = effective >> IG_SHIFT
@@ -391,29 +408,19 @@ class MemorySubsystem:
                 target = self._target_memo.get((ig_byte << IG_SHIFT) | line)
                 if target is None:
                     target = self.target_cache(ig_byte, physical, quad_id)
-        if self._cset_shift is not None:
-            lines = self._cache_sets[target][
-                (line >> self._cset_shift) & self._cset_mask
-            ]
-            state = lines.get(line)
-            if state is not None:
-                lines.move_to_end(line)
-                cache = self.caches[target]
-                if is_store:
-                    state.dirty = True
-                    cache.store_hits += 1
-                else:
-                    cache.hits += 1
-                return
-        self._cache_access[target](line, is_store)
-
-    def _write_back(self, time: int, victim_line: int,
-                    victim_data: bytes | None) -> None:
-        """Queue a dirty victim's burst write on its bank."""
-        bank = self.banks[self.address_map.bank_of(victim_line)]
-        bank.write_burst(time)
-        if victim_data is not None:
-            self.backing.write_block(victim_line, victim_data)
+        lines = self._cache_sets[target][
+            (line >> self._cset_shift) & self._cset_mask
+        ]
+        state = lines.get(line)
+        if state is None:
+            self.caches[target].miss(lines, line, is_store)
+        else:
+            lines.move_to_end(line)
+            if is_store:
+                state.dirty = True
+                self.caches[target].store_hits += 1
+            else:
+                self.caches[target].hits += 1
 
     def _fill_line_buffer(self, cache: CacheUnit, line: int) -> None:
         """Strict mode: copy the line's bytes from backing into the cache."""
@@ -597,7 +604,7 @@ class MemorySubsystem:
         local = cache_id == quad_id
         row = self.config.latency.mem_local_hit if local \
             else self.config.latency.mem_remote_hit
-        self._kind_counts[_SCRATCHPAD] += 1
+        self._n_scratchpad += 1
         return AccessOutcome(issue_end, issue_end + row[1],
                              AccessKind.SCRATCHPAD, cache_id)
 
@@ -617,8 +624,9 @@ class MemorySubsystem:
             cache.reset_counters()
         self.cache_switch.reset()
         self.offchip.engine.reset()
-        self._inflight.clear()
-        self._kind_counts = [0] * len(_KIND_ORDER)
+        for cache in self.caches:
+            cache.drop_pending_fills()
+        self._reset_kind_counts()
 
     def cold_caches(self) -> None:
         """Drop every cached line (cold-start between experiments)."""

@@ -33,7 +33,6 @@ class CrossbarSwitch:
         # Bound reserve methods, indexed by port — one lookup on the
         # transfer fast path (ports are never replaced, only reset).
         self._reserve = [port.reserve for port in self.ports]
-        self.transfers = 0
         self.bytes_moved = 0
         #: Cycles transfers waited for a busy output port.
         self.contention_cycles = 0
@@ -45,11 +44,16 @@ class CrossbarSwitch:
         else:
             cycles = -(-n_bytes // self.bytes_per_cycle)  # ceil division
         grant = self._reserve[port](time, cycles)
-        self.transfers += 1
         self.bytes_moved += n_bytes
         if grant != time:
             self.contention_cycles += grant - time
         return grant
+
+    @property
+    def transfers(self) -> int:
+        """Transfers through the switch: each reserves one output port
+        once, so this is the ports' request count."""
+        return sum(port.n_requests for port in self.ports)
 
     def utilization(self, port: int, elapsed: int) -> float:
         """Busy fraction of one output port."""
@@ -59,7 +63,6 @@ class CrossbarSwitch:
         """Clear all port timelines and traffic counters."""
         for port in self.ports:
             port.reset()
-        self.transfers = 0
         self.bytes_moved = 0
         self.contention_cycles = 0
 

@@ -33,8 +33,8 @@ class ThreadCtx:
 
     __slots__ = ("kernel", "chip", "memory", "tu", "tid", "quad_id",
                  "fpu", "lat", "process", "software_index",
-                 "_strict", "_access", "_bload_f64", "_bstore_f64",
-                 "_bload_u32", "_bstore_u32")
+                 "_strict", "_access", "_backing", "_backing_size",
+                 "_mv_f64", "_bload_u32", "_bstore_u32")
 
     def __init__(self, kernel, tu) -> None:
         self.kernel = kernel
@@ -59,12 +59,15 @@ class ThreadCtx:
         # Hot-path bindings: in the default (non-strict) mode the load/
         # store wrappers on MemorySubsystem reduce to a timed access plus
         # a backing-store value access, so the context calls those two
-        # directly and skips one wrapper frame per memory operation.
+        # directly and skips one wrapper frame per memory operation. The
+        # double paths go one further and inline the backing store's
+        # guarded memoryview access (its ``load_f64``/``store_f64``).
         self._strict = memory.strict
         self._access = memory.access
         backing = memory.backing
-        self._bload_f64 = backing.load_f64
-        self._bstore_f64 = backing.store_f64
+        self._backing = backing
+        self._backing_size = backing.size
+        self._mv_f64 = backing._mv_f64
         self._bload_u32 = backing.load_u32
         self._bstore_u32 = backing.store_u32
 
@@ -117,7 +120,10 @@ class ThreadCtx:
             )
         else:
             outcome = self._access(now, self.quad_id, effective, 8, False)
-            value = self._bload_f64(effective & PHYSICAL_MASK)
+            physical = effective & PHYSICAL_MASK
+            if physical & 7 or physical + 8 > self._backing_size:
+                self._backing._check(physical, 8)  # raises
+            value = self._mv_f64[physical >> 3]
         # Inlined ThreadUnit.issue_at(issue_end - 1) + retire(1): two
         # method frames per memory op are measurable at STREAM scale.
         tu = self.tu
@@ -142,7 +148,12 @@ class ThreadCtx:
             )
         else:
             outcome = self._access(now, self.quad_id, effective, 8, True)
-            self._bstore_f64(effective & PHYSICAL_MASK, value)
+            physical = effective & PHYSICAL_MASK
+            if physical & 7 or physical + 8 > self._backing_size:
+                self._backing._check(physical, 8)  # raises
+            # memoryview stores are strict about type; float() is a no-op
+            # for exact floats and converts ints/numpy scalars.
+            self._mv_f64[physical >> 3] = float(value)
         tu = self.tu
         counters = tu.counters
         issue = outcome.issue_end - 1
@@ -301,8 +312,11 @@ class ThreadCtx:
         """FP multiply."""
         return self._fpu_pipelined(self.fpu.multiply, deps, 1, 1)
 
-    def _fpu_retire(self, issue_end: int, ready: int, flops: int) -> int:
-        """Account a single-issue FPU op (inlined issue_at + retire)."""
+    # The single-issue FPU finishers each inline ThreadUnit.issue_at(
+    # issue_end - 1) + retire(1) and count their flops.
+    def fp_add_finish(self, now: int) -> int:
+        """Phase 2 of an FP add (pairs with ``op_begin``)."""
+        issue_end, ready = self.fpu.add(now)
         tu = self.tu
         counters = tu.counters
         issue = issue_end - 1
@@ -314,23 +328,42 @@ class ThreadCtx:
         tu.issue_time = clock + 1
         counters.instructions += 1
         counters.run_cycles += 1
-        counters.flops += flops
+        counters.flops += 1
         return ready
-
-    def fp_add_finish(self, now: int) -> int:
-        """Phase 2 of an FP add (pairs with ``op_begin``)."""
-        issue_end, ready = self.fpu.add(now)
-        return self._fpu_retire(issue_end, ready, 1)
 
     def fp_mul_finish(self, now: int) -> int:
         """Phase 2 of an FP multiply (pairs with ``op_begin``)."""
         issue_end, ready = self.fpu.multiply(now)
-        return self._fpu_retire(issue_end, ready, 1)
+        tu = self.tu
+        counters = tu.counters
+        issue = issue_end - 1
+        clock = tu.issue_time
+        if issue > clock:
+            counters.stall_cycles += issue - clock
+            counters.stall_events += 1
+            clock = issue
+        tu.issue_time = clock + 1
+        counters.instructions += 1
+        counters.run_cycles += 1
+        counters.flops += 1
+        return ready
 
     def fp_fma_finish(self, now: int) -> int:
         """Phase 2 of a fused multiply-add (pairs with ``op_begin``)."""
         issue_end, ready = self.fpu.fma(now)
-        return self._fpu_retire(issue_end, ready, 2)
+        tu = self.tu
+        counters = tu.counters
+        issue = issue_end - 1
+        clock = tu.issue_time
+        if issue > clock:
+            counters.stall_cycles += issue - clock
+            counters.stall_events += 1
+            clock = issue
+        tu.issue_time = clock + 1
+        counters.instructions += 1
+        counters.run_cycles += 1
+        counters.flops += 2
+        return ready
 
     def fp_fma(self, deps: tuple = ()):
         """Fused multiply-add (two flops, one issue)."""

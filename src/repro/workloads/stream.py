@@ -127,25 +127,27 @@ class StreamResult:
 # ---------------------------------------------------------------------------
 # Thread bodies (one per kernel, generic in unroll factor)
 # ---------------------------------------------------------------------------
-# The kernel loops use the context's split-phase memory/FPU API
-# (``op_begin`` yielded from the loop itself + ``*_finish``): per
-# element the event sequence matches the plain generator methods
-# exactly, but no generator object is allocated per operation — at
-# STREAM scale that allocation is the largest host cost after the
-# accesses themselves.
+# The kernel loops use the context's split-phase memory/FPU API: the
+# loop yields an op's issue cycle itself — the thread clock, or the
+# latest of it and the op's input ready times (``ThreadCtx.op_begin``,
+# inlined as one ``max``) — and passes the granted cycle to the op's
+# ``*_finish``. Per element the event sequence matches the plain
+# generator methods exactly, but no generator object is allocated per
+# operation — at STREAM scale that allocation is the largest host cost
+# after the accesses themselves.
 def _copy_loop(ctx, ea_src, ea_dst, unroll):
     n = len(ea_src)
     k = 0
     times = [0] * unroll
     vals = [0.0] * unroll
-    begin = ctx.op_begin
+    tu = ctx.tu
     while k < n:
         u = unroll if k + unroll <= n else n - k
         for j in range(u):
-            now = yield begin()
+            now = yield tu.issue_time
             times[j], vals[j] = ctx.load_f64_finish(now, ea_src[k + j])
         for j in range(u):
-            now = yield begin((times[j],))
+            now = yield max(tu.issue_time, times[j])
             ctx.store_f64_finish(now, ea_dst[k + j], vals[j])
         ctx.charge_ops(OVERHEAD_INT_OPS)
         ctx.branch()
@@ -157,17 +159,17 @@ def _scale_loop(ctx, ea_src, ea_dst, scalar, unroll):
     k = 0
     times = [0] * unroll
     vals = [0.0] * unroll
-    begin = ctx.op_begin
+    tu = ctx.tu
     while k < n:
         u = unroll if k + unroll <= n else n - k
         for j in range(u):
-            now = yield begin()
+            now = yield tu.issue_time
             times[j], vals[j] = ctx.load_f64_finish(now, ea_src[k + j])
         for j in range(u):
-            now = yield begin((times[j],))
+            now = yield max(tu.issue_time, times[j])
             times[j] = ctx.fp_mul_finish(now)
         for j in range(u):
-            now = yield begin((times[j],))
+            now = yield max(tu.issue_time, times[j])
             ctx.store_f64_finish(now, ea_dst[k + j], scalar * vals[j])
         ctx.charge_ops(OVERHEAD_INT_OPS)
         ctx.branch()
@@ -181,19 +183,19 @@ def _add_loop(ctx, ea_x, ea_y, ea_dst, unroll):
     ty = [0] * unroll
     vx = [0.0] * unroll
     vy = [0.0] * unroll
-    begin = ctx.op_begin
+    tu = ctx.tu
     while k < n:
         u = unroll if k + unroll <= n else n - k
         for j in range(u):
-            now = yield begin()
+            now = yield tu.issue_time
             tx[j], vx[j] = ctx.load_f64_finish(now, ea_x[k + j])
-            now = yield begin()
+            now = yield tu.issue_time
             ty[j], vy[j] = ctx.load_f64_finish(now, ea_y[k + j])
         for j in range(u):
-            now = yield begin((tx[j], ty[j]))
+            now = yield max(tu.issue_time, tx[j], ty[j])
             tx[j] = ctx.fp_add_finish(now)
         for j in range(u):
-            now = yield begin((tx[j],))
+            now = yield max(tu.issue_time, tx[j])
             ctx.store_f64_finish(now, ea_dst[k + j], vx[j] + vy[j])
         ctx.charge_ops(OVERHEAD_INT_OPS)
         ctx.branch()
@@ -207,7 +209,6 @@ def _triad_loop(ctx, ea_x, ea_y, ea_dst, scalar, unroll):
     ty = [0] * unroll
     vx = [0.0] * unroll
     vy = [0.0] * unroll
-    begin = ctx.op_begin
     load_finish = ctx.load_f64_finish
     store_finish = ctx.store_f64_finish
     fma_finish = ctx.fp_fma_finish
@@ -215,42 +216,40 @@ def _triad_loop(ctx, ea_x, ea_y, ea_dst, scalar, unroll):
     while k < n:
         u = unroll if k + unroll <= n else n - k
         for j in range(u):
-            # A load with no deps issues at the thread clock; yielding
-            # it directly skips an op_begin call per element.
             now = yield tu.issue_time
             tx[j], vx[j] = load_finish(now, ea_x[k + j])
             now = yield tu.issue_time
             ty[j], vy[j] = load_finish(now, ea_y[k + j])
         for j in range(u):
-            now = yield begin((tx[j], ty[j]))
+            now = yield max(tu.issue_time, tx[j], ty[j])
             tx[j] = fma_finish(now)
         for j in range(u):
-            now = yield begin((tx[j],))
+            now = yield max(tu.issue_time, tx[j])
             store_finish(now, ea_dst[k + j], vx[j] + scalar * vy[j])
         ctx.charge_ops(OVERHEAD_INT_OPS)
         ctx.branch()
         k += u
 
 
-def _kernel_pass(ctx, kernel, eas, unroll):
-    """One full pass of *kernel* over this thread's element addresses."""
+def _kernel_loop(ctx, kernel, eas, unroll):
+    """The loop generator of one full pass of *kernel* over this
+    thread's element addresses."""
     ea_a, ea_b, ea_c = eas
     if kernel == "copy":
-        yield from _copy_loop(ctx, ea_a, ea_c, unroll)
-    elif kernel == "scale":
-        yield from _scale_loop(ctx, ea_c, ea_b, SCALAR, unroll)
-    elif kernel == "add":
-        yield from _add_loop(ctx, ea_a, ea_b, ea_c, unroll)
-    else:  # triad
-        yield from _triad_loop(ctx, ea_b, ea_c, ea_a, SCALAR, unroll)
+        return _copy_loop(ctx, ea_a, ea_c, unroll)
+    if kernel == "scale":
+        return _scale_loop(ctx, ea_c, ea_b, SCALAR, unroll)
+    if kernel == "add":
+        return _add_loop(ctx, ea_a, ea_b, ea_c, unroll)
+    return _triad_loop(ctx, ea_b, ea_c, ea_a, SCALAR, unroll)
 
 
 def _thread_body(ctx, kernel, eas, unroll, warmup, start_barrier, section):
     if warmup:
-        yield from _kernel_pass(ctx, kernel, eas, unroll)
+        yield from _kernel_loop(ctx, kernel, eas, unroll)
     yield from start_barrier.wait(ctx)
     section.record_start(ctx.software_index, ctx.time)
-    yield from _kernel_pass(ctx, kernel, eas, unroll)
+    yield from _kernel_loop(ctx, kernel, eas, unroll)
     section.record_finish(ctx.software_index, ctx.time)
 
 

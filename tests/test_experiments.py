@@ -122,6 +122,30 @@ class TestRunnerCli:
             assert f"{flag[0]} requires -j" in err
             assert len(err.splitlines()) == 1
 
+    def test_retries_requires_jobs(self, capsys):
+        assert main(["run", "table2", "--quick", "--retries", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "--retries requires -j" in err
+        assert len(err.splitlines()) == 1
+
+    def test_retries_default_applies_under_jobs(self, capsys, monkeypatch):
+        from repro.experiments import runner
+
+        seen = []
+
+        class RecordingRunner(runner.JobRunner):
+            def __init__(self, *args, **kwargs):
+                seen.append(kwargs["retries"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "JobRunner", RecordingRunner)
+        for extra in ([], ["--retries", "0"]):
+            assert main(["run", "table2", "--quick", "-j", "1",
+                         "--no-cache", *extra]) == 0
+        capsys.readouterr()
+        assert seen == [runner.DEFAULT_RETRIES, 0]
+        assert runner.DEFAULT_RETRIES == 2
+
     def test_sampled_flag_rejects_jobs(self, capsys):
         assert main(["run", "table2", "--sampled", "-j", "2"]) == 2
         assert "--sampled requires serial" in capsys.readouterr().err
@@ -194,6 +218,21 @@ class TestRunnerJobsMode:
         entry = json.loads(path.read_text())["table2"]
         assert entry["elapsed_seconds"] >= 0
         assert entry["quick"] is False
+
+    def test_quick_sampling_json_is_reproducible(self, tmp_path, capsys):
+        """Host-timed speedups stay out of ``--quick`` JSON, so repeated
+        (or pooled and serial) runs of ``sampling`` compare equal."""
+        docs = []
+        for name in ("first.json", "second.json"):
+            path = tmp_path / name
+            assert main(["run", "sampling", "--quick", "--json",
+                         str(path)]) == 0
+            docs.append(json.loads(path.read_text()))
+        capsys.readouterr()
+        first, second = (doc["sampling"] for doc in docs)
+        assert first == second
+        assert set(first["host_timed"]) == {"stream_speedup", "fft_speedup"}
+        assert not set(first["host_timed"]) & set(first["measurements"])
 
     def test_jobs_mode_matches_serial_and_caches(
             self, tmp_path, capsys, monkeypatch):

@@ -266,6 +266,78 @@ class TestInflightFills:
         assert late_hit.complete - late_hit.issue_end == 6
 
 
+class TestPendingFills:
+    """A fill's completion time lives on its line: it goes with the line
+    and is never inherited by a line allocated in its place."""
+
+    IG = InterestGroup(Level.ONE, 0).encode()
+
+    def test_reset_timing_drops_pending_fills(self):
+        ms = fresh()
+        ea = make_effective(0x8000, self.IG)
+        miss = ms.access(0, 0, ea, 8, False)
+        assert miss.complete > 10
+        ms.reset_timing()
+        # Timelines restart at zero; the resident line has nothing to
+        # wait for, so an early hit costs the plain Table 2 latency.
+        hit = ms.access(0, 0, ea, 8, False)
+        assert hit.kind is AccessKind.LOCAL_HIT
+        assert hit.complete - hit.issue_end == 6
+
+    def test_evicted_fill_time_not_inherited(self):
+        ms = fresh()
+        cache = ms.caches[0]
+        line = 0x8000
+        miss = ms.access(0, 0, make_effective(line, self.IG), 8, False)
+        # Fill the line's set with other lines until it is evicted,
+        # all while its fill is still in flight.
+        stride = cache.n_sets * CFG.dcache_line_bytes
+        for way in range(1, cache.total_ways + 1):
+            ms.access(way, 0, make_effective(line + way * stride, self.IG),
+                      8, False)
+        assert cache.line(line) is None
+        # A write-validate store re-allocates the line without a fetch;
+        # a hit right behind it must not wait for the evicted fill.
+        t = cache.total_ways + 1
+        store = ms.access(t, 0, make_effective(line, self.IG), 8, True)
+        assert store.kind is AccessKind.LOCAL_MISS
+        hit = ms.access(t + 1, 0, make_effective(line, self.IG), 8, False)
+        assert hit.kind is AccessKind.LOCAL_HIT
+        assert hit.issue_end < miss.complete
+        assert hit.complete - hit.issue_end == 6
+
+    def test_invalidate_then_reload_refetches(self):
+        ms = fresh()
+        ea = make_effective(0x8000, self.IG)
+        miss = ms.access(0, 0, ea, 8, False)
+        hit = ms.access(miss.complete, 0, ea, 8, False)
+        assert hit.kind is AccessKind.LOCAL_HIT
+        ms.invalidate_line(hit.complete, 0, ea)
+        read_before = ms.memory_traffic_bytes
+        reload = ms.access(hit.complete + 10, 0, ea, 8, False)
+        assert reload.kind is AccessKind.LOCAL_MISS
+        assert ms.memory_traffic_bytes == read_before + CFG.burst_bytes
+        assert reload.complete - reload.issue_end == 24
+
+
+class TestSwitchTransfers:
+    def test_transfers_count_every_port_request(self):
+        ms = fresh()
+        switch = ms.cache_switch
+        ms.access(0, 0, make_effective(0x100, IG_ALL), 8, False)
+        ms.access(1, 0, make_effective(0x100, IG_ALL), 4, True)
+        ms.access(2, 3, make_effective(0x4000, IG_OWN), 8, False)
+        switch.transfer(5, 3, 64)  # multi-beat: 8 cycles on one port
+        ms.scratchpad_access(4, 0, 2, 16)  # two beats
+        assert switch.transfers == 5
+        assert switch.transfers == sum(p.n_requests for p in switch.ports)
+        switch.reset()
+        assert switch.transfers == 0
+        assert all(p.n_requests == 0 for p in switch.ports)
+        switch.transfer(0, 0, 8)
+        assert switch.transfers == 1
+
+
 class TestAtomics:
     def test_rmw_semantics(self):
         ms = fresh()
