@@ -6,9 +6,8 @@ from repro.experiments.fig3_splash_speedups import run as run_fig3
 
 
 @pytest.mark.figure("fig3")
-def test_fig3_splash_speedups(benchmark, job_runner):
-    report = benchmark.pedantic(
-        lambda: run_fig3(runner=job_runner), rounds=1, iterations=1)
+def test_fig3_splash_speedups(benchmark):
+    report = benchmark.pedantic(run_fig3, rounds=1, iterations=1)
     print()
     print(report.render())
     by_label = {s.label: s for s in report.series}

@@ -16,9 +16,9 @@ tentpole claims:
 
 Cycle counts on both sides are deterministic, so the error is identical
 every round; only wall-clock moves. Each workload therefore runs
-``rounds`` times and the **best** speedup is the statistic, same
-rationale as ``bench_engine_suite.py`` (constant work per round, so the
-fastest round is the one least disturbed by background load).
+``rounds`` times and the **best** speedup is the statistic (constant
+work per round, so the fastest round is the one least disturbed by
+background load).
 
 Run directly for the full bench::
 

@@ -4,47 +4,10 @@ Every benchmark here regenerates one table or figure of the paper (see
 DESIGN.md section 5 for the index). The simulations are deterministic,
 so a single benchmark round is meaningful; pytest-benchmark still
 reports the wall-clock cost of regenerating each artifact.
-
-Set ``CYCLOPS_BENCH_FULL=1`` to run the paper-scale problem sizes
-instead of the scaled defaults (slower; EXPERIMENTS.md records which
-sizes produced the published numbers).
-
-Set ``CYCLOPS_BENCH_CACHE=1`` to route sweep-shaped benchmarks through
-the :mod:`repro.jobs` pool with result caching (``CYCLOPS_BENCH_JOBS``
-sets the worker count, default 2): a repeated benchmark session then
-re-simulates only what changed. Leave it unset to measure the true
-simulation cost — a cache hit would benchmark JSON loading.
 """
-
-import os
-
-import pytest
 
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "figure(name): which paper artifact a benchmark rebuilds"
     )
-
-
-@pytest.fixture(scope="session")
-def full_scale() -> bool:
-    """True when the user asked for paper-scale problem sizes."""
-    return os.environ.get("CYCLOPS_BENCH_FULL", "") == "1"
-
-
-@pytest.fixture(scope="session")
-def job_runner():
-    """A :class:`repro.jobs.JobRunner` for sweep-shaped benchmarks.
-
-    Inline and cache-free by default (identical to direct calls); with
-    ``CYCLOPS_BENCH_CACHE=1`` it becomes a cached parallel pool.
-    """
-    from repro.jobs import JobRunner, ResultCache
-
-    if os.environ.get("CYCLOPS_BENCH_CACHE", "") == "1":
-        return JobRunner(
-            n_workers=int(os.environ.get("CYCLOPS_BENCH_JOBS", "2")),
-            cache=ResultCache.default(),
-        )
-    return JobRunner()

@@ -9,16 +9,10 @@ the Table 2 link model) so that the parallel run is **cycle-exact**:
 byte-identical memory images, identical per-thread counters, identical
 final time. See ``docs/parallel-sim.md``.
 
-Two partitioning axes:
-
-* **chips** — :func:`run_system_parallel`, reached through
-  ``MultiChipSystem.run(domains=N)`` or ``CYCLOPS_PDES=N``. Chips only
-  interact through the link fabric, whose minimum hop latency provides
-  the lookahead.
-* **quads** — :mod:`repro.pdes.quadsplit` shards one chip into
-  independent sub-chips and fans them out over the fault-tolerant
-  :mod:`repro.jobs` pool (a *partitioned model*: exactness is
-  parallel-vs-serial on the same sharded model).
+The partitioning axis is the chip: :func:`run_system_parallel`, reached
+through ``MultiChipSystem.run(domains=N)`` or ``CYCLOPS_PDES=N``. Chips
+only interact through the link fabric, whose minimum hop latency
+provides the lookahead.
 
 The entry point returns ``None`` — after recording
 ``system.pdes_fallback_reason`` — whenever the parallel path cannot or

@@ -32,6 +32,7 @@ from repro.memory.interest_groups import InterestGroup, Level
 from repro.runtime.kernel import AllocationPolicy, Kernel
 from repro.workloads.common import block_ranges
 from repro.workloads.fft import FFTParams, run_fft
+from repro.workloads.radix import RadixParams, run_radix
 from repro.workloads.stream import StreamParams, run_stream
 
 pytestmark = [
@@ -70,6 +71,9 @@ BUDGETS = {
     # The triad as assembly through block dispatch, stream's shape and
     # placement; per element.
     "isa_triad": Budget("element", ops=1689.0, calls=20.96, cycles=4381),
+    # Radix sort, 512 keys, 4 threads (test_radix_golden's shape); per
+    # memory access.
+    "radix": Budget("access", ops=577.9, calls=11.72, cycles=16831),
 }
 
 
@@ -146,6 +150,17 @@ def measure_fft(points: int = 256, threads: int = 16):
         result.total_cycles
 
 
+def measure_radix(keys: int = 512, threads: int = 4):
+    """``(ops, calls, cycles)`` of the Radix sort, per memory access."""
+    chip = Chip()
+    with _CountedKernelRun() as counter:
+        result = run_radix(RadixParams(n_keys=keys, n_threads=threads),
+                           chip=chip)
+    assert result.verified
+    accesses = sum(chip.memory.kind_counts.values())
+    return counter.ops / accesses, counter.calls / accesses, result.cycles
+
+
 def measure_isa_triad(threads: int = 32, per_thread: int = 256):
     """``(ops, calls, cycles)`` of the assembly triad, per element."""
     chip = Chip()
@@ -177,7 +192,7 @@ def measure_isa_triad(threads: int = 32, per_thread: int = 256):
 
 
 MEASURE = {"stream": measure_stream, "fft": measure_fft,
-           "isa_triad": measure_isa_triad}
+           "isa_triad": measure_isa_triad, "radix": measure_radix}
 
 
 @pytest.mark.parametrize("workload", sorted(BUDGETS))

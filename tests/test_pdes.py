@@ -1,4 +1,4 @@
-"""Tests for repro.pdes: partitioning, exactness, crashes, sharding.
+"""Tests for repro.pdes: partitioning, exactness, crashes.
 
 The load-bearing assertions are the differential ones: a partitioned
 run must leave behind *byte-identical* state — final time, memory
@@ -12,14 +12,11 @@ import pytest
 
 from repro.config import ChipConfig
 from repro.errors import ConfigError, PdesError
-from repro.jobs import JobRunner
 from repro.pdes import TIMEOUT_ENV, CellProgram, PartitionMap
 from repro.pdes.domain import CRASH_ENV, crash_injection_target
-from repro.pdes.quadsplit import run_stream_sharded, split_config
 from repro.system.halo import HaloParams, run_halo
 from repro.system.multichip import _Mailbox, _Message
 from repro.system.topology import Topology
-from repro.workloads.stream import StreamParams
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -142,17 +139,6 @@ class TestDifferential:
         assert stats["domains"] == 2
         assert stats["messages"] > 0
 
-    def test_quad_sharded_stream_pooled_equals_inline(self):
-        params = StreamParams(kernel="triad", n_elements=256, n_threads=8,
-                              independent=True, verify=True)
-        config = ChipConfig.small()
-        inline = run_stream_sharded(params, config, shards=2)
-        pooled = run_stream_sharded(params, config, shards=2,
-                                    runner=JobRunner(n_workers=2))
-        assert inline.shard_values == pooled.shard_values
-        assert pooled.cycles == inline.cycles
-        assert pooled.verified
-
 
 # ---------------------------------------------------------------------------
 # Fallbacks and crash recovery
@@ -239,25 +225,9 @@ class TestFallback:
         assert parallel.system.pdes_stats["retries"] == 1
         assert parallel.cycles == serial.cycles
 
-    def test_quad_shard_worker_crash_respawns(self, monkeypatch):
-        """The jobs pool's fault tolerance carries over to quad shards:
-        a worker killed on first dispatch respawns and the shard
-        retries to an identical result."""
-        monkeypatch.setenv("REPRO_JOBS_INJECT_CRASH", "0")
-        params = StreamParams(kernel="copy", n_elements=128, n_threads=4,
-                              independent=True, verify=True)
-        config = ChipConfig.small()
-        runner = JobRunner(n_workers=2, retries=2)
-        pooled = run_stream_sharded(params, config, shards=2,
-                                    runner=runner)
-        monkeypatch.delenv("REPRO_JOBS_INJECT_CRASH")
-        inline = run_stream_sharded(params, config, shards=2)
-        assert runner.stats["respawns"] >= 1
-        assert pooled.shard_values == inline.shard_values
-
 
 # ---------------------------------------------------------------------------
-# Program-as-data and config sharding
+# Program-as-data
 # ---------------------------------------------------------------------------
 class TestProgramAndSplit:
     def test_cell_program_roundtrip(self):
@@ -266,20 +236,3 @@ class TestProgramAndSplit:
                               payload={"n_chips": 8})
         again = CellProgram.from_dict(program.to_dict())
         assert again == program
-
-    def test_split_config_divides_threads_and_banks(self):
-        config = ChipConfig.small()
-        sub = split_config(config, 2)
-        assert sub.n_threads == config.n_threads // 2
-        assert sub.n_memory_banks == config.n_memory_banks // 2
-        assert sub.reserved_threads == 0
-
-    def test_split_config_rejects_ragged_shards(self):
-        with pytest.raises(PdesError):
-            split_config(ChipConfig.small(), 3)
-
-    def test_sharding_requires_independent_mode(self):
-        params = StreamParams(kernel="triad", n_elements=64, n_threads=4,
-                              independent=False)
-        with pytest.raises(PdesError):
-            run_stream_sharded(params, ChipConfig.small(), shards=2)
