@@ -35,9 +35,11 @@ class FPU:
         #: Cycles requests waited for a busy sub-unit (quad contention).
         self.contention_cycles = 0
         self.failed = False
-        # FMA timing hoisted from the (frozen) config.
-        self._fma_execution, self._fma_latency = \
-            config.latency.fp_multiply_add
+        # Add, multiply and FMA timing hoisted from the (frozen) config.
+        latency = config.latency
+        self._add_execution, self._add_latency = latency.fp_add
+        self._mul_execution, self._mul_latency = latency.fp_multiply
+        self._fma_execution, self._fma_latency = latency.fp_multiply_add
 
     # ------------------------------------------------------------------
     def _issue_pipelined(self, unit: PipelinedUnit, time: int,
@@ -52,13 +54,46 @@ class FPU:
 
     def add(self, time: int) -> tuple[int, int]:
         """Floating-point add/subtract/compare through the adder pipe."""
-        return self._issue_pipelined(self.adder, time, self.config.latency.fp_add)
+        # PipelinedUnit.issue(time) -> TimelineResource.reserve(time, 1),
+        # inlined (two frames per add); every counter reserve keeps is
+        # kept. Unlike an FMA's, an add's request can be out of order:
+        # it may arrive behind an FMA granted past its time.
+        adder = self.adder
+        if time < adder._last_request:
+            adder.reorderings += 1
+        else:
+            adder._last_request = time
+        grant = adder.next_free
+        if time >= grant:
+            grant = time
+        else:
+            self.contention_cycles += grant - time
+        adder.next_free = grant + 1
+        adder.busy_cycles += 1
+        adder.n_requests += 1
+        self.operations += 1
+        issue_end = grant + self._add_execution
+        return issue_end, issue_end + self._add_latency
 
     def multiply(self, time: int) -> tuple[int, int]:
         """Floating-point multiply through the multiplier pipe."""
-        return self._issue_pipelined(
-            self.multiplier, time, self.config.latency.fp_multiply
-        )
+        # Inlined like ``add``.
+        multiplier = self.multiplier
+        if time < multiplier._last_request:
+            multiplier.reorderings += 1
+        else:
+            multiplier._last_request = time
+        grant = multiplier.next_free
+        if time >= grant:
+            grant = time
+        else:
+            self.contention_cycles += grant - time
+        multiplier.next_free = grant + 1
+        multiplier.busy_cycles += 1
+        multiplier.n_requests += 1
+        self.operations += 1
+        issue_end = grant + self._mul_execution
+        return issue_end, issue_end + self._mul_latency
 
     def convert(self, time: int) -> tuple[int, int]:
         """Int/float conversion (same cost class as add in Table 2)."""

@@ -34,7 +34,11 @@ class BarrierSPRFile:
         self.n_threads = config.n_threads
         self.n_barriers = config.n_barriers
         self._spr = [0] * self.n_threads
-        #: Cached OR of all registers, maintained incrementally.
+        #: Per bit, how many registers have it set: a write updates only
+        #: the bits it changes.
+        self._set_counts = [0] * config.spr_bits
+        #: Cached OR of all registers: bit *b* is set iff its count is
+        #: nonzero.
         self._or_value = 0
         #: Optional coherence-sanitizer hook (repro.sanitizer): notified
         #: when a thread arrives without a matching participate.
@@ -50,8 +54,26 @@ class BarrierSPRFile:
         self._check_tid(tid)
         if not 0 <= value < (1 << self.config.spr_bits):
             raise BarrierError(f"SPR value {value:#x} exceeds register width")
+        changed = self._spr[tid] ^ value
+        if not changed:
+            return
         self._spr[tid] = value
-        self._recompute_or()
+        counts = self._set_counts
+        or_value = self._or_value
+        bit = 0
+        while changed:
+            if changed & 1:
+                mask = 1 << bit
+                if value & mask:
+                    counts[bit] += 1
+                    or_value |= mask
+                else:
+                    counts[bit] -= 1
+                    if not counts[bit]:
+                        or_value &= ~mask
+            changed >>= 1
+            bit += 1
+        self._or_value = or_value
 
     def read_own(self, tid: int) -> int:
         """A thread reads back its own register contents."""
@@ -61,14 +83,6 @@ class BarrierSPRFile:
     def read_or(self) -> int:
         """The wired-OR of every thread's SPR (what a read returns)."""
         return self._or_value
-
-    def _recompute_or(self) -> None:
-        value = 0
-        for spr in self._spr:
-            value |= spr
-            if value == (1 << self.config.spr_bits) - 1:
-                break
-        self._or_value = value
 
     def _check_tid(self, tid: int) -> None:
         if not 0 <= tid < self.n_threads:
@@ -125,5 +139,6 @@ class BarrierSPRFile:
     def reset(self) -> None:
         """Clear every register and phase."""
         self._spr = [0] * self.n_threads
+        self._set_counts = [0] * self.config.spr_bits
         self._or_value = 0
         self._phase = [0] * self.n_barriers

@@ -168,9 +168,15 @@ class ThreadCtx:
         counters.stores += 1
         return outcome.complete
 
+    # The generator forms compute ``op_begin``'s earliest issue cycle
+    # inline: one frame fewer per operation.
     def load_f64(self, effective: int, deps: tuple = ()):
         """Load a double; returns ``(ready_time, value)``."""
-        now = yield self.op_begin(deps)
+        earliest = self.tu.issue_time
+        for dep in deps:
+            if dep > earliest:
+                earliest = dep
+        now = yield earliest
         return self.load_f64_finish(now, effective)
 
     def store_f64(self, effective: int, value: float, deps: tuple = ()):
@@ -180,7 +186,11 @@ class ThreadCtx:
         write buffer); dependents that *must* observe the store (e.g. a
         flag protocol) can depend on the returned time.
         """
-        now = yield self.op_begin(deps)
+        earliest = self.tu.issue_time
+        for dep in deps:
+            if dep > earliest:
+                earliest = dep
+        now = yield earliest
         return self.store_f64_finish(now, effective, value)
 
     def load_u32(self, effective: int, deps: tuple = ()):
@@ -304,14 +314,6 @@ class ThreadCtx:
         counters.flops += flops
         return ready
 
-    def fp_add(self, deps: tuple = ()):
-        """FP add/subtract/compare; returns the result's ready time."""
-        return self._fpu_pipelined(self.fpu.add, deps, 1, 1)
-
-    def fp_mul(self, deps: tuple = ()):
-        """FP multiply."""
-        return self._fpu_pipelined(self.fpu.multiply, deps, 1, 1)
-
     # The single-issue FPU finishers each inline ThreadUnit.issue_at(
     # issue_end - 1) + retire(1) and count their flops.
     def fp_add_finish(self, now: int) -> int:
@@ -365,9 +367,31 @@ class ThreadCtx:
         counters.flops += 2
         return ready
 
+    def fp_add(self, deps: tuple = ()):
+        """FP add/subtract/compare; returns the result's ready time."""
+        earliest = self.tu.issue_time
+        for dep in deps:
+            if dep > earliest:
+                earliest = dep
+        now = yield earliest
+        return self.fp_add_finish(now)
+
+    def fp_mul(self, deps: tuple = ()):
+        """FP multiply; returns the result's ready time."""
+        earliest = self.tu.issue_time
+        for dep in deps:
+            if dep > earliest:
+                earliest = dep
+        now = yield earliest
+        return self.fp_mul_finish(now)
+
     def fp_fma(self, deps: tuple = ()):
         """Fused multiply-add (two flops, one issue)."""
-        now = yield self.op_begin(deps)
+        earliest = self.tu.issue_time
+        for dep in deps:
+            if dep > earliest:
+                earliest = dep
+        now = yield earliest
         return self.fp_fma_finish(now)
 
     def fp_convert(self, deps: tuple = ()):

@@ -91,42 +91,50 @@ class FFTResult:
 
 
 class _Matrix:
-    """An m x m complex-double matrix living in simulated memory."""
+    """An m x m complex-double matrix living in simulated memory.
+
+    Element ``(row, col)`` is a ``(re, im)`` pair of doubles at
+    ``ea + 16 * (row * m + col)``: the base's effective address is
+    range-checked once, here, so an element's address is an add.
+    """
 
     def __init__(self, base: int, m: int, ig_byte: int) -> None:
-        self.base = base
         self.m = m
-        self.ig = ig_byte
-
-    def ea_re(self, row: int, col: int) -> int:
-        return make_effective(self.base + 16 * (row * self.m + col), self.ig)
-
-    def ea_im(self, row: int, col: int) -> int:
-        return make_effective(self.base + 16 * (row * self.m + col) + 8, self.ig)
+        make_effective(base + 16 * m * m - 8, ig_byte)  # the last double
+        self.ea = make_effective(base, ig_byte)
 
 
-def _load_complex(ctx, mat: _Matrix, row: int, col: int):
-    tr, re = yield from ctx.load_f64(mat.ea_re(row, col))
-    ti, im = yield from ctx.load_f64(mat.ea_im(row, col))
-    return max(tr, ti), complex(re, im)
-
-
-def _store_complex(ctx, mat: _Matrix, row: int, col: int, value: complex,
-                   deps: tuple = ()):
-    yield from ctx.store_f64(mat.ea_re(row, col), value.real, deps=deps)
-    yield from ctx.store_f64(mat.ea_im(row, col), value.imag, deps=deps)
-
-
+# The loops below issue every shared-resource op in split-phase form
+# (see ``ThreadCtx.op_begin``): they yield the op's issue cycle
+# themselves -- the thread clock, or the latest of it and the op's input
+# ready times, re-read before every op -- and pass the granted cycle to
+# the bound ``*_finish`` method. The event sequence is the one the
+# ``yield from ctx.load_f64(...)`` generator forms produce, without a
+# generator per operation.
 def _transpose(ctx, src: _Matrix, dst: _Matrix, rows: range):
     """Copy ``src`` transposed into ``dst`` for this thread's target rows.
 
     Reading down a source column is the all-to-all communication phase:
     the elements live in lines homed all over the chip.
     """
+    tu = ctx.tu
+    load = ctx.load_f64_finish
+    store = ctx.store_f64_finish
+    m = src.m
+    src_ea, dst_ea = src.ea, dst.ea
     for row in rows:
-        for col in range(src.m):
-            t, value = yield from _load_complex(ctx, src, col, row)
-            yield from _store_complex(ctx, dst, row, col, value, deps=(t,))
+        for col in range(m):
+            ea = src_ea + 16 * (col * m + row)
+            now = yield tu.issue_time
+            tr, re = load(now, ea)
+            now = yield tu.issue_time
+            ti, im = load(now, ea + 8)
+            t = max(tr, ti)
+            ea = dst_ea + 16 * (row * m + col)
+            now = yield max(tu.issue_time, t)
+            store(now, ea, re)
+            now = yield max(tu.issue_time, t)
+            store(now, ea + 8, im)
             ctx.charge_ops(2)
         ctx.branch()
 
@@ -139,41 +147,96 @@ def _bit_reverse_indices(m: int) -> list[int]:
 def _row_fft(ctx, mat: _Matrix, row: int, roots: "_RootTable",
              bitrev: list[int]):
     """In-place iterative radix-2 FFT over one row of length m."""
+    tu = ctx.tu
+    load = ctx.load_f64_finish
+    store = ctx.store_f64_finish
+    fp_mul = ctx.fp_mul_finish
+    fp_fma = ctx.fp_fma_finish
+    fp_add = ctx.fp_add_finish
     m = mat.m
+    row_ea = mat.ea + 16 * row * m
     # Bit-reverse permutation (swap elements through memory).
     for i, j in enumerate(bitrev):
         if i < j:
-            ti, vi = yield from _load_complex(ctx, mat, row, i)
-            tj, vj = yield from _load_complex(ctx, mat, row, j)
-            yield from _store_complex(ctx, mat, row, i, vj, deps=(tj,))
-            yield from _store_complex(ctx, mat, row, j, vi, deps=(ti,))
+            ea_i = row_ea + 16 * i
+            ea_j = row_ea + 16 * j
+            now = yield tu.issue_time
+            t, ri = load(now, ea_i)
+            now = yield tu.issue_time
+            ti, ii = load(now, ea_i + 8)
+            ti = max(t, ti)
+            now = yield tu.issue_time
+            t, rj = load(now, ea_j)
+            now = yield tu.issue_time
+            tj, ij = load(now, ea_j + 8)
+            tj = max(t, tj)
+            now = yield max(tu.issue_time, tj)
+            store(now, ea_i, rj)
+            now = yield max(tu.issue_time, tj)
+            store(now, ea_i + 8, ij)
+            now = yield max(tu.issue_time, ti)
+            store(now, ea_j, ri)
+            now = yield max(tu.issue_time, ti)
+            store(now, ea_j + 8, ii)
             ctx.charge_ops(2)
+    roots_ea = roots.ea
     size = 2
     while size <= m:
         half = size // 2
         step = m // size
         for j in range(half):
-            tw, w = yield from _load_twiddle(ctx, roots, j * step)
+            ea = roots_ea + 16 * j * step
+            now = yield tu.issue_time
+            t, re = load(now, ea)
+            now = yield tu.issue_time
+            tw, im = load(now, ea + 8)
+            tw = max(t, tw)
+            w = complex(re, im)
             start = 0
             while start < m:
-                ta, a = yield from _load_complex(ctx, mat, row, start + j)
-                tb, b = yield from _load_complex(ctx, mat, row,
-                                                 start + j + half)
+                ea_a = row_ea + 16 * (start + j)
+                ea_b = ea_a + 16 * half
+                now = yield tu.issue_time
+                t, re = load(now, ea_a)
+                now = yield tu.issue_time
+                ta, im = load(now, ea_a + 8)
+                ta = max(t, ta)
+                a = complex(re, im)
+                now = yield tu.issue_time
+                t, re = load(now, ea_b)
+                now = yield tu.issue_time
+                tb, im = load(now, ea_b + 8)
+                tb = max(t, tb)
+                b = complex(re, im)
                 # Complex butterfly: t = w*b (2 muls + 2 FMAs), then
                 # a' = a + t and b' = a - t (4 adds).
-                t1 = yield from ctx.fp_mul(deps=(tw, tb))
-                t2 = yield from ctx.fp_fma(deps=(t1,))
-                t3 = yield from ctx.fp_mul(deps=(tw, tb))
-                t4 = yield from ctx.fp_fma(deps=(t3,))
+                now = yield max(tu.issue_time, tw, tb)
+                t1 = fp_mul(now)
+                now = yield max(tu.issue_time, t1)
+                t2 = fp_fma(now)
+                now = yield max(tu.issue_time, tw, tb)
+                t3 = fp_mul(now)
+                now = yield max(tu.issue_time, t3)
+                t4 = fp_fma(now)
                 product = w * b
-                tsum = yield from ctx.fp_add(deps=(ta, t2, t4))
-                tdif = yield from ctx.fp_add(deps=(ta, t2, t4))
-                tsum2 = yield from ctx.fp_add(deps=(tsum,))
-                tdif2 = yield from ctx.fp_add(deps=(tdif,))
-                yield from _store_complex(ctx, mat, row, start + j,
-                                          a + product, deps=(tsum2,))
-                yield from _store_complex(ctx, mat, row, start + j + half,
-                                          a - product, deps=(tdif2,))
+                now = yield max(tu.issue_time, ta, t2, t4)
+                tsum = fp_add(now)
+                now = yield max(tu.issue_time, ta, t2, t4)
+                tdif = fp_add(now)
+                now = yield max(tu.issue_time, tsum)
+                tsum = fp_add(now)
+                now = yield max(tu.issue_time, tdif)
+                tdif = fp_add(now)
+                value = a + product
+                now = yield max(tu.issue_time, tsum)
+                store(now, ea_a, value.real)
+                now = yield max(tu.issue_time, tsum)
+                store(now, ea_a + 8, value.imag)
+                value = a - product
+                now = yield max(tu.issue_time, tdif)
+                store(now, ea_b, value.real)
+                now = yield max(tu.issue_time, tdif)
+                store(now, ea_b + 8, value.imag)
                 ctx.charge_ops(2)
                 ctx.branch()
                 start += size
@@ -181,48 +244,61 @@ def _row_fft(ctx, mat: _Matrix, row: int, roots: "_RootTable",
 
 
 class _RootTable:
-    """Twiddle factors W_K^k = exp(-2*pi*i*k/K) stored in memory."""
+    """Twiddle factors W_K^k = exp(-2*pi*i*k/K) stored in memory.
+
+    Factor *k* is a ``(re, im)`` pair of doubles at ``ea + 16 * k``.
+    """
 
     def __init__(self, kernel: Kernel, count: int, ig_byte: int) -> None:
         self.count = count
-        self.base = kernel.heap.alloc_f64_array(2 * count)
-        self.ig = ig_byte
-        view = kernel.chip.memory.backing.f64_view(self.base, 2 * count)
+        base = kernel.heap.alloc_f64_array(2 * count)
+        make_effective(base + 16 * count - 8, ig_byte)  # the last double
+        self.ea = make_effective(base, ig_byte)
+        view = kernel.chip.memory.backing.f64_view(base, 2 * count)
         angles = -2.0 * np.pi * np.arange(count) / count
         view[0::2] = np.cos(angles)
         view[1::2] = np.sin(angles)
 
-    def value(self, index: int) -> complex:
-        angle = -2.0 * math.pi * index / self.count
-        return complex(math.cos(angle), math.sin(angle))
-
-    def ea_re(self, index: int) -> int:
-        return make_effective(self.base + 16 * index, self.ig)
-
-    def ea_im(self, index: int) -> int:
-        return make_effective(self.base + 16 * index + 8, self.ig)
-
-
-def _load_twiddle(ctx, roots: _RootTable, index: int):
-    tr, re = yield from ctx.load_f64(roots.ea_re(index))
-    ti, im = yield from ctx.load_f64(roots.ea_im(index))
-    return max(tr, ti), complex(re, im)
-
 
 def _twiddle_rows(ctx, mat: _Matrix, rows: range, roots_n: _RootTable):
     """Step 3: scale element (n2, k1) by W_N^(n2*k1)."""
+    tu = ctx.tu
+    load = ctx.load_f64_finish
+    store = ctx.store_f64_finish
+    fp_mul = ctx.fp_mul_finish
+    fp_fma = ctx.fp_fma_finish
     n = roots_n.count
+    m = mat.m
+    mat_ea, roots_ea = mat.ea, roots_n.ea
     for row in rows:
-        for col in range(mat.m):
-            index = (row * col) % n
-            tw, w = yield from _load_twiddle(ctx, roots_n, index)
-            tv, value = yield from _load_complex(ctx, mat, row, col)
-            t1 = yield from ctx.fp_mul(deps=(tw, tv))
-            t2 = yield from ctx.fp_fma(deps=(t1,))
-            t3 = yield from ctx.fp_mul(deps=(tw, tv))
-            t4 = yield from ctx.fp_fma(deps=(t3,))
-            yield from _store_complex(ctx, mat, row, col, value * w,
-                                      deps=(t2, t4))
+        for col in range(m):
+            ea = roots_ea + 16 * ((row * col) % n)
+            now = yield tu.issue_time
+            t, re = load(now, ea)
+            now = yield tu.issue_time
+            tw, im = load(now, ea + 8)
+            tw = max(t, tw)
+            w = complex(re, im)
+            ea = mat_ea + 16 * (row * m + col)
+            now = yield tu.issue_time
+            t, re = load(now, ea)
+            now = yield tu.issue_time
+            tv, im = load(now, ea + 8)
+            tv = max(t, tv)
+            value = complex(re, im)
+            now = yield max(tu.issue_time, tw, tv)
+            t1 = fp_mul(now)
+            now = yield max(tu.issue_time, t1)
+            t2 = fp_fma(now)
+            now = yield max(tu.issue_time, tw, tv)
+            t3 = fp_mul(now)
+            now = yield max(tu.issue_time, t3)
+            t4 = fp_fma(now)
+            value = value * w
+            now = yield max(tu.issue_time, t2, t4)
+            store(now, ea, value.real)
+            now = yield max(tu.issue_time, t2, t4)
+            store(now, ea + 8, value.imag)
             ctx.charge_ops(3)
         ctx.branch()
 

@@ -2,6 +2,7 @@
 quads, instruction caches, fault tolerance."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ChipConfig
 from repro.core.chip import Chip
@@ -11,6 +12,7 @@ from repro.core.fpu import FPU
 from repro.core.icache import InstructionCache, PrefetchBuffer
 from repro.core.spr import BarrierSPRFile
 from repro.core.thread_unit import ThreadUnit
+from repro.engine.resources import PipelinedUnit
 from repro.errors import BarrierError, ConfigError, MemoryFault
 from repro.memory.address import make_effective
 from repro.memory.interest_groups import IG_ALL, single_cache_group
@@ -73,6 +75,76 @@ class TestFPU:
         fpu.reset()
         assert fpu.operations == 0
         assert fpu.add(0)[0] == 1
+
+
+class _ReferenceFPU:
+    """The adder/multiplier/FMA timing spelled out through
+    ``PipelinedUnit.issue`` and ``TimelineResource.reserve``."""
+
+    def __init__(self, config: ChipConfig) -> None:
+        self.adder = PipelinedUnit("ref.add")
+        self.multiplier = PipelinedUnit("ref.mul")
+        self.lat = config.latency
+        self.operations = 0
+        self.contention_cycles = 0
+
+    def _issue(self, unit, time, row):
+        execution, latency = row
+        grant = unit.issue(time)
+        self.operations += 1
+        self.contention_cycles += grant - time
+        return grant + execution, grant + execution + latency
+
+    def add(self, time):
+        return self._issue(self.adder, time, self.lat.fp_add)
+
+    def multiply(self, time):
+        return self._issue(self.multiplier, time, self.lat.fp_multiply)
+
+    def fma(self, time):
+        execution, latency = self.lat.fp_multiply_add
+        grant = max(time, self.adder.next_free, self.multiplier.next_free)
+        assert self.adder.reserve(grant, execution) == grant
+        assert self.multiplier.reserve(grant, execution) == grant
+        self.operations += 1
+        self.contention_cycles += grant - time
+        return grant + execution, grant + execution + latency
+
+
+def _pipe_state(unit):
+    return (unit.next_free, unit.busy_cycles, unit.n_requests,
+            unit.reorderings, unit._last_request)
+
+
+class TestFPUDifferential:
+    """The inlined add/multiply/fma reservations equal the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["add", "multiply", "fma"]),
+                              st.integers(-3, 4)),
+                    min_size=1, max_size=60))
+    def test_matches_pipelined_unit_reference(self, ops):
+        fpu, ref = FPU(0, CFG), _ReferenceFPU(CFG)
+        time = 10
+        for kind, step in ops:
+            # Mostly advancing request times, sometimes behind earlier
+            # ones (a request may be out of order by a few cycles).
+            time = max(0, time + step)
+            assert getattr(fpu, kind)(time) == getattr(ref, kind)(time)
+            assert (fpu.operations, fpu.contention_cycles) == \
+                (ref.operations, ref.contention_cycles)
+            assert _pipe_state(fpu.adder) == _pipe_state(ref.adder)
+            assert _pipe_state(fpu.multiplier) == \
+                _pipe_state(ref.multiplier)
+
+    def test_add_behind_fma_grant_counts_a_reordering(self):
+        fpu = FPU(0, CFG)
+        fpu.add(5)
+        fpu.fma(5)        # granted at 6, after the add's slot
+        fpu.add(5)        # in request order, but behind the FMA's grant
+        assert fpu.adder.reorderings == 1
+        assert fpu.adder._last_request == 6
+        assert fpu.multiplier.reorderings == 0
 
 
 class TestBarrierSPR:
@@ -144,6 +216,29 @@ class TestBarrierSPR:
         spr = BarrierSPRFile(CFG)
         with pytest.raises(BarrierError):
             spr.write(0, 256)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["write", "participate", "arrive", "withdraw",
+                         "advance"]),
+        st.sampled_from([0, 1, 2, 5, 127]),
+        st.integers(0, 255)), min_size=1, max_size=80))
+    def test_wired_or_equals_brute_force(self, ops):
+        spr = BarrierSPRFile(CFG)
+        for op, tid, arg in ops:
+            barrier = arg % CFG.n_barriers
+            if op == "write":
+                spr.write(tid, arg)
+            elif op == "advance":
+                spr.advance_phase(barrier)
+            else:
+                getattr(spr, op)(tid, barrier)
+            expected = 0
+            for t in range(CFG.n_threads):
+                expected |= spr.read_own(t)
+            assert spr.read_or() == expected
+        spr.reset()
+        assert spr.read_or() == 0
 
 
 class TestThreadUnit:

@@ -13,12 +13,15 @@ If one of these numbers changes, the change is either a timing-model fix
 (fix the fast path).
 """
 
+import hashlib
+
 import pytest
 
 from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.isa.assembler import assemble
 from repro.isa.interpreter import Interpreter
+from repro.runtime.kernel import Kernel
 from repro.workloads.fft import FFTParams, run_fft
 from repro.workloads.radix import RadixParams, run_radix
 from repro.workloads.stream import StreamParams, run_stream
@@ -104,6 +107,38 @@ def test_fft_sw_barrier_golden():
     assert result.total_cycles == 27136
 
 
+_OUT_64 = "3ea66862d7705c29df40ce26a787ca94783d22d5d09dfc95a5538cd652dcd116"
+_OUT_1024 = "f564e7829fc875ef1d757e375d17b4be136c83e386a23aade36deabfc2f63d4f"
+
+# (points, threads, barrier) -> (total_cycles, run_cycles, stall_cycles,
+# barrier_episodes, sha256 of the output matrix's bytes).
+_FFT_MATRIX = {
+    (64, 8, "hw"): (3317, 8057, 18479, 5, _OUT_64),
+    (64, 8, "sw"): (3568, 7217, 21063, 5, _OUT_64),
+    (1024, 32, "hw"): (17772, 176913, 391791, 5, _OUT_1024),
+    (1024, 32, "sw"): (18261, 153805, 429751, 5, _OUT_1024),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_FFT_MATRIX),
+                         ids=lambda s: "%dx%d-%s" % s)
+def test_fft_golden_matrix(shape):
+    """Cycles, counters and the exact output bytes over more shapes."""
+    n, threads, barrier = shape
+    chip = Chip()
+    params = FFTParams(n_points=n, n_threads=threads, barrier=barrier)
+    result = run_fft(params, chip=chip)
+    # run_fft allocates the input matrix, then the output matrix; a
+    # fresh heap with the same policy replays those two allocations.
+    heap = Kernel(Chip(), params.policy).heap
+    heap.alloc_f64_array(2 * n)
+    out = chip.memory.backing.read_block(heap.alloc_f64_array(2 * n), 16 * n)
+    assert result.verified
+    assert (result.total_cycles, result.run_cycles, result.stall_cycles,
+            result.barrier_episodes, hashlib.sha256(out).hexdigest()) == \
+        _FFT_MATRIX[shape]
+
+
 def test_radix_golden():
     result = run_radix(RadixParams(n_keys=512, n_threads=4))
     assert result.cycles == 16831
@@ -130,3 +165,44 @@ def test_split_phase_context_matches_generator_ops():
     ))
     assert (block.cycles, scale.cycles, add.cycles, copy.cycles) == \
         (2259, 1925, 1988, 1539)
+    # The FPU ops: ``fp_add``/``fp_mul``/``fp_fma`` against
+    # ``op_begin`` + their finishers, eight threads on two quads' FPUs.
+    # The final cycle and the pipe states were captured while the adder
+    # and multiplier still reserved through ``PipelinedUnit.issue``.
+    generator = _fpu_chains(split=False)
+    assert _fpu_chains(split=True) == generator
+    pipes = (96, 22, (147, 64, 64, 1, 146), (147, 64, 64, 0, 146))
+    assert (generator[0], generator[3]) == (147, [pipes, pipes])
+
+
+def _fpu_chain_body(ctx, split, out):
+    ready = 0
+    for i in range(24):
+        kind = ("add", "mul", "fma")[i % 3]
+        deps = (ready, ctx.time + i % 5) if i % 4 else ()
+        if split:
+            now = yield ctx.op_begin(deps)
+            ready = getattr(ctx, f"fp_{kind}_finish")(now)
+        else:
+            ready = yield from getattr(ctx, f"fp_{kind}")(deps=deps)
+        out.append((ready, ctx.time))
+        if i % 7 == 0:
+            ctx.charge_ops(i % 3)
+
+
+def _fpu_chains(split):
+    """Every op's (ready, clock), every thread's counters and every
+    FPU's pipe state after a mixed, contended FPU chain per thread."""
+    chip = Chip()
+    kernel = Kernel(chip)
+    outs = [[] for _ in range(8)]
+    for t in range(8):
+        kernel.spawn(_fpu_chain_body, split, outs[t])
+    final = kernel.run()
+    counters = [vars(th.ctx.tu.counters).copy() for th in kernel.threads]
+    pipes = [(fpu.operations, fpu.contention_cycles,
+              *((u.next_free, u.busy_cycles, u.n_requests, u.reorderings,
+                 u._last_request) for u in (fpu.adder, fpu.multiplier)))
+             for fpu in {id(th.ctx.fpu): th.ctx.fpu
+                         for th in kernel.threads}.values()]
+    return final, outs, counters, pipes
