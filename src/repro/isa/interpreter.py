@@ -106,6 +106,14 @@ class Interpreter:
     """Runs assembled programs on a chip with full timing."""
 
     def __init__(self, chip: Chip, model_fetch: bool = True) -> None:
+        # Compiled blocks move data through the backing store directly,
+        # so per-cache line buffers would silently go unused.
+        if chip.memory.strict:
+            raise ConfigError(
+                "the ISA interpreter does not model strict incoherence: "
+                "its blocks read and write the backing store directly; "
+                "run strict-mode kernels on the direct-execution runtime"
+            )
         self.chip = chip
         self.scheduler = Scheduler()
         self.model_fetch = model_fetch

@@ -33,7 +33,7 @@ class ThreadCtx:
 
     __slots__ = ("kernel", "chip", "memory", "tu", "tid", "quad_id",
                  "fpu", "lat", "process", "software_index",
-                 "_strict", "_access", "_backing", "_backing_size",
+                 "_strict", "_access", "_backing", "_branch_cycles",
                  "_mv_f64", "_bload_u32", "_bstore_u32")
 
     def __init__(self, kernel, tu) -> None:
@@ -66,10 +66,10 @@ class ThreadCtx:
         self._access = memory.access
         backing = memory.backing
         self._backing = backing
-        self._backing_size = backing.size
         self._mv_f64 = backing._mv_f64
         self._bload_u32 = backing.load_u32
         self._bstore_u32 = backing.store_u32
+        self._branch_cycles = self.lat.branch[0]
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -99,6 +99,12 @@ class ThreadCtx:
     # sequence is identical, but nothing allocates a generator object
     # per memory operation. The generator methods below are thin
     # wrappers over the same phases, so there is one copy of the logic.
+    #
+    # Finishers only do timing: the access or FPU reservation, the value,
+    # the stall counters and the issue clock. They leave ``instructions``,
+    # ``run_cycles``, ``loads``, ``stores`` and ``flops`` alone; a split-
+    # phase loop adds those once per iteration with ``count_iteration``,
+    # and each generator form counts its own op after its finisher.
     # ------------------------------------------------------------------
     def op_begin(self, deps: tuple = ()) -> int:
         """Phase 1 of any shared-resource op: the earliest issue cycle.
@@ -120,24 +126,25 @@ class ThreadCtx:
             )
         else:
             outcome = self._access(now, self.quad_id, effective, 8, False)
+            # ``access`` has already raised unless the double lies below
+            # the max-memory register, which never exceeds the backing
+            # store; only the alignment half of its guard is left.
             physical = effective & PHYSICAL_MASK
-            if physical & 7 or physical + 8 > self._backing_size:
+            if physical & 7:
                 self._backing._check(physical, 8)  # raises
             value = self._mv_f64[physical >> 3]
-        # Inlined ThreadUnit.issue_at(issue_end - 1) + retire(1): two
-        # method frames per memory op are measurable at STREAM scale.
+        # Inlined ThreadUnit.issue_at(issue_end - 1) and the clock half of
+        # retire(1): two method frames per memory op are measurable at
+        # STREAM scale.
         tu = self.tu
-        counters = tu.counters
         issue = outcome.issue_end - 1
         clock = tu.issue_time
         if issue > clock:
+            counters = tu.counters
             counters.stall_cycles += issue - clock
             counters.stall_events += 1
             clock = issue
         tu.issue_time = clock + 1
-        counters.instructions += 1
-        counters.run_cycles += 1
-        counters.loads += 1
         return outcome.complete, value
 
     def store_f64_finish(self, now: int, effective: int, value: float) -> int:
@@ -149,23 +156,20 @@ class ThreadCtx:
         else:
             outcome = self._access(now, self.quad_id, effective, 8, True)
             physical = effective & PHYSICAL_MASK
-            if physical & 7 or physical + 8 > self._backing_size:
+            if physical & 7:
                 self._backing._check(physical, 8)  # raises
             # memoryview stores are strict about type; float() is a no-op
             # for exact floats and converts ints/numpy scalars.
             self._mv_f64[physical >> 3] = float(value)
         tu = self.tu
-        counters = tu.counters
         issue = outcome.issue_end - 1
         clock = tu.issue_time
         if issue > clock:
+            counters = tu.counters
             counters.stall_cycles += issue - clock
             counters.stall_events += 1
             clock = issue
         tu.issue_time = clock + 1
-        counters.instructions += 1
-        counters.run_cycles += 1
-        counters.stores += 1
         return outcome.complete
 
     # The generator forms compute ``op_begin``'s earliest issue cycle
@@ -177,7 +181,12 @@ class ThreadCtx:
             if dep > earliest:
                 earliest = dep
         now = yield earliest
-        return self.load_f64_finish(now, effective)
+        result = self.load_f64_finish(now, effective)
+        counters = self.tu.counters
+        counters.instructions += 1
+        counters.run_cycles += 1
+        counters.loads += 1
+        return result
 
     def store_f64(self, effective: int, value: float, deps: tuple = ()):
         """Store a double; returns the store's completion time.
@@ -191,7 +200,12 @@ class ThreadCtx:
             if dep > earliest:
                 earliest = dep
         now = yield earliest
-        return self.store_f64_finish(now, effective, value)
+        done = self.store_f64_finish(now, effective, value)
+        counters = self.tu.counters
+        counters.instructions += 1
+        counters.run_cycles += 1
+        counters.stores += 1
+        return done
 
     def load_u32(self, effective: int, deps: tuple = ()):
         """Load a 32-bit word; returns ``(ready_time, value)``."""
@@ -315,56 +329,47 @@ class ThreadCtx:
         return ready
 
     # The single-issue FPU finishers each inline ThreadUnit.issue_at(
-    # issue_end - 1) + retire(1) and count their flops.
+    # issue_end - 1) and the issue-clock half of retire(1).
     def fp_add_finish(self, now: int) -> int:
         """Phase 2 of an FP add (pairs with ``op_begin``)."""
         issue_end, ready = self.fpu.add(now)
         tu = self.tu
-        counters = tu.counters
         issue = issue_end - 1
         clock = tu.issue_time
         if issue > clock:
+            counters = tu.counters
             counters.stall_cycles += issue - clock
             counters.stall_events += 1
             clock = issue
         tu.issue_time = clock + 1
-        counters.instructions += 1
-        counters.run_cycles += 1
-        counters.flops += 1
         return ready
 
     def fp_mul_finish(self, now: int) -> int:
         """Phase 2 of an FP multiply (pairs with ``op_begin``)."""
         issue_end, ready = self.fpu.multiply(now)
         tu = self.tu
-        counters = tu.counters
         issue = issue_end - 1
         clock = tu.issue_time
         if issue > clock:
+            counters = tu.counters
             counters.stall_cycles += issue - clock
             counters.stall_events += 1
             clock = issue
         tu.issue_time = clock + 1
-        counters.instructions += 1
-        counters.run_cycles += 1
-        counters.flops += 1
         return ready
 
     def fp_fma_finish(self, now: int) -> int:
         """Phase 2 of a fused multiply-add (pairs with ``op_begin``)."""
         issue_end, ready = self.fpu.fma(now)
         tu = self.tu
-        counters = tu.counters
         issue = issue_end - 1
         clock = tu.issue_time
         if issue > clock:
+            counters = tu.counters
             counters.stall_cycles += issue - clock
             counters.stall_events += 1
             clock = issue
         tu.issue_time = clock + 1
-        counters.instructions += 1
-        counters.run_cycles += 1
-        counters.flops += 2
         return ready
 
     def fp_add(self, deps: tuple = ()):
@@ -374,7 +379,12 @@ class ThreadCtx:
             if dep > earliest:
                 earliest = dep
         now = yield earliest
-        return self.fp_add_finish(now)
+        ready = self.fp_add_finish(now)
+        counters = self.tu.counters
+        counters.instructions += 1
+        counters.run_cycles += 1
+        counters.flops += 1
+        return ready
 
     def fp_mul(self, deps: tuple = ()):
         """FP multiply; returns the result's ready time."""
@@ -383,7 +393,12 @@ class ThreadCtx:
             if dep > earliest:
                 earliest = dep
         now = yield earliest
-        return self.fp_mul_finish(now)
+        ready = self.fp_mul_finish(now)
+        counters = self.tu.counters
+        counters.instructions += 1
+        counters.run_cycles += 1
+        counters.flops += 1
+        return ready
 
     def fp_fma(self, deps: tuple = ()):
         """Fused multiply-add (two flops, one issue)."""
@@ -392,7 +407,12 @@ class ThreadCtx:
             if dep > earliest:
                 earliest = dep
         now = yield earliest
-        return self.fp_fma_finish(now)
+        ready = self.fp_fma_finish(now)
+        counters = self.tu.counters
+        counters.instructions += 1
+        counters.run_cycles += 1
+        counters.flops += 2
+        return ready
 
     def fp_convert(self, deps: tuple = ()):
         """Int/float conversion."""
@@ -494,6 +514,27 @@ class ThreadCtx:
         counters.run_cycles += count
         self.tu.issue_time += count
         return self.tu.issue_time
+
+    def count_iteration(self, ops: int, loads: int, stores: int, flops: int,
+                        int_ops: int, branches: int) -> None:
+        """Count one split-phase loop iteration, then charge its tail.
+
+        The ``*_finish`` calls of the iteration did the timing; this adds
+        what they leave out: *ops* instructions of one run cycle each, of
+        which *loads* loads and *stores* stores, and *flops* flops. It
+        then charges *int_ops* one-cycle private ops and *branches*
+        branches with no dependences, exactly as ``charge_ops(int_ops)``
+        followed by *branches* ``branch()`` calls would.
+        """
+        tu = self.tu
+        counters = tu.counters
+        tail = int_ops + branches * self._branch_cycles
+        counters.instructions += ops + int_ops + branches
+        counters.run_cycles += ops + tail
+        counters.loads += loads
+        counters.stores += stores
+        counters.flops += flops
+        tu.issue_time += tail
 
     # ------------------------------------------------------------------
     # Spin-waiting (shared: generator)

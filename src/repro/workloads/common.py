@@ -35,7 +35,7 @@ def block_ranges(n: int, n_threads: int, align: int = 1) -> list[range]:
 
 
 def cyclic_group_indices(n: int, n_threads: int,
-                         group_size: int = 8) -> list[list[int]]:
+                         group_size: int = 8) -> list[range]:
     """The paper's cyclic partitioning: groups of 8 threads, one region each.
 
     "In the cyclic mode threads were combined in groups of eight, and each
@@ -48,14 +48,14 @@ def cyclic_group_indices(n: int, n_threads: int,
     group_size = min(group_size, n_threads)
     n_groups = (n_threads + group_size - 1) // group_size
     regions = block_ranges(n, n_groups, align=group_size)
-    indices: list[list[int]] = []
+    indices: list[range] = []
     for t in range(n_threads):
         group, lane = divmod(t, group_size)
         region = regions[group]
         # A ragged last group strides by however many lanes it really has,
         # so coverage of its region stays complete.
         lanes = min(group_size, n_threads - group * group_size)
-        indices.append(list(range(region.start + lane, region.stop, lanes)))
+        indices.append(range(region.start + lane, region.stop, lanes))
     return indices
 
 

@@ -110,7 +110,9 @@ class _Matrix:
 # ready times, re-read before every op -- and pass the granted cycle to
 # the bound ``*_finish`` method. The event sequence is the one the
 # ``yield from ctx.load_f64(...)`` generator forms produce, without a
-# generator per operation.
+# generator per operation. The finishers only do timing; each loop
+# iteration counts its ops, and charges its trailing ``charge_ops`` and
+# branch, in one ``count_iteration`` call.
 def _transpose(ctx, src: _Matrix, dst: _Matrix, rows: range):
     """Copy ``src`` transposed into ``dst`` for this thread's target rows.
 
@@ -120,6 +122,7 @@ def _transpose(ctx, src: _Matrix, dst: _Matrix, rows: range):
     tu = ctx.tu
     load = ctx.load_f64_finish
     store = ctx.store_f64_finish
+    count = ctx.count_iteration
     m = src.m
     src_ea, dst_ea = src.ea, dst.ea
     for row in rows:
@@ -135,7 +138,7 @@ def _transpose(ctx, src: _Matrix, dst: _Matrix, rows: range):
             store(now, ea, re)
             now = yield max(tu.issue_time, t)
             store(now, ea + 8, im)
-            ctx.charge_ops(2)
+            count(4, 2, 2, 0, 2, 0)  # 2 loads, 2 stores; 2 int ops
         ctx.branch()
 
 
@@ -153,6 +156,7 @@ def _row_fft(ctx, mat: _Matrix, row: int, roots: "_RootTable",
     fp_mul = ctx.fp_mul_finish
     fp_fma = ctx.fp_fma_finish
     fp_add = ctx.fp_add_finish
+    count = ctx.count_iteration
     m = mat.m
     row_ea = mat.ea + 16 * row * m
     # Bit-reverse permutation (swap elements through memory).
@@ -178,7 +182,7 @@ def _row_fft(ctx, mat: _Matrix, row: int, roots: "_RootTable",
             store(now, ea_j, ri)
             now = yield max(tu.issue_time, ti)
             store(now, ea_j + 8, ii)
-            ctx.charge_ops(2)
+            count(8, 4, 4, 0, 2, 0)  # 4 loads, 4 stores; 2 int ops
     roots_ea = roots.ea
     size = 2
     while size <= m:
@@ -191,6 +195,7 @@ def _row_fft(ctx, mat: _Matrix, row: int, roots: "_RootTable",
             now = yield tu.issue_time
             tw, im = load(now, ea + 8)
             tw = max(t, tw)
+            count(2, 2, 0, 0, 0, 0)  # the twiddle's 2 loads
             w = complex(re, im)
             start = 0
             while start < m:
@@ -237,8 +242,9 @@ def _row_fft(ctx, mat: _Matrix, row: int, roots: "_RootTable",
                 store(now, ea_b, value.real)
                 now = yield max(tu.issue_time, tdif)
                 store(now, ea_b + 8, value.imag)
-                ctx.charge_ops(2)
-                ctx.branch()
+                # 4 loads, 2 muls + 2 FMAs + 4 adds (10 flops), 4 stores;
+                # 2 int ops and the branch.
+                count(16, 4, 4, 10, 2, 1)
                 start += size
         size *= 2
 
@@ -267,6 +273,7 @@ def _twiddle_rows(ctx, mat: _Matrix, rows: range, roots_n: _RootTable):
     store = ctx.store_f64_finish
     fp_mul = ctx.fp_mul_finish
     fp_fma = ctx.fp_fma_finish
+    count = ctx.count_iteration
     n = roots_n.count
     m = mat.m
     mat_ea, roots_ea = mat.ea, roots_n.ea
@@ -299,7 +306,8 @@ def _twiddle_rows(ctx, mat: _Matrix, rows: range, roots_n: _RootTable):
             store(now, ea, value.real)
             now = yield max(tu.issue_time, t2, t4)
             store(now, ea + 8, value.imag)
-            ctx.charge_ops(3)
+            # 4 loads, 2 muls + 2 FMAs (6 flops), 2 stores; 3 int ops.
+            count(10, 4, 2, 6, 3, 0)
         ctx.branch()
 
 

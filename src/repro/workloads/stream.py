@@ -134,7 +134,9 @@ class StreamResult:
 # ``*_finish``. Per element the event sequence matches the plain
 # generator methods exactly, but no generator object is allocated per
 # operation — at STREAM scale that allocation is the largest host cost
-# after the accesses themselves.
+# after the accesses themselves. The finishers only do timing: each
+# iteration ends in one ``count_iteration`` call that counts its ops and
+# charges the loop overhead (``charge_ops(OVERHEAD_INT_OPS)`` + a branch).
 def _copy_loop(ctx, ea_src, ea_dst, unroll):
     n = len(ea_src)
     k = 0
@@ -149,8 +151,7 @@ def _copy_loop(ctx, ea_src, ea_dst, unroll):
         for j in range(u):
             now = yield max(tu.issue_time, times[j])
             ctx.store_f64_finish(now, ea_dst[k + j], vals[j])
-        ctx.charge_ops(OVERHEAD_INT_OPS)
-        ctx.branch()
+        ctx.count_iteration(2 * u, u, u, 0, OVERHEAD_INT_OPS, 1)
         k += u
 
 
@@ -171,8 +172,7 @@ def _scale_loop(ctx, ea_src, ea_dst, scalar, unroll):
         for j in range(u):
             now = yield max(tu.issue_time, times[j])
             ctx.store_f64_finish(now, ea_dst[k + j], scalar * vals[j])
-        ctx.charge_ops(OVERHEAD_INT_OPS)
-        ctx.branch()
+        ctx.count_iteration(3 * u, u, u, u, OVERHEAD_INT_OPS, 1)
         k += u
 
 
@@ -197,8 +197,7 @@ def _add_loop(ctx, ea_x, ea_y, ea_dst, unroll):
         for j in range(u):
             now = yield max(tu.issue_time, tx[j])
             ctx.store_f64_finish(now, ea_dst[k + j], vx[j] + vy[j])
-        ctx.charge_ops(OVERHEAD_INT_OPS)
-        ctx.branch()
+        ctx.count_iteration(4 * u, 2 * u, u, u, OVERHEAD_INT_OPS, 1)
         k += u
 
 
@@ -212,6 +211,7 @@ def _triad_loop(ctx, ea_x, ea_y, ea_dst, scalar, unroll):
     load_finish = ctx.load_f64_finish
     store_finish = ctx.store_f64_finish
     fma_finish = ctx.fp_fma_finish
+    count = ctx.count_iteration
     tu = ctx.tu
     while k < n:
         u = unroll if k + unroll <= n else n - k
@@ -226,8 +226,7 @@ def _triad_loop(ctx, ea_x, ea_y, ea_dst, scalar, unroll):
         for j in range(u):
             now = yield max(tu.issue_time, tx[j])
             store_finish(now, ea_dst[k + j], vx[j] + scalar * vy[j])
-        ctx.charge_ops(OVERHEAD_INT_OPS)
-        ctx.branch()
+        count(4 * u, 2 * u, u, 2 * u, OVERHEAD_INT_OPS, 1)
         k += u
 
 
@@ -256,9 +255,19 @@ def _thread_body(ctx, kernel, eas, unroll, warmup, start_barrier, section):
 # ---------------------------------------------------------------------------
 # The driver
 # ---------------------------------------------------------------------------
-def _element_addresses(base: int, indices, ig_byte: int) -> list[int]:
-    """Precompute each element's effective address (the address stream)."""
-    return [make_effective(base + 8 * i, ig_byte) for i in indices]
+def _element_addresses(base: int, indices: range, ig_byte: int) -> range:
+    """Each element's effective address (the address stream), as a range.
+
+    The first and the last element are range-checked through
+    ``make_effective``; every address between them then fits too, and is
+    the first one plus a multiple of the stride.
+    """
+    if not indices:
+        return range(0)
+    first = make_effective(base + 8 * indices[0], ig_byte)
+    make_effective(base + 8 * indices[-1], ig_byte)
+    step = 8 * indices.step
+    return range(first, first + step * len(indices), step)
 
 
 def _auto_warmup(params: StreamParams, config: ChipConfig) -> bool:

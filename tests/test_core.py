@@ -412,6 +412,31 @@ class TestFaultTolerance:
         assert new_max == 15 * 512 * 1024
         assert chip.memory.address_map.max_memory == new_max
 
+    def test_max_memory_never_exceeds_backing(self):
+        """The double finishers of ``ThreadCtx`` rely on this: ``access``
+        bounds every access by the max-memory register, so they keep
+        only the alignment half of the backing store's guard."""
+        chip = Chip()
+        faults = FaultController(chip)
+        amap, backing = chip.memory.address_map, chip.memory.backing
+        assert amap.max_memory <= backing.size
+        for bank in (3, 0, 15):
+            faults.fail_bank(bank)
+            assert amap.max_memory <= backing.size
+
+    def test_split_phase_double_beyond_max_memory_faults(self):
+        from repro.errors import MemoryFault
+        from repro.runtime.context import ThreadCtx
+        from repro.runtime.kernel import Kernel
+
+        chip = Chip()
+        top = FaultController(chip).fail_bank(2)
+        ctx = ThreadCtx(Kernel(chip), chip.thread(0))
+        with pytest.raises(MemoryFault):
+            ctx.load_f64_finish(0, make_effective(top, IG_ALL))
+        with pytest.raises(MemoryFault):
+            ctx.store_f64_finish(0, make_effective(top - 4, IG_ALL), 1.0)
+
     def test_chip_still_works_after_bank_failure(self):
         chip = Chip()
         FaultController(chip).fail_bank(0)

@@ -14,6 +14,9 @@ If one of these numbers changes, the change is either a timing-model fix
 """
 
 import hashlib
+import json
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -181,8 +184,10 @@ def _fpu_chain_body(ctx, split, out):
         kind = ("add", "mul", "fma")[i % 3]
         deps = (ready, ctx.time + i % 5) if i % 4 else ()
         if split:
+            # Finishers only do timing; the split loop counts the op.
             now = yield ctx.op_begin(deps)
             ready = getattr(ctx, f"fp_{kind}_finish")(now)
+            ctx.count_iteration(1, 0, 0, 2 if kind == "fma" else 1, 0, 0)
         else:
             ready = yield from getattr(ctx, f"fp_{kind}")(deps=deps)
         out.append((ready, ctx.time))
@@ -206,3 +211,75 @@ def _fpu_chains(split):
              for fpu in {id(th.ctx.fpu): th.ctx.fpu
                          for th in kernel.threads}.values()]
     return final, outs, counters, pipes
+
+
+# ---------------------------------------------------------------------------
+# Per-thread counter goldens (direct-execution runtime)
+#
+# The finishers only do timing and the split-phase loops count their ops
+# once per iteration, so a loop that miscounts leaves every cycle right.
+# These pin each thread's counters instead. Values live in
+# ``thread_counter_goldens.json``, captured while every finisher still
+# counted its own op.
+# ---------------------------------------------------------------------------
+_COUNTER_FIELDS = ("instructions", "run_cycles", "loads", "stores", "flops",
+                   "stall_cycles", "stall_events")
+_COUNTER_GOLDENS = Path(__file__).with_name("thread_counter_goldens.json")
+
+
+def _thread_counters(chip):
+    """``{tid: [field, ...]}`` for every thread unit that issued work."""
+    return {
+        str(tu.tid): [getattr(tu.counters, f) for f in _COUNTER_FIELDS]
+        for tu in chip.threads if tu.counters.instructions
+    }
+
+
+def _counter_cases():
+    """Case id -> a function running it on a fresh chip."""
+    cases = {}
+    # 12 threads over 1001 elements: under 4-way unrolling 7 of the 12
+    # blocks and 9 of the 12 cyclic lanes end in a ragged group, and the
+    # cyclic partition's second group has only 4 lanes.
+    for kernel in ("copy", "scale", "add", "triad"):
+        for unroll in (1, 4):
+            for partition in ("block", "cyclic"):
+                params = StreamParams(
+                    kernel=kernel, n_elements=1001, n_threads=12,
+                    partition=partition, unroll=unroll,
+                )
+                cases[f"stream-{kernel}-u{unroll}-{partition}"] = \
+                    partial(run_stream, params)
+    for barrier in ("hw", "sw"):
+        params = FFTParams(n_points=256, n_threads=16, barrier=barrier)
+        cases[f"fft-256x16-{barrier}"] = partial(run_fft, params)
+    return cases
+
+
+def _capture_counters():
+    captured = {}
+    for case, run in _counter_cases().items():
+        chip = Chip()
+        run(chip=chip)
+        captured[case] = _thread_counters(chip)
+    return captured
+
+
+def test_thread_counter_goldens():
+    goldens = json.loads(_COUNTER_GOLDENS.read_text())
+    assert goldens["fields"] == list(_COUNTER_FIELDS)
+    captured = _capture_counters()
+    assert sorted(captured) == sorted(goldens["cases"])
+    for case, threads in captured.items():
+        assert threads == goldens["cases"][case], case
+
+
+if __name__ == "__main__":
+    # One line per thread: ``python tests/test_golden_cycles.py``.
+    cases = ",\n".join(
+        f' {json.dumps(case)}: {{\n' + ",\n".join(
+            f'  {json.dumps(tid)}: {json.dumps(row)}'
+            for tid, row in threads.items()) + "\n }"
+        for case, threads in _capture_counters().items())
+    print(f'{{"fields": {json.dumps(list(_COUNTER_FIELDS))},\n'
+          f'"cases": {{\n{cases}\n}}}}')

@@ -66,9 +66,9 @@ class Budget:
 BUDGETS = {
     # STREAM triad, 32 threads x 256 elements, Figure 6 placement
     # (4-way unrolled, local caches, balanced); per element.
-    "stream": Budget("element", ops=1481.2, calls=22.94, cycles=4028),
+    "stream": Budget("element", ops=1358.6, calls=21.69, cycles=4028),
     # 256-point FFT, 16 threads, hardware barrier; per memory access.
-    "fft": Budget("access", ops=565.4, calls=8.77, cycles=7747),
+    "fft": Budget("access", ops=524.6, calls=8.47, cycles=7747),
     # The triad as assembly through block dispatch, stream's shape and
     # placement; per element.
     "isa_triad": Budget("element", ops=1689.0, calls=20.96, cycles=4381),
@@ -77,7 +77,7 @@ BUDGETS = {
     "radix": Budget("access", ops=563.2, calls=11.72, cycles=16831),
     # Blocked LU, n=16, block 8, 4 threads: the generator-form context
     # ops the other Splash kernels use; per memory access.
-    "lu": Budget("access", ops=565.7, calls=12.54, cycles=30049),
+    "lu": Budget("access", ops=564.5, calls=12.54, cycles=30049),
 }
 
 

@@ -74,6 +74,18 @@ class TestAllGroupStaysCoherent:
         assert chip.memory.backing.load_f64(0x5000) == 9.0
 
 
+class TestStrictModeIsa:
+    def test_interpreter_refuses_strict_chip(self, chip):
+        """Compiled blocks bypass the per-line buffers: an ``sd`` through
+        IG_OWN would land in the backing store while the cache keeps the
+        old value, so the combination fails at construction."""
+        from repro.errors import ConfigError
+        from repro.isa.interpreter import Interpreter
+
+        with pytest.raises(ConfigError, match="strict incoherence"):
+            Interpreter(chip)
+
+
 class TestStrictModeEndToEnd:
     def test_parallel_kernel_with_explicit_flushes(self):
         """A full multithreaded kernel in strict mode: values travel

@@ -4,13 +4,16 @@ paper's qualitative performance relationships."""
 import pytest
 
 from repro.config import ChipConfig
-from repro.errors import WorkloadError
+from repro.errors import AddressError, WorkloadError
+from repro.memory.address import make_effective
+from repro.memory.interest_groups import IG_ALL, InterestGroup, Level
 from repro.runtime.kernel import AllocationPolicy
 from repro.workloads.common import block_ranges, cyclic_group_indices
 from repro.workloads.stream import (
     BYTES_PER_ELEMENT,
     STREAM_KERNELS,
     StreamParams,
+    _element_addresses,
     run_stream,
 )
 
@@ -100,6 +103,42 @@ class TestFunctionalCorrectness:
         result = run_stream(StreamParams(kernel=kernel, n_elements=256,
                                          n_threads=8, independent=True))
         assert result.verified
+
+
+class TestAddressStreams:
+    """Address streams are ranges; element for element they equal the
+    per-element ``make_effective`` list they replace."""
+
+    BASE = 0x12340
+
+    @staticmethod
+    def _partitions():
+        yield "block", block_ranges(1001, 12)
+        yield "block-aligned", block_ranges(1001, 12, align=8)
+        yield "cyclic-ragged", cyclic_group_indices(1001, 12)  # 8 + 4 lanes
+        yield "cyclic-126", cyclic_group_indices(1024, 126)  # 6-lane group
+        yield "independent", [range(300)] * 3
+        yield "more-threads-than-elements", block_ranges(5, 8)
+
+    @pytest.mark.parametrize(
+        "ig", [IG_ALL, InterestGroup(Level.ONE, 5).encode()])
+    def test_range_equals_per_element_list(self, ig):
+        for name, index_sets in self._partitions():
+            for indices in index_sets:
+                stream = _element_addresses(self.BASE, indices, ig)
+                assert isinstance(stream, range), name
+                assert list(stream) == [
+                    make_effective(self.BASE + 8 * i, ig) for i in indices
+                ], name
+
+    def test_last_element_beyond_24_bits_rejected(self):
+        base = (1 << 24) - 8 * 10
+        fits = _element_addresses(base, range(10), IG_ALL)
+        assert fits[-1] == make_effective((1 << 24) - 8, IG_ALL)
+        with pytest.raises(AddressError):
+            _element_addresses(base, range(11), IG_ALL)
+        with pytest.raises(AddressError):
+            _element_addresses(base, range(2, 11, 4), IG_ALL)
 
 
 class TestRaggedSizes:
