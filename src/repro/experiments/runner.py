@@ -14,10 +14,14 @@ leave the process: whole experiments become jobs (and the decomposable
 sweeps — fig3, family, saturation, bandwidth, contention — fan out
 their individual simulation points), results are cached by content so
 a re-run only simulates what changed, and a crashing or hanging
-experiment no longer takes ``run all`` down with it. Failures are
-collected and reported at the end; the exit code is 0 on success, 1
-when any experiment failed, and 2 for usage errors such as an unknown
-experiment id or a flag that does not apply to the chosen mode.
+experiment no longer takes ``run all`` down with it. Under ``-j`` the
+first SIGINT or SIGTERM drains the pool: jobs already on a worker
+finish, and every experiment not yet dispatched is reported as a
+cancelled failure; a second signal kills the in-flight jobs too.
+Failures are collected and reported at the end; the exit code is 0 on
+success, 1 when any experiment failed or was cancelled, and 2 for usage
+errors such as an unknown experiment id or a flag that does not apply
+to the chosen mode.
 """
 
 from __future__ import annotations
@@ -40,7 +44,12 @@ from repro.experiments.registry import (
     get_experiment,
 )
 from repro.jobs.cache import ResultCache
-from repro.jobs.pool import JobEvent, JobRunner
+from repro.jobs.pool import (
+    CANCELLED,
+    JobEvent,
+    JobRunner,
+    install_signal_handlers,
+)
 from repro.jobs.spec import jsonify
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -194,21 +203,32 @@ def main(argv: list[str] | None = None) -> int:
         plain = [i for i in ids if i not in FANOUT_EXPERIMENTS]
         fanout = [i for i in ids if i in FANOUT_EXPERIMENTS]
         specs = [experiment_spec(i, args.quick) for i in plain]
-        for experiment_id, result in zip(plain, runner.run(specs)):
-            if result.ok:
-                emit(experiment_id, ExperimentReport.from_dict(result.value),
-                     result.elapsed)
-            else:
-                failures[experiment_id] = result.error or "unknown error"
-        for experiment_id in fanout:
-            driver = get_experiment(experiment_id)
-            started = time.time()
-            try:
-                report = driver(quick=args.quick, runner=runner)
-            except Exception:
-                failures[experiment_id] = traceback.format_exc(limit=20)
-            else:
-                emit(experiment_id, report, time.time() - started)
+        restore_signals = install_signal_handlers(runner)
+        try:
+            for experiment_id, result in zip(plain, runner.run(specs)):
+                if result.ok:
+                    emit(experiment_id,
+                         ExperimentReport.from_dict(result.value),
+                         result.elapsed)
+                else:
+                    failures[experiment_id] = result.error or "unknown error"
+            for experiment_id in fanout:
+                if runner.stopping:
+                    failures[experiment_id] = CANCELLED
+                    continue
+                driver = get_experiment(experiment_id)
+                started = time.time()
+                try:
+                    report = driver(quick=args.quick, runner=runner)
+                except Exception:
+                    # A stop mid-sweep cancels the driver's remaining
+                    # points, and the driver raises on them.
+                    failures[experiment_id] = CANCELLED if runner.stopping \
+                        else traceback.format_exc(limit=20)
+                else:
+                    emit(experiment_id, report, time.time() - started)
+        finally:
+            restore_signals()
     else:
         sample_before = os.environ.get("CYCLOPS_SAMPLE")
         if args.sampled is not None:

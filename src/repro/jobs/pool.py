@@ -118,7 +118,13 @@ def _worker_main(task_queue, result_queue) -> None:
     ``KeyboardInterrupt`` so a failing task becomes a structured error
     message, not a dead worker; only genuine process death (tested via
     the crash-injection hook) exercises the respawn path.
+
+    The manager alone answers SIGINT (a terminal's Ctrl-C reaches the
+    whole process group), and SIGTERM must kill: a forked worker would
+    otherwise inherit the manager's drain handler for both.
     """
+    signal_module.signal(signal_module.SIGINT, signal_module.SIG_IGN)
+    signal_module.signal(signal_module.SIGTERM, signal_module.SIG_DFL)
     while True:
         message = task_queue.get()
         if message is None:

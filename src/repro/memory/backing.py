@@ -7,14 +7,33 @@ the caches and banks track only timing state. Values live at *physical*
 addresses; cache-resident staleness under the non-coherent OWN interest
 group is modeled separately by :class:`repro.memory.cache.CacheUnit` line
 buffers in strict-incoherence mode.
+
+Both simulated stores, this one and the off-chip memory, sit on
+:func:`zeroed_pages`: a private anonymous mapping whose pages the OS
+zero-fills on first touch, so a chip holds host memory only for the
+pages its run writes.
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
 from repro.errors import AddressError, MemoryFault
 from repro.memory.address import check_alignment
+
+
+def zeroed_pages(size: int) -> np.ndarray:
+    """A zero-filled ``uint8`` array of *size* bytes on its own mapping.
+
+    The pages stay unmapped until first written and return to the OS
+    when the array is dropped, whatever the heap allocator has recycled
+    before. ``MAP_PRIVATE`` keeps a forked child's writes out of its
+    parent's store (Python's default for an anonymous map is shared).
+    """
+    return np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE),
+                         dtype=np.uint8)
 
 
 class BackingStore:
@@ -29,9 +48,8 @@ class BackingStore:
         if size_bytes <= 0 or size_bytes % 8:
             raise AddressError("backing size must be a positive multiple of 8")
         self.size = size_bytes
-        self._bytes = np.zeros(size_bytes, dtype=np.uint8)
+        self._bytes = zeroed_pages(size_bytes)
         self._f64 = self._bytes.view(np.float64)
-        self._u32 = self._bytes.view(np.uint32)
         # Memoryview casts over the same buffer: scalar loads/stores on a
         # memoryview return plain Python numbers, several times faster
         # than numpy scalar indexing plus float()/int() conversion — and
@@ -107,7 +125,3 @@ class BackingStore:
         self._bytes[physical:physical + len(data)] = np.frombuffer(
             data, dtype=np.uint8
         )
-
-    def fill(self, value: int = 0) -> None:
-        """Set every byte (fast reinitialization between runs)."""
-        self._bytes[:] = value

@@ -21,7 +21,7 @@ from repro.config import ChipConfig
 from repro.engine.resources import TimelineResource
 from repro.errors import AddressError, MemoryFault
 from repro.memory.address import AddressMap
-from repro.memory.backing import BackingStore
+from repro.memory.backing import BackingStore, zeroed_pages
 from repro.memory.bank import MemoryBank
 
 
@@ -32,7 +32,7 @@ class OffChipMemory:
         self.config = config
         self.size = config.offchip_bytes
         self.block = config.offchip_block_bytes
-        self._data = np.zeros(self.size, dtype=np.uint8)
+        self._data = zeroed_pages(self.size)
         self.engine = TimelineResource("offchip-dma")
         self.blocks_in = 0
         self.blocks_out = 0

@@ -1,6 +1,9 @@
 """Tests for the experiment drivers (quick mode) and the CLI runner."""
 
 import json
+import multiprocessing
+import signal
+import time
 
 import pytest
 
@@ -256,3 +259,67 @@ class TestRunnerJobsMode:
         assert cold_doc["_jobs"]["cache_hits"] == 0
         assert warm_doc["_jobs"]["cache_hits"] \
             == warm_doc["_jobs"]["submitted"]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="the fake drivers reach the workers only through fork")
+class TestRunnerInterrupt:
+    """``run -j N`` under SIGINT: drain first, kill on the second."""
+
+    def _interrupt(self, monkeypatch, signals: int, seconds: float):
+        from repro.experiments import registry, runner
+
+        swept = []
+
+        def sleeper(quick=False):
+            time.sleep(seconds)
+            return registry.ExperimentReport(
+                experiment_id="sleeper", title="s", paper="-")
+
+        def sweep(quick=False, runner=None):
+            swept.append(True)
+            return sleeper()
+
+        fake = {name: sleeper for name in ("a1", "a2", "a3", "a4")}
+        fake["z_sweep"] = sweep
+        monkeypatch.setattr(registry, "REGISTRY", fake)
+        monkeypatch.setattr(runner, "REGISTRY", fake)
+        monkeypatch.setattr(runner, "FANOUT_EXPERIMENTS",
+                            frozenset({"z_sweep"}))
+
+        def interrupt_on_first_start(event):
+            if event.kind == "start" and event.index == 0:
+                for _ in range(signals):
+                    signal.raise_signal(signal.SIGINT)
+
+        monkeypatch.setattr(runner, "_progress", interrupt_on_first_start)
+        before = signal.getsignal(signal.SIGINT)
+        started = time.monotonic()
+        code = main(["run", "all", "--quick", "-j", "2", "--no-cache"])
+        elapsed = time.monotonic() - started
+        assert signal.getsignal(signal.SIGINT) is before
+        assert not swept, "a sweep started after the stop"
+        return code, elapsed
+
+    def test_first_signal_drains_and_cancels_the_rest(
+            self, capsys, monkeypatch):
+        code, _ = self._interrupt(monkeypatch, signals=1, seconds=0.3)
+        captured = capsys.readouterr()
+        assert code == 1
+        # a1 was in flight and finished; nothing else was dispatched.
+        assert "sleeper" in captured.out
+        assert "4 of 5 experiments FAILED" in captured.err
+        for name in ("a2", "a3", "a4", "z_sweep"):
+            assert f"  {name}: cancelled" in captured.err
+        assert "Traceback" not in captured.err
+        assert multiprocessing.active_children() == []
+
+    def test_second_signal_kills_the_in_flight_job(
+            self, capsys, monkeypatch):
+        code, elapsed = self._interrupt(monkeypatch, signals=2, seconds=60)
+        captured = capsys.readouterr()
+        assert code == 1 and elapsed < 30
+        assert "5 of 5 experiments FAILED" in captured.err
+        assert "Traceback" not in captured.err
+        assert multiprocessing.active_children() == []

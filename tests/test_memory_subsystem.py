@@ -1,9 +1,14 @@
 """Tests for banks, backing store, switch, off-chip DMA, and the
 composed memory subsystem (Table 2 latencies, Figure 2 paths)."""
 
+import gc
+import os
+import pathlib
+
 import pytest
 
 from repro.config import ChipConfig
+from repro.core.chip import Chip
 from repro.errors import AddressError, MemoryFault
 from repro.memory.address import make_effective
 from repro.memory.backing import BackingStore
@@ -55,11 +60,67 @@ class TestBackingStore:
         b.write_block(10, b"abcdef")
         assert b.read_block(10, 6) == b"abcdef"
 
-    def test_fill(self):
-        b = BackingStore(64)
-        b.store_u32(0, 5)
-        b.fill(0)
-        assert b.load_u32(0) == 0
+
+# ---------------------------------------------------------------------------
+# The stores' host mapping (backing.zeroed_pages)
+# ---------------------------------------------------------------------------
+PAGEMAP = pathlib.Path("/proc/self/pagemap")
+THP = pathlib.Path("/sys/kernel/mm/transparent_hugepage/enabled")
+
+
+def resident_kib(array) -> int:
+    """Host memory held by *array*'s own pages, from ``/proc/self/pagemap``.
+
+    ``smaps`` reports a whole VMA, and the kernel merges adjacent
+    anonymous mappings, so its ``Rss`` would count the neighbours too.
+    """
+    page = os.sysconf("SC_PAGE_SIZE")
+    address = array.__array_interface__["data"][0]
+    first, last = address // page, (address + array.nbytes - 1) // page
+    with PAGEMAP.open("rb") as pagemap:
+        pagemap.seek(8 * first)
+        entries = pagemap.read(8 * (last - first + 1))
+    present = sum(entries[i + 7] >> 7 for i in range(0, len(entries), 8))
+    return present * page // 1024
+
+
+class TestStoreMapping:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_writes_stay_in_the_child(self):
+        ms = MemorySubsystem(CFG)
+        ms.backing.store_f64(0x100, 1.5)
+        ms.offchip.poke(1024, b"\x11" * 8)
+        pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ms.backing.store_f64(0x100, 7.0)
+                ms.offchip.poke(1024, b"\x22" * 8)
+                ok = (ms.backing.load_f64(0x100) == 7.0
+                      and ms.offchip.peek(1024, 8) == b"\x22" * 8)
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert ms.backing.load_f64(0x100) == 1.5
+        assert ms.offchip.peek(1024, 8) == b"\x11" * 8
+
+    @pytest.mark.skipif(not PAGEMAP.exists(),
+                        reason="needs /proc/self/pagemap")
+    @pytest.mark.skipif(THP.exists() and "[always]" in THP.read_text(),
+                        reason="transparent huge pages fault 2 MiB at once")
+    def test_a_fresh_chip_holds_only_the_pages_it_writes(self):
+        used = Chip()
+        used.memory.backing.f64_view(0, 1 << 19)[:] = 1.0  # 4 MiB
+        del used
+        gc.collect()
+        chip = Chip()
+        backing = chip.memory.backing
+        before = resident_kib(backing._bytes)
+        assert before < 64
+        for i in range(1024):
+            backing.store_f64(8 * i, float(i))
+        assert resident_kib(backing._bytes) - before <= 12
 
 
 # ---------------------------------------------------------------------------
