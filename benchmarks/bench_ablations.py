@@ -91,8 +91,7 @@ def test_ablation_cache_associativity(benchmark):
         for _ in range(2):
             for k in range(4):
                 ea = make_effective(k * stride, ig)
-                out = chip.memory.access(t, 0, ea, 8, False)
-                t = out.complete
+                _, t, _, _ = chip.memory.access(t, 0, ea, 8, False)
         return chip.memory.caches[0].misses
 
     def both():

@@ -281,9 +281,12 @@ def main(argv: list[str] | None = None) -> int:
         for experiment_id in sorted(failures):
             last = failures[experiment_id].strip().splitlines()[-1]
             print(f"  {experiment_id}: {last}", file=sys.stderr)
+        # A one-line failure (a cancellation) is all in its summary line;
+        # only a traceback gets a detail block.
         for experiment_id in sorted(failures):
-            print(f"\n--- {experiment_id} ---\n{failures[experiment_id]}",
-                  file=sys.stderr)
+            if "\n" in failures[experiment_id].strip():
+                print(f"\n--- {experiment_id} ---\n{failures[experiment_id]}",
+                      file=sys.stderr)
         return 1
     return 1 if sanitizer_failed else 0
 

@@ -52,24 +52,24 @@ def run(quick: bool = False) -> ExperimentReport:
     imbalance = max(spread) / (lines / n_caches)
 
     probe = 0x4000
-    own = chip.memory.access(
+    _, _, own_kind, _ = chip.memory.access(
         0, 5, make_effective(probe, 0), 8, False)
-    own_hit = chip.memory.access(
+    hit_issue_end, hit_complete, hit_kind, _ = chip.memory.access(
         100, 5, make_effective(probe, 0), 8, False)
     chipwide_kinds = set()
     for quad in (0, 9, 31):
-        out = chip.memory.access(
+        _, _, kind, _ = chip.memory.access(
             1000 + quad, quad,
             make_effective(probe, InterestGroup(Level.ALL).encode()), 8, False)
-        chipwide_kinds.add(out.kind.value)
+        chipwide_kinds.add(kind.value)
 
     behaviour = format_table(
         ["property", "measured"],
         [
             ["ALL-group max/mean cache utilization", f"{imbalance:.3f}"],
-            ["OWN group first access", own.kind.value],
+            ["OWN group first access", own_kind.value],
             ["OWN group second access (local hit, 6+1 cycles)",
-             f"{own_hit.kind.value}, {own_hit.complete - own_hit.issue_end} "
+             f"{hit_kind.value}, {hit_complete - hit_issue_end} "
              f"extra cycles"],
             ["ALL group single home (kinds from 3 quads)",
              ", ".join(sorted(chipwide_kinds))],

@@ -356,10 +356,10 @@ class _BlockEmitter:
                access_size: int, is_store: bool) -> None:
         """Time the memory access of instruction *index*."""
         self.emit(
-            f"_o = state.memory.access(e, tu.quad_id, {ea} & "
+            f"e, _oc, _, _ = state.memory.access(e, tu.quad_id, {ea} & "
             f"{access_mask}, {access_size}, {is_store})"
         )
-        self.emit("e = _o.issue_end - 1")
+        self.emit("e -= 1")
         self.stall_to_e()
 
     def fpu_issue(self, unit_attr: str, execution: int) -> None:
@@ -542,7 +542,7 @@ class _BlockEmitter:
             self.nl += 1
             if name == "ld":
                 self.write_double(rd, "state.backing.load_f64(_ph)")
-                self.write_t(rd, "_o.complete")
+                self.write_t(rd, "_oc")
                 self.write_t(rd + 1 if rd + 1 < 64 else rd, f"t{rd}")
             else:
                 if name == "lw":
@@ -553,7 +553,7 @@ class _BlockEmitter:
                         "_ifb(state.backing.read_block("
                         f"_ph, {size}), 'little')",
                     )
-                self.write_t(rd, "_o.complete")
+                self.write_t(rd, "_oc")
 
     def emit_atomic(self, index: int, inst: Instruction) -> None:
         # The read-modify-write happens inside the memory system, which
@@ -563,16 +563,16 @@ class _BlockEmitter:
         a, b = self.rv(inst.ra), self.rv(inst.rb)
         self.park(index, publish_pc=True)
         self.emit(
-            f"_o, _old = state.memory.atomic_rmw_u32(e, tu.quad_id, "
-            f"{a}, {op!r}, {b})"
+            f"(e, _oc, _, _), _old = state.memory.atomic_rmw_u32(e, "
+            f"tu.quad_id, {a}, {op!r}, {b})"
         )
-        self.emit("e = _o.issue_end - 1")
+        self.emit("e -= 1")
         self.stall_to_e()
         self.retire(1)
         self.nl += 1
         self.ns += 1
         self.write_r(inst.rd, "_old")
-        self.write_t(inst.rd, "_o.complete")
+        self.write_t(inst.rd, "_oc")
 
     def emit_fpu(self, index: int, inst: Instruction) -> None:
         name = inst.opcode.name

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import struct
 from enum import Enum
-from typing import NamedTuple
 
 from repro.config import ChipConfig
 from repro.engine.tracing import NULL_TRACER, Tracer
@@ -65,29 +64,16 @@ _REMOTE_HIT = AccessKind.REMOTE_HIT
 _REMOTE_MISS = AccessKind.REMOTE_MISS
 
 
-class AccessOutcome(NamedTuple):
-    """Timing result of one access.
-
-    ``issue_end`` is when the thread's issue slot frees (execution column
-    of Table 2 plus any wait for the cache port); ``complete`` is when the
-    value is available to dependent instructions (latency column, plus
-    bank queueing on a miss).
-
-    A named tuple rather than a dataclass: one is built per simulated
-    memory access, and tuple construction is the cheapest structured
-    value CPython offers while keeping the same attribute API.
-    """
-
-    issue_end: int
-    complete: int
-    kind: AccessKind
-    cache_id: int
-
-
-#: ``tuple.__new__`` called directly is a single C call; it skips the
-#: generated keyword-capable ``__new__`` Python frame on the hottest
-#: allocation in the simulator (``access`` builds one outcome per access).
-_tuple_new = tuple.__new__
+#: What every timed access returns: ``(issue_end, complete, kind,
+#: cache_id)``. ``issue_end`` is when the thread's issue slot frees
+#: (execution column of Table 2 plus any wait for the cache port);
+#: ``complete`` is when the value is available to dependent instructions
+#: (latency column, plus bank queueing on a miss); ``kind`` is the
+#: :class:`AccessKind`; ``cache_id`` is the cache that served the access.
+#: A plain tuple: one is built per simulated access and every reader
+#: unpacks it, which costs less than a named tuple's construction and
+#: named-field reads.
+AccessTiming = tuple[int, int, AccessKind, int]
 
 
 class MemorySubsystem:
@@ -140,7 +126,8 @@ class MemorySubsystem:
         self.sanitizer = None
         # Hot-path constants hoisted from the config (immutable per run).
         lat = config.latency
-        self._hit_extra = (lat.mem_remote_hit[1], lat.mem_local_hit[1])
+        self._local_hit_extra = lat.mem_local_hit[1]
+        self._remote_hit_extra = lat.mem_remote_hit[1]
         self._fetch_store_miss = config.store_miss_fetches_line or self.strict
         #: Bound methods hoisted for the access fast path (the switch,
         #: the caches, and the tracer are created once per subsystem and
@@ -249,14 +236,14 @@ class MemorySubsystem:
     # The main timed access path
     # ------------------------------------------------------------------
     def access(self, time: int, quad_id: int, effective: int, size: int,
-               is_store: bool) -> AccessOutcome:
+               is_store: bool) -> AccessTiming:
         """Timed load/store of *size* bytes at a 32-bit effective address.
 
         This is the simulator's hottest function: the dominant hit path
-        allocates nothing beyond the returned :class:`AccessOutcome`
-        tuple — the address split is inlined, the target cache comes from
-        the memo, the tag probe and the port reservation are inlined, and
-        a hit returns from inside the probe.
+        allocates nothing beyond the returned plain tuple
+        (:data:`AccessTiming`) — the address split is inlined, the target
+        cache comes from the memo, the tag probe and the port reservation
+        are inlined, and a hit returns from inside the probe.
         """
         if effective >> 32:
             raise AddressError(
@@ -328,19 +315,20 @@ class MemorySubsystem:
             # from main memory" (Section 3.2.2). Grants on one port only
             # move forward, so once a hit issues at or after the fill,
             # every later one does too.
-            ready = state.ready
-            if ready < issue_end:
-                ready = issue_end
+            complete = state.ready
+            if complete < issue_end:
+                complete = issue_end
             if local:
                 self._n_local_hit += 1
                 kind = _LOCAL_HIT
+                complete += self._local_hit_extra
             else:
                 self._n_remote_hit += 1
                 kind = _REMOTE_HIT
+                complete += self._remote_hit_extra
             if self._trace_enabled:
                 self._trace(time, target, kind, physical, is_store)
-            return _tuple_new(AccessOutcome, (
-                issue_end, ready + self._hit_extra[local], kind, target))
+            return issue_end, complete, kind, target
 
         result = self.caches[target].miss(lines, line, is_store)
         if is_store and not self._fetch_store_miss:
@@ -375,7 +363,7 @@ class MemorySubsystem:
             kind = _REMOTE_MISS
         if self._trace_enabled:
             self._trace(time, target, kind, physical, is_store)
-        return _tuple_new(AccessOutcome, (issue_end, complete, kind, target))
+        return issue_end, complete, kind, target
 
     def _trace(self, time: int, target: int, kind: AccessKind,
                physical: int, is_store: bool) -> None:
@@ -434,51 +422,51 @@ class MemorySubsystem:
     # Functional access (values)
     # ------------------------------------------------------------------
     def load_f64(self, time: int, quad_id: int, effective: int
-                 ) -> tuple[AccessOutcome, float]:
+                 ) -> tuple[AccessTiming, float]:
         """Timed load of a double, returning its value."""
         outcome = self.access(time, quad_id, effective, 8, is_store=False)
         physical = effective & PHYSICAL_MASK
         if self.strict:
-            value = self._strict_read(outcome.cache_id, physical, 8)
+            value = self._strict_read(outcome[3], physical, 8)
         else:
             value = self.backing.load_f64(physical)
         return outcome, value
 
     def store_f64(self, time: int, quad_id: int, effective: int,
-                  value: float) -> AccessOutcome:
+                  value: float) -> AccessTiming:
         """Timed store of a double."""
         outcome = self.access(time, quad_id, effective, 8, is_store=True)
         physical = effective & PHYSICAL_MASK
         if self.strict:
-            self._strict_write(outcome.cache_id, physical, 8, value=value)
+            self._strict_write(outcome[3], physical, 8, value=value)
         else:
             self.backing.store_f64(physical, value)
         return outcome
 
     def load_u32(self, time: int, quad_id: int, effective: int
-                 ) -> tuple[AccessOutcome, int]:
+                 ) -> tuple[AccessTiming, int]:
         """Timed load of a 32-bit word."""
         outcome = self.access(time, quad_id, effective, 4, is_store=False)
         physical = effective & PHYSICAL_MASK
         if self.strict:
-            word = self._strict_read(outcome.cache_id, physical, 4)
+            word = self._strict_read(outcome[3], physical, 4)
         else:
             word = self.backing.load_u32(physical)
         return outcome, word
 
     def store_u32(self, time: int, quad_id: int, effective: int,
-                  value: int) -> AccessOutcome:
+                  value: int) -> AccessTiming:
         """Timed store of a 32-bit word."""
         outcome = self.access(time, quad_id, effective, 4, is_store=True)
         physical = effective & PHYSICAL_MASK
         if self.strict:
-            self._strict_write(outcome.cache_id, physical, 4, word=value)
+            self._strict_write(outcome[3], physical, 4, word=value)
         else:
             self.backing.store_u32(physical, value)
         return outcome
 
     def atomic_rmw_u32(self, time: int, quad_id: int, effective: int,
-                       op: str, operand: int) -> tuple[AccessOutcome, int]:
+                       op: str, operand: int) -> tuple[AccessTiming, int]:
         """Atomic read-modify-write; returns the *old* value.
 
         Supported ops: ``add``, ``swap``, ``and``, ``or``. The engine
@@ -542,7 +530,7 @@ class MemorySubsystem:
         return len(dirty)
 
     def flush_line(self, time: int, quad_id: int,
-                   effective: int) -> AccessOutcome:
+                   effective: int) -> AccessTiming:
         """Timed line flush (the `dcbf` idiom): write back and drop.
 
         Costs a port access plus the hit latency; a dirty line also
@@ -572,10 +560,10 @@ class MemorySubsystem:
                 self.backing.write_block(line, bytes(state.data))
             complete = done
         kind = AccessKind.LOCAL_HIT if local else AccessKind.REMOTE_HIT
-        return AccessOutcome(issue_end, complete, kind, target)
+        return issue_end, complete, kind, target
 
     def invalidate_line(self, time: int, quad_id: int,
-                        effective: int) -> AccessOutcome:
+                        effective: int) -> AccessTiming:
         """Timed line invalidate (drop without writeback): `dcbi`.
 
         The reader-side half of the software-coherence protocol; any
@@ -591,13 +579,13 @@ class MemorySubsystem:
             else self.config.latency.mem_remote_hit
         self.caches[target].invalidate(line)
         kind = AccessKind.LOCAL_HIT if local else AccessKind.REMOTE_HIT
-        return AccessOutcome(issue_end, issue_end + row[1], kind, target)
+        return issue_end, issue_end + row[1], kind, target
 
     # ------------------------------------------------------------------
     # Scratchpad (partitioned fast memory)
     # ------------------------------------------------------------------
     def scratchpad_access(self, time: int, quad_id: int, cache_id: int,
-                          size: int) -> AccessOutcome:
+                          size: int) -> AccessTiming:
         """Timed access to a cache's scratchpad region (local-hit cost)."""
         port_grant = self.cache_switch.transfer(cache_id, time, size)
         issue_end = port_grant + 1
@@ -605,8 +593,8 @@ class MemorySubsystem:
         row = self.config.latency.mem_local_hit if local \
             else self.config.latency.mem_remote_hit
         self._n_scratchpad += 1
-        return AccessOutcome(issue_end, issue_end + row[1],
-                             AccessKind.SCRATCHPAD, cache_id)
+        return (issue_end, issue_end + row[1], AccessKind.SCRATCHPAD,
+                cache_id)
 
     # ------------------------------------------------------------------
     # Statistics & reset

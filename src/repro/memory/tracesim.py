@@ -73,20 +73,19 @@ def replay(trace: list[TraceAccess],
     profile = TraceProfile()
     time = 0
     for access in trace:
-        outcome = memory.access(time, access.quad, access.effective, 8,
-                                access.is_store)
+        _, complete, kind, _ = memory.access(
+            time, access.quad, access.effective, 8, access.is_store)
         profile.accesses += 1
-        if outcome.kind in (AccessKind.LOCAL_HIT, AccessKind.REMOTE_HIT):
+        if kind in (AccessKind.LOCAL_HIT, AccessKind.REMOTE_HIT):
             profile.hits += 1
         else:
             profile.misses += 1
-        if outcome.kind in (AccessKind.LOCAL_HIT, AccessKind.LOCAL_MISS):
+        if kind in (AccessKind.LOCAL_HIT, AccessKind.LOCAL_MISS):
             profile.local += 1
-        elif outcome.kind in (AccessKind.REMOTE_HIT,
-                              AccessKind.REMOTE_MISS):
+        elif kind in (AccessKind.REMOTE_HIT, AccessKind.REMOTE_MISS):
             profile.remote += 1
-        profile.total_latency += outcome.complete - time
-        profile.finish_time = max(profile.finish_time, outcome.complete)
+        profile.total_latency += complete - time
+        profile.finish_time = max(profile.finish_time, complete)
         time += issue_interval
     profile.memory_traffic_bytes = memory.memory_traffic_bytes
     profile.kind_counts = {

@@ -121,11 +121,13 @@ class ThreadCtx:
     def load_f64_finish(self, now: int, effective: int):
         """Phase 2 of a double load; returns ``(ready_time, value)``."""
         if self._strict:
-            outcome, value = self.memory.load_f64(
+            (issue_end, complete, _, _), value = self.memory.load_f64(
                 now, self.quad_id, effective
             )
         else:
-            outcome = self._access(now, self.quad_id, effective, 8, False)
+            issue_end, complete, _, _ = self._access(
+                now, self.quad_id, effective, 8, False
+            )
             # ``access`` has already raised unless the double lies below
             # the max-memory register, which never exceeds the backing
             # store; only the alignment half of its guard is left.
@@ -137,7 +139,7 @@ class ThreadCtx:
         # retire(1): two method frames per memory op are measurable at
         # STREAM scale.
         tu = self.tu
-        issue = outcome.issue_end - 1
+        issue = issue_end - 1
         clock = tu.issue_time
         if issue > clock:
             counters = tu.counters
@@ -145,16 +147,18 @@ class ThreadCtx:
             counters.stall_events += 1
             clock = issue
         tu.issue_time = clock + 1
-        return outcome.complete, value
+        return complete, value
 
     def store_f64_finish(self, now: int, effective: int, value: float) -> int:
         """Phase 2 of a double store; returns the completion time."""
         if self._strict:
-            outcome = self.memory.store_f64(
+            issue_end, complete, _, _ = self.memory.store_f64(
                 now, self.quad_id, effective, value
             )
         else:
-            outcome = self._access(now, self.quad_id, effective, 8, True)
+            issue_end, complete, _, _ = self._access(
+                now, self.quad_id, effective, 8, True
+            )
             physical = effective & PHYSICAL_MASK
             if physical & 7:
                 self._backing._check(physical, 8)  # raises
@@ -162,7 +166,7 @@ class ThreadCtx:
             # for exact floats and converts ints/numpy scalars.
             self._mv_f64[physical >> 3] = float(value)
         tu = self.tu
-        issue = outcome.issue_end - 1
+        issue = issue_end - 1
         clock = tu.issue_time
         if issue > clock:
             counters = tu.counters
@@ -170,7 +174,7 @@ class ThreadCtx:
             counters.stall_events += 1
             clock = issue
         tu.issue_time = clock + 1
-        return outcome.complete
+        return complete
 
     # The generator forms compute ``op_begin``'s earliest issue cycle
     # inline: one frame fewer per operation.
@@ -216,14 +220,16 @@ class ThreadCtx:
                 earliest = dep
         earliest = yield earliest
         if self._strict:
-            outcome, value = self.memory.load_u32(
+            (issue_end, complete, _, _), value = self.memory.load_u32(
                 earliest, self.quad_id, effective
             )
         else:
-            outcome = self._access(earliest, self.quad_id, effective, 4, False)
+            issue_end, complete, _, _ = self._access(
+                earliest, self.quad_id, effective, 4, False
+            )
             value = self._bload_u32(effective & PHYSICAL_MASK)
         counters = tu.counters
-        issue = outcome.issue_end - 1
+        issue = issue_end - 1
         clock = tu.issue_time
         if issue > clock:
             counters.stall_cycles += issue - clock
@@ -233,7 +239,7 @@ class ThreadCtx:
         counters.instructions += 1
         counters.run_cycles += 1
         counters.loads += 1
-        return outcome.complete, value
+        return complete, value
 
     def store_u32(self, effective: int, value: int, deps: tuple = ()):
         """Store a 32-bit word; returns the completion time."""
@@ -244,14 +250,16 @@ class ThreadCtx:
                 earliest = dep
         earliest = yield earliest
         if self._strict:
-            outcome = self.memory.store_u32(
+            issue_end, complete, _, _ = self.memory.store_u32(
                 earliest, self.quad_id, effective, value
             )
         else:
-            outcome = self._access(earliest, self.quad_id, effective, 4, True)
+            issue_end, complete, _, _ = self._access(
+                earliest, self.quad_id, effective, 4, True
+            )
             self._bstore_u32(effective & PHYSICAL_MASK, value)
         counters = tu.counters
-        issue = outcome.issue_end - 1
+        issue = issue_end - 1
         clock = tu.issue_time
         if issue > clock:
             counters.stall_cycles += issue - clock
@@ -261,21 +269,21 @@ class ThreadCtx:
         counters.instructions += 1
         counters.run_cycles += 1
         counters.stores += 1
-        return outcome.complete
+        return complete
 
     def atomic_rmw_u32(self, effective: int, op: str, operand: int,
                        deps: tuple = ()):
         """Atomic read-modify-write; returns ``(ready_time, old_value)``."""
         earliest = yield self._earliest(deps)
-        outcome, old = self.memory.atomic_rmw_u32(
+        (issue_end, complete, _, _), old = self.memory.atomic_rmw_u32(
             earliest, self.quad_id, effective, op, operand
         )
         tu = self.tu
-        tu.issue_at(outcome.issue_end - 1)
+        tu.issue_at(issue_end - 1)
         tu.retire(1)
         tu.counters.loads += 1
         tu.counters.stores += 1
-        return outcome.complete, old
+        return complete, old
 
     def scratchpad_f64(self, cache_id: int, offset: int, is_store: bool,
                        value: float = 0.0, deps: tuple = ()):
@@ -287,20 +295,20 @@ class ThreadCtx:
         import struct
 
         earliest = yield self._earliest(deps)
-        outcome = self.memory.scratchpad_access(
+        issue_end, complete, _, _ = self.memory.scratchpad_access(
             earliest, self.quad_id, cache_id, 8
         )
         tu = self.tu
-        tu.issue_at(outcome.issue_end - 1)
+        tu.issue_at(issue_end - 1)
         tu.retire(1)
         cache = self.memory.caches[cache_id]
         if is_store:
             cache.scratchpad_write(offset, struct.pack("<d", value))
             tu.counters.stores += 1
-            return outcome.complete, None
+            return complete, None
         tu.counters.loads += 1
         raw = cache.scratchpad_read(offset, 8)
-        return outcome.complete, struct.unpack("<d", raw)[0]
+        return complete, struct.unpack("<d", raw)[0]
 
     # ------------------------------------------------------------------
     # Floating point (shared FPU: generators)
@@ -328,11 +336,28 @@ class ThreadCtx:
         counters.flops += flops
         return ready
 
-    # The single-issue FPU finishers each inline ThreadUnit.issue_at(
-    # issue_end - 1) and the issue-clock half of retire(1).
+    # The single-issue FPU finishers inline the pipe reservation of
+    # ``FPU.add``, ``FPU.multiply`` and ``FPU.fma`` (keeping every counter
+    # those keep), then ThreadUnit.issue_at(issue_end - 1) and the
+    # issue-clock half of retire(1): one frame per op instead of two.
     def fp_add_finish(self, now: int) -> int:
         """Phase 2 of an FP add (pairs with ``op_begin``)."""
-        issue_end, ready = self.fpu.add(now)
+        fpu = self.fpu
+        adder = fpu.adder
+        if now < adder._last_request:
+            adder.reorderings += 1
+        else:
+            adder._last_request = now
+        grant = adder.next_free
+        if now >= grant:
+            grant = now
+        else:
+            fpu.contention_cycles += grant - now
+        adder.next_free = grant + 1
+        adder.busy_cycles += 1
+        adder.n_requests += 1
+        fpu.operations += 1
+        issue_end = grant + fpu._add_execution
         tu = self.tu
         issue = issue_end - 1
         clock = tu.issue_time
@@ -342,11 +367,26 @@ class ThreadCtx:
             counters.stall_events += 1
             clock = issue
         tu.issue_time = clock + 1
-        return ready
+        return issue_end + fpu._add_latency
 
     def fp_mul_finish(self, now: int) -> int:
         """Phase 2 of an FP multiply (pairs with ``op_begin``)."""
-        issue_end, ready = self.fpu.multiply(now)
+        fpu = self.fpu
+        multiplier = fpu.multiplier
+        if now < multiplier._last_request:
+            multiplier.reorderings += 1
+        else:
+            multiplier._last_request = now
+        grant = multiplier.next_free
+        if now >= grant:
+            grant = now
+        else:
+            fpu.contention_cycles += grant - now
+        multiplier.next_free = grant + 1
+        multiplier.busy_cycles += 1
+        multiplier.n_requests += 1
+        fpu.operations += 1
+        issue_end = grant + fpu._mul_execution
         tu = self.tu
         issue = issue_end - 1
         clock = tu.issue_time
@@ -356,11 +396,31 @@ class ThreadCtx:
             counters.stall_events += 1
             clock = issue
         tu.issue_time = clock + 1
-        return ready
+        return issue_end + fpu._mul_latency
 
     def fp_fma_finish(self, now: int) -> int:
         """Phase 2 of a fused multiply-add (pairs with ``op_begin``)."""
-        issue_end, ready = self.fpu.fma(now)
+        fpu = self.fpu
+        adder = fpu.adder
+        multiplier = fpu.multiplier
+        grant = now
+        if adder.next_free > grant:
+            grant = adder.next_free
+        if multiplier.next_free > grant:
+            grant = multiplier.next_free
+        execution = fpu._fma_execution
+        issue_end = grant + execution
+        adder._last_request = grant
+        adder.next_free = issue_end
+        adder.busy_cycles += execution
+        adder.n_requests += 1
+        multiplier._last_request = grant
+        multiplier.next_free = issue_end
+        multiplier.busy_cycles += execution
+        multiplier.n_requests += 1
+        fpu.operations += 1
+        if grant != now:
+            fpu.contention_cycles += grant - now
         tu = self.tu
         issue = issue_end - 1
         clock = tu.issue_time
@@ -370,7 +430,7 @@ class ThreadCtx:
             counters.stall_events += 1
             clock = issue
         tu.issue_time = clock + 1
-        return ready
+        return issue_end + fpu._fma_latency
 
     def fp_add(self, deps: tuple = ()):
         """FP add/subtract/compare; returns the result's ready time."""
@@ -435,11 +495,13 @@ class ThreadCtx:
         returns the completion time (dirty lines burst onto their bank).
         """
         earliest = yield self._earliest(deps)
-        outcome = self.memory.flush_line(earliest, self.quad_id, effective)
+        issue_end, complete, _, _ = self.memory.flush_line(
+            earliest, self.quad_id, effective
+        )
         tu = self.tu
-        tu.issue_at(outcome.issue_end - 1)
+        tu.issue_at(issue_end - 1)
         tu.retire(1)
-        return outcome.complete
+        return complete
 
     def invalidate_line(self, effective: int, deps: tuple = ()):
         """Drop the line holding *effective* without writeback (``dcbi``).
@@ -447,12 +509,13 @@ class ThreadCtx:
         The reader-side primitive: the next load re-fetches from memory.
         """
         earliest = yield self._earliest(deps)
-        outcome = self.memory.invalidate_line(earliest, self.quad_id,
-                                              effective)
+        issue_end, complete, _, _ = self.memory.invalidate_line(
+            earliest, self.quad_id, effective
+        )
         tu = self.tu
-        tu.issue_at(outcome.issue_end - 1)
+        tu.issue_at(issue_end - 1)
         tu.retire(1)
-        return outcome.complete
+        return complete
 
     def fp_stream(self, count: int, op: str = "fma", deps: tuple = ()):
         """Issue *count* back-to-back dependent ops of one FPU kind.

@@ -274,10 +274,9 @@ class CoherenceSanitizer:
     def on_access(self, time, tid, pc, effective, is_store, outcome,
                   atomic: bool = False) -> None:
         """Check one completed timed access against the shadow state."""
-        kind = outcome.kind
+        _, _, kind, cache = outcome
         if kind is AccessKind.SCRATCHPAD:
             return
-        cache = outcome.cache_id
         ig_byte = effective >> IG_SHIFT
         line = effective & PHYSICAL_MASK & self._line_mask
         shadow = self._lines.get(line)

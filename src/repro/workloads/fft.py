@@ -107,8 +107,9 @@ class _Matrix:
 # The loops below issue every shared-resource op in split-phase form
 # (see ``ThreadCtx.op_begin``): they yield the op's issue cycle
 # themselves -- the thread clock, or the latest of it and the op's input
-# ready times, re-read before every op -- and pass the granted cycle to
-# the bound ``*_finish`` method. The event sequence is the one the
+# ready times, re-read before every op and taken with comparisons rather
+# than a builtin ``max`` call -- and pass the granted cycle to the bound
+# ``*_finish`` method. The event sequence is the one the
 # ``yield from ctx.load_f64(...)`` generator forms produce, without a
 # generator per operation. The finishers only do timing; each loop
 # iteration counts its ops, and charges its trailing ``charge_ops`` and
@@ -129,14 +130,17 @@ def _transpose(ctx, src: _Matrix, dst: _Matrix, rows: range):
         for col in range(m):
             ea = src_ea + 16 * (col * m + row)
             now = yield tu.issue_time
-            tr, re = load(now, ea)
+            t, re = load(now, ea)
             now = yield tu.issue_time
             ti, im = load(now, ea + 8)
-            t = max(tr, ti)
+            if ti > t:
+                t = ti
             ea = dst_ea + 16 * (row * m + col)
-            now = yield max(tu.issue_time, t)
+            clock = tu.issue_time
+            now = yield (t if t > clock else clock)
             store(now, ea, re)
-            now = yield max(tu.issue_time, t)
+            clock = tu.issue_time
+            now = yield (t if t > clock else clock)
             store(now, ea + 8, im)
             count(4, 2, 2, 0, 2, 0)  # 2 loads, 2 stores; 2 int ops
         ctx.branch()
@@ -165,22 +169,28 @@ def _row_fft(ctx, mat: _Matrix, row: int, roots: "_RootTable",
             ea_i = row_ea + 16 * i
             ea_j = row_ea + 16 * j
             now = yield tu.issue_time
-            t, ri = load(now, ea_i)
+            ti, ri = load(now, ea_i)
             now = yield tu.issue_time
-            ti, ii = load(now, ea_i + 8)
-            ti = max(t, ti)
+            t, ii = load(now, ea_i + 8)
+            if t > ti:
+                ti = t
             now = yield tu.issue_time
-            t, rj = load(now, ea_j)
+            tj, rj = load(now, ea_j)
             now = yield tu.issue_time
-            tj, ij = load(now, ea_j + 8)
-            tj = max(t, tj)
-            now = yield max(tu.issue_time, tj)
+            t, ij = load(now, ea_j + 8)
+            if t > tj:
+                tj = t
+            clock = tu.issue_time
+            now = yield (tj if tj > clock else clock)
             store(now, ea_i, rj)
-            now = yield max(tu.issue_time, tj)
+            clock = tu.issue_time
+            now = yield (tj if tj > clock else clock)
             store(now, ea_i + 8, ij)
-            now = yield max(tu.issue_time, ti)
+            clock = tu.issue_time
+            now = yield (ti if ti > clock else clock)
             store(now, ea_j, ri)
-            now = yield max(tu.issue_time, ti)
+            clock = tu.issue_time
+            now = yield (ti if ti > clock else clock)
             store(now, ea_j + 8, ii)
             count(8, 4, 4, 0, 2, 0)  # 4 loads, 4 stores; 2 int ops
     roots_ea = roots.ea
@@ -191,10 +201,11 @@ def _row_fft(ctx, mat: _Matrix, row: int, roots: "_RootTable",
         for j in range(half):
             ea = roots_ea + 16 * j * step
             now = yield tu.issue_time
-            t, re = load(now, ea)
+            tw, re = load(now, ea)
             now = yield tu.issue_time
-            tw, im = load(now, ea + 8)
-            tw = max(t, tw)
+            t, im = load(now, ea + 8)
+            if t > tw:
+                tw = t
             count(2, 2, 0, 0, 0, 0)  # the twiddle's 2 loads
             w = complex(re, im)
             start = 0
@@ -202,45 +213,65 @@ def _row_fft(ctx, mat: _Matrix, row: int, roots: "_RootTable",
                 ea_a = row_ea + 16 * (start + j)
                 ea_b = ea_a + 16 * half
                 now = yield tu.issue_time
-                t, re = load(now, ea_a)
+                ta, re = load(now, ea_a)
                 now = yield tu.issue_time
-                ta, im = load(now, ea_a + 8)
-                ta = max(t, ta)
+                t, im = load(now, ea_a + 8)
+                if t > ta:
+                    ta = t
                 a = complex(re, im)
                 now = yield tu.issue_time
-                t, re = load(now, ea_b)
+                tb, re = load(now, ea_b)
                 now = yield tu.issue_time
-                tb, im = load(now, ea_b + 8)
-                tb = max(t, tb)
+                t, im = load(now, ea_b + 8)
+                if t > tb:
+                    tb = t
                 b = complex(re, im)
                 # Complex butterfly: t = w*b (2 muls + 2 FMAs), then
                 # a' = a + t and b' = a - t (4 adds).
-                now = yield max(tu.issue_time, tw, tb)
-                t1 = fp_mul(now)
-                now = yield max(tu.issue_time, t1)
+                if tw > tb:
+                    tb = tw  # the multiplies wait for w and b
+                clock = tu.issue_time
+                now = yield (tb if tb > clock else clock)
+                t = fp_mul(now)
+                clock = tu.issue_time
+                now = yield (t if t > clock else clock)
                 t2 = fp_fma(now)
-                now = yield max(tu.issue_time, tw, tb)
-                t3 = fp_mul(now)
-                now = yield max(tu.issue_time, t3)
-                t4 = fp_fma(now)
+                clock = tu.issue_time
+                now = yield (tb if tb > clock else clock)
+                t = fp_mul(now)
+                clock = tu.issue_time
+                now = yield (t if t > clock else clock)
+                t = fp_fma(now)
                 product = w * b
-                now = yield max(tu.issue_time, ta, t2, t4)
+                if t2 > t:
+                    t = t2
+                if ta > t:
+                    t = ta  # the adds wait for a and both FMAs
+                clock = tu.issue_time
+                now = yield (t if t > clock else clock)
                 tsum = fp_add(now)
-                now = yield max(tu.issue_time, ta, t2, t4)
+                clock = tu.issue_time
+                now = yield (t if t > clock else clock)
                 tdif = fp_add(now)
-                now = yield max(tu.issue_time, tsum)
+                clock = tu.issue_time
+                now = yield (tsum if tsum > clock else clock)
                 tsum = fp_add(now)
-                now = yield max(tu.issue_time, tdif)
+                clock = tu.issue_time
+                now = yield (tdif if tdif > clock else clock)
                 tdif = fp_add(now)
                 value = a + product
-                now = yield max(tu.issue_time, tsum)
+                clock = tu.issue_time
+                now = yield (tsum if tsum > clock else clock)
                 store(now, ea_a, value.real)
-                now = yield max(tu.issue_time, tsum)
+                clock = tu.issue_time
+                now = yield (tsum if tsum > clock else clock)
                 store(now, ea_a + 8, value.imag)
                 value = a - product
-                now = yield max(tu.issue_time, tdif)
+                clock = tu.issue_time
+                now = yield (tdif if tdif > clock else clock)
                 store(now, ea_b, value.real)
-                now = yield max(tu.issue_time, tdif)
+                clock = tu.issue_time
+                now = yield (tdif if tdif > clock else clock)
                 store(now, ea_b + 8, value.imag)
                 # 4 loads, 2 muls + 2 FMAs + 4 adds (10 flops), 4 stores;
                 # 2 int ops and the branch.
@@ -280,31 +311,45 @@ def _twiddle_rows(ctx, mat: _Matrix, rows: range, roots_n: _RootTable):
     for row in rows:
         for col in range(m):
             ea = roots_ea + 16 * ((row * col) % n)
+            # ``tin``: when the multiplies' inputs, w and the element,
+            # are all ready.
             now = yield tu.issue_time
-            t, re = load(now, ea)
+            tin, re = load(now, ea)
             now = yield tu.issue_time
-            tw, im = load(now, ea + 8)
-            tw = max(t, tw)
+            t, im = load(now, ea + 8)
+            if t > tin:
+                tin = t
             w = complex(re, im)
             ea = mat_ea + 16 * (row * m + col)
             now = yield tu.issue_time
             t, re = load(now, ea)
+            if t > tin:
+                tin = t
             now = yield tu.issue_time
-            tv, im = load(now, ea + 8)
-            tv = max(t, tv)
+            t, im = load(now, ea + 8)
+            if t > tin:
+                tin = t
             value = complex(re, im)
-            now = yield max(tu.issue_time, tw, tv)
-            t1 = fp_mul(now)
-            now = yield max(tu.issue_time, t1)
+            clock = tu.issue_time
+            now = yield (tin if tin > clock else clock)
+            t = fp_mul(now)
+            clock = tu.issue_time
+            now = yield (t if t > clock else clock)
             t2 = fp_fma(now)
-            now = yield max(tu.issue_time, tw, tv)
-            t3 = fp_mul(now)
-            now = yield max(tu.issue_time, t3)
-            t4 = fp_fma(now)
+            clock = tu.issue_time
+            now = yield (tin if tin > clock else clock)
+            t = fp_mul(now)
+            clock = tu.issue_time
+            now = yield (t if t > clock else clock)
+            t = fp_fma(now)
+            if t2 > t:
+                t = t2
             value = value * w
-            now = yield max(tu.issue_time, t2, t4)
+            clock = tu.issue_time
+            now = yield (t if t > clock else clock)
             store(now, ea, value.real)
-            now = yield max(tu.issue_time, t2, t4)
+            clock = tu.issue_time
+            now = yield (t if t > clock else clock)
             store(now, ea + 8, value.imag)
             # 4 loads, 2 muls + 2 FMAs (6 flops), 2 stores; 3 int ops.
             count(10, 4, 2, 6, 3, 0)

@@ -130,13 +130,15 @@ class StreamResult:
 # The kernel loops use the context's split-phase memory/FPU API: the
 # loop yields an op's issue cycle itself — the thread clock, or the
 # latest of it and the op's input ready times (``ThreadCtx.op_begin``,
-# inlined as one ``max``) — and passes the granted cycle to the op's
-# ``*_finish``. Per element the event sequence matches the plain
-# generator methods exactly, but no generator object is allocated per
-# operation — at STREAM scale that allocation is the largest host cost
-# after the accesses themselves. The finishers only do timing: each
-# iteration ends in one ``count_iteration`` call that counts its ops and
-# charges the loop overhead (``charge_ops(OVERHEAD_INT_OPS)`` + a branch).
+# inlined as comparisons: a builtin ``max`` call costs several times
+# more) — and passes the granted cycle to the op's ``*_finish``. Per
+# element the event sequence matches the plain generator methods
+# exactly, but no generator object is allocated per operation — at
+# STREAM scale that allocation is the largest host cost after the
+# accesses themselves. A two-input op keeps only the later of its
+# inputs' ready times. The finishers only do timing: each iteration ends
+# in one ``count_iteration`` call that counts its ops and charges the
+# loop overhead (``charge_ops(OVERHEAD_INT_OPS)`` + a branch).
 def _copy_loop(ctx, ea_src, ea_dst, unroll):
     n = len(ea_src)
     k = 0
@@ -149,7 +151,9 @@ def _copy_loop(ctx, ea_src, ea_dst, unroll):
             now = yield tu.issue_time
             times[j], vals[j] = ctx.load_f64_finish(now, ea_src[k + j])
         for j in range(u):
-            now = yield max(tu.issue_time, times[j])
+            t = times[j]
+            clock = tu.issue_time
+            now = yield (t if t > clock else clock)
             ctx.store_f64_finish(now, ea_dst[k + j], vals[j])
         ctx.count_iteration(2 * u, u, u, 0, OVERHEAD_INT_OPS, 1)
         k += u
@@ -167,10 +171,14 @@ def _scale_loop(ctx, ea_src, ea_dst, scalar, unroll):
             now = yield tu.issue_time
             times[j], vals[j] = ctx.load_f64_finish(now, ea_src[k + j])
         for j in range(u):
-            now = yield max(tu.issue_time, times[j])
+            t = times[j]
+            clock = tu.issue_time
+            now = yield (t if t > clock else clock)
             times[j] = ctx.fp_mul_finish(now)
         for j in range(u):
-            now = yield max(tu.issue_time, times[j])
+            t = times[j]
+            clock = tu.issue_time
+            now = yield (t if t > clock else clock)
             ctx.store_f64_finish(now, ea_dst[k + j], scalar * vals[j])
         ctx.count_iteration(3 * u, u, u, u, OVERHEAD_INT_OPS, 1)
         k += u
@@ -179,8 +187,7 @@ def _scale_loop(ctx, ea_src, ea_dst, scalar, unroll):
 def _add_loop(ctx, ea_x, ea_y, ea_dst, unroll):
     n = len(ea_x)
     k = 0
-    tx = [0] * unroll
-    ty = [0] * unroll
+    times = [0] * unroll
     vx = [0.0] * unroll
     vy = [0.0] * unroll
     tu = ctx.tu
@@ -188,14 +195,19 @@ def _add_loop(ctx, ea_x, ea_y, ea_dst, unroll):
         u = unroll if k + unroll <= n else n - k
         for j in range(u):
             now = yield tu.issue_time
-            tx[j], vx[j] = ctx.load_f64_finish(now, ea_x[k + j])
+            tx, vx[j] = ctx.load_f64_finish(now, ea_x[k + j])
             now = yield tu.issue_time
-            ty[j], vy[j] = ctx.load_f64_finish(now, ea_y[k + j])
+            ty, vy[j] = ctx.load_f64_finish(now, ea_y[k + j])
+            times[j] = ty if ty > tx else tx
         for j in range(u):
-            now = yield max(tu.issue_time, tx[j], ty[j])
-            tx[j] = ctx.fp_add_finish(now)
+            t = times[j]
+            clock = tu.issue_time
+            now = yield (t if t > clock else clock)
+            times[j] = ctx.fp_add_finish(now)
         for j in range(u):
-            now = yield max(tu.issue_time, tx[j])
+            t = times[j]
+            clock = tu.issue_time
+            now = yield (t if t > clock else clock)
             ctx.store_f64_finish(now, ea_dst[k + j], vx[j] + vy[j])
         ctx.count_iteration(4 * u, 2 * u, u, u, OVERHEAD_INT_OPS, 1)
         k += u
@@ -204,8 +216,7 @@ def _add_loop(ctx, ea_x, ea_y, ea_dst, unroll):
 def _triad_loop(ctx, ea_x, ea_y, ea_dst, scalar, unroll):
     n = len(ea_x)
     k = 0
-    tx = [0] * unroll
-    ty = [0] * unroll
+    times = [0] * unroll
     vx = [0.0] * unroll
     vy = [0.0] * unroll
     load_finish = ctx.load_f64_finish
@@ -217,14 +228,19 @@ def _triad_loop(ctx, ea_x, ea_y, ea_dst, scalar, unroll):
         u = unroll if k + unroll <= n else n - k
         for j in range(u):
             now = yield tu.issue_time
-            tx[j], vx[j] = load_finish(now, ea_x[k + j])
+            tx, vx[j] = load_finish(now, ea_x[k + j])
             now = yield tu.issue_time
-            ty[j], vy[j] = load_finish(now, ea_y[k + j])
+            ty, vy[j] = load_finish(now, ea_y[k + j])
+            times[j] = ty if ty > tx else tx
         for j in range(u):
-            now = yield max(tu.issue_time, tx[j], ty[j])
-            tx[j] = fma_finish(now)
+            t = times[j]
+            clock = tu.issue_time
+            now = yield (t if t > clock else clock)
+            times[j] = fma_finish(now)
         for j in range(u):
-            now = yield max(tu.issue_time, tx[j])
+            t = times[j]
+            clock = tu.issue_time
+            now = yield (t if t > clock else clock)
             store_finish(now, ea_dst[k + j], vx[j] + scalar * vy[j])
         count(4 * u, 2 * u, u, 2 * u, OVERHEAD_INT_OPS, 1)
         k += u

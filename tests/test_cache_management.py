@@ -16,17 +16,17 @@ class TestTimedFlush:
         ea = make_effective(0x1000, IG_OWN)
         chip.memory.store_f64(0, 0, ea, 4.5)
         assert chip.memory.backing.load_f64(0x1000) != 4.5  # still cached
-        out = chip.memory.flush_line(100, 0, ea)
+        _, complete, _, _ = chip.memory.flush_line(100, 0, ea)
         assert chip.memory.backing.load_f64(0x1000) == 4.5
         # A dirty flush pays the bank burst.
-        assert out.complete >= 100 + ChipConfig.paper().burst_cycles
+        assert complete >= 100 + ChipConfig.paper().burst_cycles
 
     def test_flush_clean_line_is_cheap(self):
         chip = Chip()
         ea = make_effective(0x2000, IG_OWN)
         chip.memory.load_f64(0, 0, ea)
-        out = chip.memory.flush_line(100, 0, ea)
-        assert out.complete - out.issue_end == 6  # local-hit latency only
+        issue_end, complete, _, _ = chip.memory.flush_line(100, 0, ea)
+        assert complete - issue_end == 6  # local-hit latency only
 
     def test_invalidate_discards_dirty_data(self):
         chip = Chip(strict_incoherence=True)
@@ -44,8 +44,8 @@ class TestTimedFlush:
         ea = make_effective(0x4000, IG_ALL)
         chip.memory.load_f64(0, 0, ea)
         chip.memory.invalidate_line(50, 0, ea)
-        out, _ = chip.memory.load_f64(100, 0, ea)
-        assert out.kind.value.endswith("miss")
+        (_, _, kind, _), _ = chip.memory.load_f64(100, 0, ea)
+        assert kind.value.endswith("miss")
 
 
 class TestSoftwareCoherenceProtocol:

@@ -441,8 +441,8 @@ class TestFaultTolerance:
         chip = Chip()
         FaultController(chip).fail_bank(0)
         ea = make_effective(0x1000, IG_ALL)
-        out, _ = chip.memory.load_f64(0, 0, ea)
-        assert out.complete > 0
+        (_, complete, _, _), _ = chip.memory.load_f64(0, 0, ea)
+        assert complete > 0
 
     def test_thread_failure_excluded_from_enabled(self):
         chip = Chip()
@@ -478,7 +478,8 @@ class TestFaultTolerance:
         memory = chip.memory
         ig = single_cache_group(3).encode()
         before = make_effective(0x4000, ig)
-        assert memory.access(0, 0, before, 8, False).cache_id == 3
+        _, _, _, cache_id = memory.access(0, 0, before, 8, False)
+        assert cache_id == 3
         assert memory.target_cache(ig, 0x4000, 0) == 3
         FaultController(chip).fail_fpu(3)
         home = memory.target_cache(ig, 0x4000, 0)
@@ -487,8 +488,10 @@ class TestFaultTolerance:
             ea = make_effective(physical, ig)
             for quad in (0, 5):
                 assert memory.target_cache(ig, physical, quad) == home
-            assert memory.access(100, 5, ea, 8, False).cache_id == home
-            assert memory.flush_line(200, 5, ea).cache_id == home
+            _, _, _, cache_id = memory.access(100, 5, ea, 8, False)
+            assert cache_id == home
+            _, _, _, cache_id = memory.flush_line(200, 5, ea)
+            assert cache_id == home
             assert memory.caches[home].line(physical) is None
             memory.warm_access(5, ea, False)
             assert memory.caches[home].line(physical) is not None
@@ -497,8 +500,8 @@ class TestFaultTolerance:
         chip = Chip()
         FaultController(chip).fail_fpu(0)
         ea = make_effective(0x2000, IG_ALL)
-        out, _ = chip.memory.load_f64(0, 1, ea)
-        assert out.cache_id != 0
+        (_, _, _, cache_id), _ = chip.memory.load_f64(0, 1, ea)
+        assert cache_id != 0
 
     def test_summary(self):
         chip = Chip()

@@ -312,6 +312,9 @@ class TestRunnerInterrupt:
         assert "4 of 5 experiments FAILED" in captured.err
         for name in ("a2", "a3", "a4", "z_sweep"):
             assert f"  {name}: cancelled" in captured.err
+            # The summary line says it all: no detail block repeats it.
+            assert f"--- {name} ---" not in captured.err
+        assert captured.err.count("cancelled") == 4
         assert "Traceback" not in captured.err
         assert multiprocessing.active_children() == []
 
@@ -323,3 +326,25 @@ class TestRunnerInterrupt:
         assert "5 of 5 experiments FAILED" in captured.err
         assert "Traceback" not in captured.err
         assert multiprocessing.active_children() == []
+
+    def test_raising_experiment_keeps_its_traceback_block(
+            self, capsys, monkeypatch):
+        from repro.experiments import registry, runner
+
+        def ok(quick=False):
+            return registry.ExperimentReport(
+                experiment_id="ok", title="o", paper="-")
+
+        def boom(quick=False):
+            raise RuntimeError("driver exploded")
+
+        fake = {"a_ok": ok, "b_boom": boom}
+        monkeypatch.setattr(registry, "REGISTRY", fake)
+        monkeypatch.setattr(runner, "REGISTRY", fake)
+        assert main(["run", "all", "--quick"]) == 1
+        err = capsys.readouterr().err
+        assert "1 of 2 experiments FAILED" in err
+        assert "  b_boom: RuntimeError: driver exploded" in err
+        block = err[err.index("--- b_boom ---"):]
+        assert "Traceback" in block and "driver exploded" in block
+        assert "--- a_ok ---" not in err

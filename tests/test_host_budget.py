@@ -1,11 +1,16 @@
-"""Host-work budgets: CPython opcodes and Python calls per simulated unit.
+"""Host-work budgets: CPython opcodes, Python calls and C calls per
+simulated unit.
 
 Wall-clock time depends on the host; the number of bytecode instructions
 the simulator executes for a given simulation does not (for one CPython
 minor version). Each test runs a small, fixed workload under
-``sys.settrace`` with opcode events on, counts every executed opcode and
-every Python-level call (a generator resume counts as a call) inside the
-run loop, and checks the count per simulated unit against a budget.
+``sys.settrace`` with opcode events on and ``sys.setprofile`` beside it,
+counts every executed opcode, every Python-level call (a generator
+resume counts as a call) and every call of a builtin function or method
+(``c_call`` events: ``max``, ``len``, ``tuple.__new__``, a dict's
+``get``) inside the run loop, and checks each count per simulated unit
+against a budget. Opcodes alone miss the C calls: one ``max()`` is a
+single opcode but costs several times a comparison.
 
 A change that makes the hot paths do more work fails here even when a
 noisy host hides it in wall time. A change that makes them cheaper should
@@ -44,8 +49,9 @@ pytestmark = [
                "(the budgets were measured on 3.11, CI's version)",
     ),
     pytest.mark.skipif(
-        sys.gettrace() is not None,
-        reason="another tracer (coverage, a debugger) is active",
+        sys.gettrace() is not None or sys.getprofile() is not None,
+        reason="another tracer or profiler (coverage, a debugger) is "
+               "active",
     ),
 ]
 
@@ -60,30 +66,37 @@ class Budget:
     unit: str
     ops: float
     calls: float
+    c_calls: float
     cycles: int
 
 
 BUDGETS = {
     # STREAM triad, 32 threads x 256 elements, Figure 6 placement
     # (4-way unrolled, local caches, balanced); per element.
-    "stream": Budget("element", ops=1358.6, calls=21.69, cycles=4028),
+    "stream": Budget("element", ops=1353.9, calls=20.69, c_calls=26.77,
+                     cycles=4028),
     # 256-point FFT, 16 threads, hardware barrier; per memory access.
-    "fft": Budget("access", ops=524.6, calls=8.47, cycles=7747),
+    "fft": Budget("access", ops=519.7, calls=7.87, c_calls=11.54,
+                  cycles=7747),
     # The triad as assembly through block dispatch, stream's shape and
     # placement; per element.
-    "isa_triad": Budget("element", ops=1689.0, calls=20.96, cycles=4381),
+    "isa_triad": Budget("element", ops=1684.0, calls=20.96, c_calls=43.83,
+                        cycles=4381),
     # Radix sort, 512 keys, 4 threads (test_radix_golden's shape); per
     # memory access.
-    "radix": Budget("access", ops=563.2, calls=11.72, cycles=16831),
+    "radix": Budget("access", ops=561.2, calls=11.72, c_calls=8.82,
+                    cycles=16831),
     # Blocked LU, n=16, block 8, 4 threads: the generator-form context
     # ops the other Splash kernels use; per memory access.
-    "lu": Budget("access", ops=564.5, calls=12.54, cycles=30049),
+    "lu": Budget("access", ops=558.5, calls=12.14, c_calls=6.77,
+                 cycles=30049),
 }
 
 
 def _counted(run):
-    """``(run(), opcodes, calls)`` with *run* executed under a tracer."""
-    ops = calls = 0
+    """``(run(), opcodes, calls, c_calls)`` with *run* executed under a
+    tracer and a profiler."""
+    ops = calls = c_calls = 0
 
     def local(frame, event, arg):
         nonlocal ops
@@ -98,12 +111,19 @@ def _counted(run):
         frame.f_trace_opcodes = True
         return local
 
+    def on_profile(frame, event, arg):
+        nonlocal c_calls
+        if event == "c_call":
+            c_calls += 1
+
+    sys.setprofile(on_profile)
     sys.settrace(on_call)
     try:
         result = run()
     finally:
         sys.settrace(None)
-    return result, ops, calls
+        sys.setprofile(None)
+    return result, ops, calls, c_calls
 
 
 class _CountedKernelRun:
@@ -111,14 +131,16 @@ class _CountedKernelRun:
     direct-execution drivers build their kernel internally)."""
 
     def __enter__(self):
-        self.ops = self.calls = 0
+        self.ops = self.calls = self.c_calls = 0
         self._original = Kernel.__dict__["run"]
         original, counter = self._original, self
 
         def run(kernel, until=None):
-            final, ops, calls = _counted(lambda: original(kernel, until))
+            final, ops, calls, c_calls = _counted(
+                lambda: original(kernel, until))
             counter.ops += ops
             counter.calls += calls
+            counter.c_calls += c_calls
             return final
 
         Kernel.run = run
@@ -129,7 +151,7 @@ class _CountedKernelRun:
 
 
 def measure_stream(threads: int = 32, per_thread: int = 256):
-    """``(ops, calls, cycles)`` of the STREAM triad, per element."""
+    """``(ops, calls, c_calls, cycles)`` of the STREAM triad, per element."""
     params = StreamParams(
         kernel="triad", n_elements=threads * per_thread, n_threads=threads,
         partition="block", local_caches=True, unroll=4,
@@ -139,45 +161,48 @@ def measure_stream(threads: int = 32, per_thread: int = 256):
         result = run_stream(params, chip=Chip())
     assert result.verified
     n = params.n_elements
-    return counter.ops / n, counter.calls / n, result.cycles
+    return (counter.ops / n, counter.calls / n, counter.c_calls / n,
+            result.cycles)
 
 
 def measure_fft(points: int = 256, threads: int = 16):
-    """``(ops, calls, cycles)`` of the FFT, per memory access."""
+    """``(ops, calls, c_calls, cycles)`` of the FFT, per memory access."""
     chip = Chip()
     with _CountedKernelRun() as counter:
         result = run_fft(FFTParams(n_points=points, n_threads=threads,
                                    barrier="hw"), chip=chip)
     assert result.verified
     accesses = sum(chip.memory.kind_counts.values())
-    return counter.ops / accesses, counter.calls / accesses, \
-        result.total_cycles
+    return (counter.ops / accesses, counter.calls / accesses,
+            counter.c_calls / accesses, result.total_cycles)
 
 
 def measure_lu(n: int = 16, block: int = 8, threads: int = 4):
-    """``(ops, calls, cycles)`` of the blocked LU, per memory access."""
+    """``(ops, calls, c_calls, cycles)`` of the blocked LU, per memory access."""
     chip = Chip()
     with _CountedKernelRun() as counter:
         result = run_lu(LUParams(n=n, block=block, n_threads=threads),
                         chip=chip)
     assert result.verified
     accesses = sum(chip.memory.kind_counts.values())
-    return counter.ops / accesses, counter.calls / accesses, result.cycles
+    return (counter.ops / accesses, counter.calls / accesses,
+            counter.c_calls / accesses, result.cycles)
 
 
 def measure_radix(keys: int = 512, threads: int = 4):
-    """``(ops, calls, cycles)`` of the Radix sort, per memory access."""
+    """``(ops, calls, c_calls, cycles)`` of the Radix sort, per memory access."""
     chip = Chip()
     with _CountedKernelRun() as counter:
         result = run_radix(RadixParams(n_keys=keys, n_threads=threads),
                            chip=chip)
     assert result.verified
     accesses = sum(chip.memory.kind_counts.values())
-    return counter.ops / accesses, counter.calls / accesses, result.cycles
+    return (counter.ops / accesses, counter.calls / accesses,
+            counter.c_calls / accesses, result.cycles)
 
 
 def measure_isa_triad(threads: int = 32, per_thread: int = 256):
-    """``(ops, calls, cycles)`` of the assembly triad, per element."""
+    """``(ops, calls, c_calls, cycles)`` of the assembly triad, per element."""
     chip = Chip()
     config = chip.config
     kernel = Kernel(chip, AllocationPolicy.BALANCED)  # placement + heap
@@ -201,9 +226,9 @@ def measure_isa_triad(threads: int = 32, per_thread: int = 256):
             make_effective(base_c + offset, ig),
             make_effective(base_a + offset, ig), len(block))
         interp.add_thread(tid, program, regs, doubles)
-    cycles, ops, calls = _counted(lambda: interp.run(sampled=False))
+    cycles, ops, calls, c_calls = _counted(lambda: interp.run(sampled=False))
     assert np.array_equal(backing.f64_view(base_a, n), b + 3.0 * c)
-    return ops / n, calls / n, cycles
+    return ops / n, calls / n, c_calls / n, cycles
 
 
 MEASURE = {"stream": measure_stream, "fft": measure_fft,
@@ -214,7 +239,7 @@ MEASURE = {"stream": measure_stream, "fft": measure_fft,
 @pytest.mark.parametrize("workload", sorted(BUDGETS))
 def test_host_work_within_budget(workload):
     budget = BUDGETS[workload]
-    ops, calls, cycles = MEASURE[workload]()
+    ops, calls, c_calls, cycles = MEASURE[workload]()
     assert cycles == budget.cycles
     assert ops <= budget.ops * SLACK, (
         f"{workload}: {ops:.1f} opcodes per {budget.unit} exceeds the "
@@ -222,10 +247,14 @@ def test_host_work_within_budget(workload):
     assert calls <= budget.calls * SLACK, (
         f"{workload}: {calls:.2f} calls per {budget.unit} exceeds the "
         f"budget {budget.calls} (+{SLACK - 1:.0%})")
+    assert c_calls <= budget.c_calls * SLACK, (
+        f"{workload}: {c_calls:.2f} C calls per {budget.unit} exceeds the "
+        f"budget {budget.c_calls} (+{SLACK - 1:.0%})")
 
 
 if __name__ == "__main__":
     for name in sorted(MEASURE):
-        ops, calls, cycles = MEASURE[name]()
+        ops, calls, c_calls, cycles = MEASURE[name]()
         print(f'"{name}": ops={ops:.1f}, calls={calls:.2f}, '
-              f'cycles={cycles}  (per {BUDGETS[name].unit})')
+              f'c_calls={c_calls:.2f}, cycles={cycles}  '
+              f'(per {BUDGETS[name].unit})')

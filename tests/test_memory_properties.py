@@ -18,17 +18,17 @@ aligned_addrs = st.integers(0, (CFG.memory_bytes - 8) // 8).map(lambda i: i * 8)
 def test_latency_never_below_table2_minimum(physical, quad, is_store):
     """No access completes faster than its Table 2 row allows."""
     memory = MemorySubsystem(CFG)
-    out = memory.access(0, quad, make_effective(physical, IG_ALL), 8,
-                        is_store)
+    issue_end, complete, kind, _ = memory.access(
+        0, quad, make_effective(physical, IG_ALL), 8, is_store)
     lat = CFG.latency
     floor = {
         AccessKind.LOCAL_HIT: lat.mem_local_hit[1],
         AccessKind.REMOTE_HIT: lat.mem_remote_hit[1],
         AccessKind.LOCAL_MISS: 0 if is_store else lat.mem_local_miss[1],
         AccessKind.REMOTE_MISS: 0 if is_store else lat.mem_remote_miss[1],
-    }[out.kind]
-    assert out.complete - out.issue_end >= floor
-    assert out.issue_end >= 1
+    }[kind]
+    assert complete - issue_end >= floor
+    assert issue_end >= 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -37,11 +37,11 @@ def test_load_then_load_hits(physical):
     """Temporal locality always pays off under a unique-home group."""
     memory = MemorySubsystem(CFG)
     ea = make_effective(physical, IG_ALL)
-    first = memory.access(0, 0, ea, 8, False)
-    second = memory.access(first.complete + 1, 0, ea, 8, False)
-    assert second.kind in (AccessKind.LOCAL_HIT, AccessKind.REMOTE_HIT)
-    assert second.complete - second.issue_end \
-        < first.complete - first.issue_end
+    first_issue_end, first_complete, _, _ = memory.access(0, 0, ea, 8, False)
+    issue_end, complete, kind, _ = memory.access(first_complete + 1, 0, ea,
+                                                 8, False)
+    assert kind in (AccessKind.LOCAL_HIT, AccessKind.REMOTE_HIT)
+    assert complete - issue_end < first_complete - first_issue_end
 
 
 @settings(max_examples=40, deadline=None)
@@ -52,9 +52,9 @@ def test_traffic_conservation(addresses, quad):
     memory = MemorySubsystem(CFG)
     time = 0
     for addr in addresses:
-        out = memory.access(time, quad, make_effective(addr, IG_ALL), 8,
-                            False)
-        time = out.complete + 1
+        _, complete, _, _ = memory.access(
+            time, quad, make_effective(addr, IG_ALL), 8, False)
+        time = complete + 1
     misses = memory.kind_counts[AccessKind.LOCAL_MISS] \
         + memory.kind_counts[AccessKind.REMOTE_MISS]
     assert memory.memory_traffic_bytes == misses * CFG.dcache_line_bytes

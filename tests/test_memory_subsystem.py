@@ -200,28 +200,31 @@ class TestAccessLatencies:
         ms = fresh()
         ig = InterestGroup(Level.ONE, 5).encode()
         ea = make_effective(0x2000, ig)
-        miss = ms.access(0, 5, ea, 8, is_store=False)
-        assert miss.kind is AccessKind.LOCAL_MISS
-        assert miss.complete - miss.issue_end == 24
-        hit = ms.access(100, 5, ea, 8, is_store=False)
-        assert hit.kind is AccessKind.LOCAL_HIT
-        assert hit.complete - hit.issue_end == 6
+        issue_end, complete, kind, _ = ms.access(0, 5, ea, 8, is_store=False)
+        assert kind is AccessKind.LOCAL_MISS
+        assert complete - issue_end == 24
+        issue_end, complete, kind, _ = ms.access(100, 5, ea, 8,
+                                                 is_store=False)
+        assert kind is AccessKind.LOCAL_HIT
+        assert complete - issue_end == 6
 
     def test_remote_miss_then_hit(self):
         ms = fresh()
         ig = InterestGroup(Level.ONE, 9).encode()
         ea = make_effective(0x3000, ig)
-        miss = ms.access(0, 5, ea, 8, is_store=False)
-        assert miss.kind is AccessKind.REMOTE_MISS
-        assert miss.complete - miss.issue_end == 36
-        hit = ms.access(100, 5, ea, 8, is_store=False)
-        assert hit.kind is AccessKind.REMOTE_HIT
-        assert hit.complete - hit.issue_end == 17
+        issue_end, complete, kind, _ = ms.access(0, 5, ea, 8, is_store=False)
+        assert kind is AccessKind.REMOTE_MISS
+        assert complete - issue_end == 36
+        issue_end, complete, kind, _ = ms.access(100, 5, ea, 8,
+                                                 is_store=False)
+        assert kind is AccessKind.REMOTE_HIT
+        assert complete - issue_end == 17
 
     def test_issue_occupies_one_cycle(self):
         ms = fresh()
-        out = ms.access(0, 0, make_effective(0, IG_ALL), 8, is_store=False)
-        assert out.issue_end == 1
+        issue_end, _, _, _ = ms.access(0, 0, make_effective(0, IG_ALL), 8,
+                                       is_store=False)
+        assert issue_end == 1
 
     def test_access_ratio_local_remote_is_3x(self):
         """Paper: local cache access is ~3x faster (6 vs 17 cycles)."""
@@ -233,33 +236,34 @@ class TestInterestGroupPlacement:
     def test_own_group_goes_local(self):
         ms = fresh()
         ea = make_effective(0x4000, IG_OWN)
-        out = ms.access(0, 7, ea, 8, is_store=False)
-        assert out.cache_id == 7
-        assert out.kind is AccessKind.LOCAL_MISS
+        _, _, kind, cache_id = ms.access(0, 7, ea, 8, is_store=False)
+        assert cache_id == 7
+        assert kind is AccessKind.LOCAL_MISS
 
     def test_own_group_replicates_across_quads(self):
         ms = fresh()
         ea = make_effective(0x4000, IG_OWN)
         ms.access(0, 7, ea, 8, is_store=False)
-        out = ms.access(50, 9, ea, 8, is_store=False)
-        assert out.cache_id == 9
-        assert out.kind is AccessKind.LOCAL_MISS  # its own copy, own miss
+        _, _, kind, cache_id = ms.access(50, 9, ea, 8, is_store=False)
+        assert cache_id == 9
+        assert kind is AccessKind.LOCAL_MISS  # its own copy, own miss
         assert ms.caches[7].probe(0x4000)
         assert ms.caches[9].probe(0x4000)
 
     def test_all_group_single_home(self):
         ms = fresh()
         ea = make_effective(0x5000, IG_ALL)
-        first = ms.access(0, 0, ea, 8, is_store=False)
-        second = ms.access(50, 31, ea, 8, is_store=False)
-        assert first.cache_id == second.cache_id
-        assert second.kind in (AccessKind.LOCAL_HIT, AccessKind.REMOTE_HIT)
+        _, _, _, first_cache = ms.access(0, 0, ea, 8, is_store=False)
+        _, _, kind, second_cache = ms.access(50, 31, ea, 8, is_store=False)
+        assert first_cache == second_cache
+        assert kind in (AccessKind.LOCAL_HIT, AccessKind.REMOTE_HIT)
 
     def test_pinned_group(self):
         ms = fresh()
         ig = InterestGroup(Level.ONE, 12).encode()
-        out = ms.access(0, 3, make_effective(0x6000, ig), 8, is_store=False)
-        assert out.cache_id == 12
+        _, _, _, cache_id = ms.access(0, 3, make_effective(0x6000, ig), 8,
+                                      is_store=False)
+        assert cache_id == 12
 
 
 class TestStoreMissPolicy:
@@ -281,9 +285,9 @@ class TestStoreMissPolicy:
     def test_fetch_on_store_miss_config(self):
         ms = MemorySubsystem(CFG.with_store_miss_fetch(True))
         ea = make_effective(0x7000, IG_ALL)
-        out = ms.access(0, 0, ea, 8, is_store=True)
+        issue_end, complete, _, _ = ms.access(0, 0, ea, 8, is_store=True)
         assert ms.memory_traffic_bytes == 64
-        assert out.complete > out.issue_end
+        assert complete > issue_end
 
 
 class TestBankQueueing:
@@ -292,20 +296,22 @@ class TestBankQueueing:
         # Two misses to lines in the same bank back to back.
         ig = InterestGroup(Level.ONE, 0).encode()
         interleave_span = CFG.interleave_bytes * CFG.n_memory_banks
-        first = ms.access(0, 0, make_effective(0, ig), 8, False)
-        second = ms.access(
+        issue_end, complete, _, _ = ms.access(0, 0, make_effective(0, ig),
+                                              8, False)
+        assert complete - issue_end == 24
+        issue_end, complete, _, _ = ms.access(
             0, 0, make_effective(interleave_span, ig), 8, False
         )
-        assert first.complete - first.issue_end == 24
         # The second fill waits for the first burst (12 cycles each).
-        assert second.complete - second.issue_end > 24
+        assert complete - issue_end > 24
 
     def test_different_banks_do_not_queue(self):
         ms = fresh()
         ig = InterestGroup(Level.ONE, 0).encode()
         ms.access(0, 0, make_effective(0, ig), 8, False)
-        other = ms.access(0, 0, make_effective(CFG.interleave_bytes, ig), 8, False)
-        assert other.complete - other.issue_end == 24
+        issue_end, complete, _, _ = ms.access(
+            0, 0, make_effective(CFG.interleave_bytes, ig), 8, False)
+        assert complete - issue_end == 24
 
 
 class TestInflightFills:
@@ -313,18 +319,19 @@ class TestInflightFills:
         ms = fresh()
         ig = InterestGroup(Level.ONE, 0).encode()
         ea = make_effective(0x8000, ig)
-        miss = ms.access(0, 0, ea, 8, False)
-        early_hit = ms.access(2, 0, ea, 8, False)
-        assert early_hit.kind is AccessKind.LOCAL_HIT
-        assert early_hit.complete >= miss.complete
+        _, miss_complete, _, _ = ms.access(0, 0, ea, 8, False)
+        _, hit_complete, kind, _ = ms.access(2, 0, ea, 8, False)
+        assert kind is AccessKind.LOCAL_HIT
+        assert hit_complete >= miss_complete
 
     def test_hit_after_fill_is_normal(self):
         ms = fresh()
         ig = InterestGroup(Level.ONE, 0).encode()
         ea = make_effective(0x8000, ig)
-        miss = ms.access(0, 0, ea, 8, False)
-        late_hit = ms.access(miss.complete + 10, 0, ea, 8, False)
-        assert late_hit.complete - late_hit.issue_end == 6
+        _, miss_complete, _, _ = ms.access(0, 0, ea, 8, False)
+        issue_end, complete, _, _ = ms.access(miss_complete + 10, 0, ea, 8,
+                                              False)
+        assert complete - issue_end == 6
 
 
 class TestPendingFills:
@@ -336,20 +343,21 @@ class TestPendingFills:
     def test_reset_timing_drops_pending_fills(self):
         ms = fresh()
         ea = make_effective(0x8000, self.IG)
-        miss = ms.access(0, 0, ea, 8, False)
-        assert miss.complete > 10
+        _, miss_complete, _, _ = ms.access(0, 0, ea, 8, False)
+        assert miss_complete > 10
         ms.reset_timing()
         # Timelines restart at zero; the resident line has nothing to
         # wait for, so an early hit costs the plain Table 2 latency.
-        hit = ms.access(0, 0, ea, 8, False)
-        assert hit.kind is AccessKind.LOCAL_HIT
-        assert hit.complete - hit.issue_end == 6
+        issue_end, complete, kind, _ = ms.access(0, 0, ea, 8, False)
+        assert kind is AccessKind.LOCAL_HIT
+        assert complete - issue_end == 6
 
     def test_evicted_fill_time_not_inherited(self):
         ms = fresh()
         cache = ms.caches[0]
         line = 0x8000
-        miss = ms.access(0, 0, make_effective(line, self.IG), 8, False)
+        _, miss_complete, _, _ = ms.access(0, 0, make_effective(line, self.IG),
+                                           8, False)
         # Fill the line's set with other lines until it is evicted,
         # all while its fill is still in flight.
         stride = cache.n_sets * CFG.dcache_line_bytes
@@ -360,25 +368,28 @@ class TestPendingFills:
         # A write-validate store re-allocates the line without a fetch;
         # a hit right behind it must not wait for the evicted fill.
         t = cache.total_ways + 1
-        store = ms.access(t, 0, make_effective(line, self.IG), 8, True)
-        assert store.kind is AccessKind.LOCAL_MISS
-        hit = ms.access(t + 1, 0, make_effective(line, self.IG), 8, False)
-        assert hit.kind is AccessKind.LOCAL_HIT
-        assert hit.issue_end < miss.complete
-        assert hit.complete - hit.issue_end == 6
+        _, _, kind, _ = ms.access(t, 0, make_effective(line, self.IG), 8,
+                                  True)
+        assert kind is AccessKind.LOCAL_MISS
+        issue_end, complete, kind, _ = ms.access(
+            t + 1, 0, make_effective(line, self.IG), 8, False)
+        assert kind is AccessKind.LOCAL_HIT
+        assert issue_end < miss_complete
+        assert complete - issue_end == 6
 
     def test_invalidate_then_reload_refetches(self):
         ms = fresh()
         ea = make_effective(0x8000, self.IG)
-        miss = ms.access(0, 0, ea, 8, False)
-        hit = ms.access(miss.complete, 0, ea, 8, False)
-        assert hit.kind is AccessKind.LOCAL_HIT
-        ms.invalidate_line(hit.complete, 0, ea)
+        _, miss_complete, _, _ = ms.access(0, 0, ea, 8, False)
+        _, hit_complete, kind, _ = ms.access(miss_complete, 0, ea, 8, False)
+        assert kind is AccessKind.LOCAL_HIT
+        ms.invalidate_line(hit_complete, 0, ea)
         read_before = ms.memory_traffic_bytes
-        reload = ms.access(hit.complete + 10, 0, ea, 8, False)
-        assert reload.kind is AccessKind.LOCAL_MISS
+        issue_end, complete, kind, _ = ms.access(hit_complete + 10, 0, ea, 8,
+                                                 False)
+        assert kind is AccessKind.LOCAL_MISS
         assert ms.memory_traffic_bytes == read_before + CFG.burst_bytes
-        assert reload.complete - reload.issue_end == 24
+        assert complete - issue_end == 24
 
 
 class TestSwitchTransfers:
@@ -434,15 +445,15 @@ class TestScratchpadPath:
     def test_local_scratchpad_cost(self):
         ms = fresh()
         ms.caches[3].set_scratchpad_ways(2)
-        out = ms.scratchpad_access(0, 3, 3, 8)
-        assert out.kind is AccessKind.SCRATCHPAD
-        assert out.complete - out.issue_end == 6
+        issue_end, complete, kind, _ = ms.scratchpad_access(0, 3, 3, 8)
+        assert kind is AccessKind.SCRATCHPAD
+        assert complete - issue_end == 6
 
     def test_remote_scratchpad_cost(self):
         ms = fresh()
         ms.caches[3].set_scratchpad_ways(2)
-        out = ms.scratchpad_access(0, 0, 3, 8)
-        assert out.complete - out.issue_end == 17
+        issue_end, complete, _, _ = ms.scratchpad_access(0, 0, 3, 8)
+        assert complete - issue_end == 17
 
 
 class TestOffChip:
@@ -486,8 +497,8 @@ class TestReset:
         ms.access(0, 0, ea, 8, False)
         ms.reset_timing()
         assert ms.memory_traffic_bytes == 0
-        out = ms.access(0, 0, ea, 8, False)
-        assert out.kind in (AccessKind.LOCAL_HIT, AccessKind.REMOTE_HIT)
+        _, _, kind, _ = ms.access(0, 0, ea, 8, False)
+        assert kind in (AccessKind.LOCAL_HIT, AccessKind.REMOTE_HIT)
 
     def test_cold_caches_drops_tags(self):
         ms = fresh()
@@ -495,5 +506,5 @@ class TestReset:
         ms.access(0, 0, ea, 8, False)
         ms.cold_caches()
         ms.reset_timing()
-        out = ms.access(0, 0, ea, 8, False)
-        assert out.kind in (AccessKind.LOCAL_MISS, AccessKind.REMOTE_MISS)
+        _, _, kind, _ = ms.access(0, 0, ea, 8, False)
+        assert kind in (AccessKind.LOCAL_MISS, AccessKind.REMOTE_MISS)
