@@ -44,17 +44,6 @@ class Series:
             "y": list(self.y),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Series":
-        """Rebuild a series from :meth:`to_dict` output."""
-        return cls(
-            label=data["label"],
-            x=list(data.get("x", [])),
-            y=list(data.get("y", [])),
-            x_name=data.get("x_name", "x"),
-            y_name=data.get("y_name", "y"),
-        )
-
 
 def merge_render(series_list: list[Series], width: int = 12) -> str:
     """Render several series sharing an x-axis as one aligned table."""

@@ -23,7 +23,6 @@ from repro.experiments.registry import (
 from repro.experiments import (  # noqa: E402,F401
     bandwidth,
     contention,
-    family_sweep,
     instruction_mix,
     fig3_splash_speedups,
     fig4_stream_oob,

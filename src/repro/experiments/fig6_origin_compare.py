@@ -10,6 +10,9 @@ per processor) as the reference series.
 The paper's headline: "a single Cyclops chip can achieve sustainable
 memory bandwidth similar to that of a top-of-the-line commercial
 machine" — both sides approach ~40-50 GB/s at full occupancy.
+
+Every (kernel, thread count) pair of panel (a) is one :func:`point`;
+:func:`run` maps them through a :class:`~repro.jobs.pool.JobRunner`.
 """
 
 from __future__ import annotations
@@ -17,8 +20,13 @@ from __future__ import annotations
 from repro.analysis.series import Series
 from repro.baselines.origin3800 import ORIGIN_3800_400
 from repro.experiments.registry import ExperimentReport, register
+from repro.jobs.pool import JobRunner
+from repro.jobs.spec import JobSpec
 from repro.runtime.kernel import AllocationPolicy
 from repro.workloads.stream import STREAM_KERNELS, StreamParams, run_stream
+
+#: Task reference for one (kernel, thread count) simulation point.
+POINT_TASK = "repro.experiments.fig6_origin_compare:point"
 
 THREAD_COUNTS = [1, 2, 4, 8, 16, 32, 48, 64, 96, 112, 126]
 QUICK_COUNTS = [1, 4, 8]
@@ -27,9 +35,27 @@ QUICK_COUNTS = [1, 4, 8]
 VECTOR_SIZE = 249_984
 
 
+def point(spec: JobSpec) -> dict:
+    """Job task: best-tuned STREAM GB/s at one thread count."""
+    p = spec.payload
+    result = run_stream(StreamParams(
+        kernel=p["kernel"],
+        n_elements=int(p["n_elements"]),
+        n_threads=int(p["n_threads"]),
+        partition="block",
+        local_caches=True,
+        unroll=4,
+        policy=AllocationPolicy.BALANCED,
+        warmup=False,
+    ))
+    return {"gb_s": float(result.bandwidth_gb_s)}
+
+
 @register("fig6")
-def run(quick: bool = False) -> ExperimentReport:
+def run(quick: bool = False,
+        runner: JobRunner | None = None) -> ExperimentReport:
     """Both panels of Figure 6."""
+    runner = runner if runner is not None else JobRunner()
     counts = QUICK_COUNTS if quick else THREAD_COUNTS
     vector = 24_192 if quick else VECTOR_SIZE
     kernels = ("copy", "triad") if quick else STREAM_KERNELS
@@ -43,22 +69,17 @@ def run(quick: bool = False) -> ExperimentReport:
                "similar aggregate — 'remarkable' for a single chip."),
     )
 
+    specs = [JobSpec(task=POINT_TASK, payload={
+        "kernel": kernel, "n_elements": vector, "n_threads": p,
+    }) for kernel in kernels for p in counts]
+    values = iter(runner.map(specs))
+
     best_at_full = {}
     for kernel in kernels:
         series = Series(f"cyclops-{kernel}", x_name="threads",
                         y_name="GB/s")
         for p in counts:
-            result = run_stream(StreamParams(
-                kernel=kernel,
-                n_elements=vector,
-                n_threads=p,
-                partition="block",
-                local_caches=True,
-                unroll=4,
-                policy=AllocationPolicy.BALANCED,
-                warmup=False,
-            ))
-            series.add(p, result.bandwidth_gb_s)
+            series.add(p, next(values)["gb_s"])
         report.series.append(series)
         best_at_full[kernel] = series.y[-1]
 

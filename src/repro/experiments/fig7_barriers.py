@@ -11,13 +11,22 @@ Paper findings to reproduce: the hardware barrier *increases* run cycles
 (spin reads execute at full speed) while cutting stalls substantially;
 net total improvement grows with thread count, reaching ~10% for the
 256-point FFT at 16 threads and ~5% for the 64K-point FFT at 64.
+
+Every (points, threads, barrier) FFT is one :func:`point`; :func:`run`
+maps them through a :class:`~repro.jobs.pool.JobRunner` and reports
+each hardware run relative to its software twin.
 """
 
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
 from repro.experiments.registry import ExperimentReport, register
+from repro.jobs.pool import JobRunner
+from repro.jobs.spec import JobSpec
 from repro.workloads.fft import FFTParams, run_fft
+
+#: Task reference for one (points, threads, barrier) simulation point.
+POINT_TASK = "repro.experiments.fig7_barriers:point"
 
 #: The large input: the paper uses 65,536 points; the default here is a
 #: quarter of that so a full sweep simulates in minutes (the constraint
@@ -26,29 +35,32 @@ from repro.workloads.fft import FFTParams, run_fft
 LARGE_POINTS = 16_384
 PAPER_LARGE_POINTS = 65_536
 
+BARRIERS = ("hw", "sw")
 
-def _compare(n_points: int, n_threads: int) -> dict[str, float]:
-    results = {}
-    for barrier in ("hw", "sw"):
-        results[barrier] = run_fft(FFTParams(
-            n_points=n_points, n_threads=n_threads, barrier=barrier,
-            verify=False,
-        ))
-    hw, sw = results["hw"], results["sw"]
 
-    def delta(a: float, b: float) -> float:
-        return 100.0 * (a - b) / b if b else 0.0
-
+def point(spec: JobSpec) -> dict:
+    """Job task: total, run and stall cycles of one FFT."""
+    p = spec.payload
+    result = run_fft(FFTParams(
+        n_points=int(p["n_points"]), n_threads=int(p["n_threads"]),
+        barrier=p["barrier"], verify=False,
+    ))
     return {
-        "total": delta(hw.total_cycles, sw.total_cycles),
-        "run": delta(hw.run_cycles, sw.run_cycles),
-        "stall": delta(hw.stall_cycles, sw.stall_cycles),
+        "total": int(result.total_cycles),
+        "run": int(result.run_cycles),
+        "stall": int(result.stall_cycles),
     }
 
 
+def _delta(a: float, b: float) -> float:
+    return 100.0 * (a - b) / b if b else 0.0
+
+
 @register("fig7")
-def run(quick: bool = False, full_size: bool = False) -> ExperimentReport:
+def run(quick: bool = False, runner: JobRunner | None = None,
+        full_size: bool = False) -> ExperimentReport:
     """Both panels of Figure 7."""
+    runner = runner if runner is not None else JobRunner()
     if quick:
         small_counts = [2, 4]
         large_counts = [2, 4]
@@ -68,13 +80,22 @@ def run(quick: bool = False, full_size: bool = False) -> ExperimentReport:
                "64K points/64 threads."),
     )
 
-    for label, n_points, counts in (
+    panels = (
         ("256-point", 256, small_counts),
         (f"{large_points}-point", large_points, large_counts),
-    ):
+    )
+    specs = [JobSpec(task=POINT_TASK, payload={
+        "n_points": n_points, "n_threads": p, "barrier": barrier,
+    }) for _, n_points, counts in panels for p in counts
+        for barrier in BARRIERS]
+    values = iter(runner.map(specs))
+
+    for label, _, counts in panels:
         rows = []
         for p in counts:
-            deltas = _compare(n_points, p)
+            hw, sw = next(values), next(values)
+            deltas = {key: _delta(hw[key], sw[key])
+                      for key in ("total", "run", "stall")}
             rows.append([p, deltas["total"], deltas["run"], deltas["stall"]])
             report.measurements[f"{label}_p{p}_total_delta_pct"] = \
                 deltas["total"]

@@ -63,7 +63,7 @@ class ExperimentReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        """A JSON-safe dictionary (for ``run --json`` and job results)."""
+        """A JSON-safe dictionary (for ``run --json``)."""
         return {
             "experiment_id": self.experiment_id,
             "title": self.title,
@@ -76,28 +76,9 @@ class ExperimentReport:
             "host_timed": list(self.host_timed),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentReport":
-        """Rebuild a report from :meth:`to_dict` output.
 
-        The round trip is render-exact: a report that crossed a worker
-        queue or the result cache as JSON prints the same text as one
-        built in-process (``elapsed`` annotations live outside it).
-        """
-        return cls(
-            experiment_id=data["experiment_id"],
-            title=data.get("title", ""),
-            paper=data.get("paper", ""),
-            series=[Series.from_dict(s) for s in data.get("series", [])],
-            tables=list(data.get("tables", [])),
-            notes=list(data.get("notes", [])),
-            measurements=dict(data.get("measurements", {})),
-            log_plot=bool(data.get("log_plot", False)),
-            host_timed=list(data.get("host_timed", [])),
-        )
-
-
-#: experiment id -> driver callable (quick: bool) -> ExperimentReport
+#: experiment id -> driver ``run(quick=False, runner=None)`` returning an
+#: ExperimentReport; *runner* is the JobRunner its points map through.
 REGISTRY: dict[str, Callable[..., ExperimentReport]] = {}
 
 

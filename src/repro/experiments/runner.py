@@ -6,38 +6,35 @@ Subcommands::
     run <id> [--quick]   run one experiment (or ``all``) and print it
     run all -o out/      also write one report file per experiment
     run <id> --json f    also write machine-readable results as JSON
-    run all -j 4         fan out through the repro.jobs worker pool
+    run all -j 4         run the simulation points on 4 worker processes
 
-Without ``-j`` the experiments run serially in this process. With
-``-j N`` they run through :mod:`repro.jobs`, the one way experiments
-leave the process: whole experiments become jobs (and the decomposable
-sweeps — fig3, family, saturation, bandwidth, contention — fan out
-their individual simulation points), results are cached by content so
-a re-run only simulates what changed, and a crashing or hanging
-experiment no longer takes ``run all`` down with it. Under ``-j`` the
-first SIGINT or SIGTERM drains the pool: jobs already on a worker
-finish, and every experiment not yet dispatched is reported as a
-cancelled failure; a second signal kills the in-flight jobs too.
-Failures are collected and reported at the end; the exit code is 0 on
+Every experiment runs one way: its driver builds a list of simulation
+points (:class:`~repro.jobs.spec.JobSpec`) and maps them through one
+:class:`~repro.jobs.pool.JobRunner`, then assembles its report from the
+results. Without ``-j`` that runner is inline and uncached, so the
+points simulate one after another in this process. With ``-j N`` it is
+the :mod:`repro.jobs` pool: the points of every experiment spread over
+N workers, results are cached by content so a re-run only simulates
+what changed, and a crashing or hanging point no longer takes ``run
+all`` down with it. Under ``-j`` the first SIGINT or SIGTERM drains the
+pool: points already on a worker finish, and every experiment not yet
+finished is reported as a cancelled failure; a second signal kills the
+in-flight points too. Failures are collected and reported at the end,
+each with the traceback of the point that raised; the exit code is 0 on
 success, 1 when any experiment failed or was cancelled, and 2 for usage
 errors such as an unknown experiment id or a flag that does not apply
-to the chosen mode.
+to the chosen mode (``--sanitize`` and ``-j`` exclude each other).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 import time
 import traceback
 
-from repro.experiments.jobtasks import (
-    FANOUT_EXPERIMENTS,
-    experiment_spec,
-)
 from repro.experiments.registry import (
     REGISTRY,
     ExperimentReport,
@@ -51,7 +48,6 @@ from repro.jobs.pool import (
     install_signal_handlers,
 )
 from repro.jobs.spec import jsonify
-from repro.telemetry.metrics import MetricsRegistry
 
 #: Pool attempts after a crash or timeout when ``-j`` is given without
 #: ``--retries``.
@@ -86,18 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               "$REPRO_JOBS_CACHE_DIR or .repro-cache/jobs)")
     run_cmd.add_argument("--job-timeout", type=float, default=None,
                          metavar="S",
-                         help="with -j: per-experiment timeout in seconds")
+                         help="with -j: per-point timeout in seconds")
     run_cmd.add_argument("--retries", type=int, default=None,
                          help="with -j: attempts after a crash/timeout "
                               f"(default {DEFAULT_RETRIES})")
-    run_cmd.add_argument("--sampled", nargs="?", const="1", default=None,
-                         metavar="SPEC",
-                         help="set CYCLOPS_SAMPLE around the run: '1' for "
-                              "default sampled-simulation knobs or a spec "
-                              "like 'period=16384,measure=256' (see "
-                              "docs/sampled-sim.md); only ISA-interpreter "
-                              "experiments sample — kernel-closure "
-                              "workloads reject it; incompatible with -j")
     run_cmd.add_argument("--sanitize", action="store_true",
                          help="run under the coherence sanitizer (see "
                               "docs/memory-model.md); incompatible with "
@@ -136,10 +124,6 @@ def main(argv: list[str] | None = None) -> int:
     use_jobs = args.jobs is not None
     usage_errors = (
         (use_jobs and args.jobs < 1, f"-j must be >= 1, got {args.jobs}"),
-        # Worker processes do not inherit a mutated parent environment
-        # through the job specs; refuse rather than silently run exact.
-        (use_jobs and args.sampled is not None,
-         "--sampled requires serial execution (drop -j)"),
         # Worker processes would collect findings in their own session
         # rosters and silently drop them; refuse rather than mislead.
         (use_jobs and args.sanitize,
@@ -184,71 +168,40 @@ def main(argv: list[str] | None = None) -> int:
             entry["quick"] = bool(args.quick)
             json_reports[experiment_id] = entry
 
+    cache = None
+    if use_jobs and not args.no_cache:
+        cache = ResultCache(args.cache_dir) if args.cache_dir \
+            else ResultCache.default()
+    runner = JobRunner(
+        n_workers=args.jobs or 1,
+        cache=cache,
+        timeout=args.job_timeout,
+        retries=DEFAULT_RETRIES if args.retries is None else args.retries,
+        on_event=_progress,
+    )
     failures: dict[str, str] = {}
-    runner = None
-    if use_jobs:
-        cache = None
-        if not args.no_cache:
-            cache = ResultCache(args.cache_dir) if args.cache_dir \
-                else ResultCache.default()
-        runner = JobRunner(
-            n_workers=args.jobs,
-            cache=cache,
-            timeout=args.job_timeout,
-            retries=DEFAULT_RETRIES if args.retries is None
-            else args.retries,
-            metrics=MetricsRegistry(),
-            on_event=_progress,
-        )
-        plain = [i for i in ids if i not in FANOUT_EXPERIMENTS]
-        fanout = [i for i in ids if i in FANOUT_EXPERIMENTS]
-        specs = [experiment_spec(i, args.quick) for i in plain]
-        restore_signals = install_signal_handlers(runner)
-        try:
-            for experiment_id, result in zip(plain, runner.run(specs)):
-                if result.ok:
-                    emit(experiment_id,
-                         ExperimentReport.from_dict(result.value),
-                         result.elapsed)
-                else:
-                    failures[experiment_id] = result.error or "unknown error"
-            for experiment_id in fanout:
-                if runner.stopping:
-                    failures[experiment_id] = CANCELLED
-                    continue
-                driver = get_experiment(experiment_id)
-                started = time.time()
-                try:
-                    report = driver(quick=args.quick, runner=runner)
-                except Exception:
-                    # A stop mid-sweep cancels the driver's remaining
-                    # points, and the driver raises on them.
-                    failures[experiment_id] = CANCELLED if runner.stopping \
-                        else traceback.format_exc(limit=20)
-                else:
-                    emit(experiment_id, report, time.time() - started)
-        finally:
-            restore_signals()
-    else:
-        sample_before = os.environ.get("CYCLOPS_SAMPLE")
-        if args.sampled is not None:
-            os.environ["CYCLOPS_SAMPLE"] = args.sampled
-        try:
-            for experiment_id in ids:
-                driver = get_experiment(experiment_id)
-                started = time.time()
-                try:
-                    report = driver(quick=args.quick)
-                except Exception:
-                    failures[experiment_id] = traceback.format_exc(limit=20)
-                else:
-                    emit(experiment_id, report, time.time() - started)
-        finally:
-            if args.sampled is not None:
-                if sample_before is None:
-                    os.environ.pop("CYCLOPS_SAMPLE", None)
-                else:
-                    os.environ["CYCLOPS_SAMPLE"] = sample_before
+    # Serial runs keep Ctrl-C as KeyboardInterrupt: an inline point
+    # cannot be killed, so a drain would leave the second signal inert.
+    restore_signals = install_signal_handlers(runner) if use_jobs \
+        else (lambda: None)
+    try:
+        for experiment_id in ids:
+            if runner.stopping:
+                failures[experiment_id] = CANCELLED
+                continue
+            driver = get_experiment(experiment_id)
+            started = time.time()
+            try:
+                report = driver(quick=args.quick, runner=runner)
+            except Exception:
+                # A stop mid-sweep cancels the driver's remaining
+                # points, and the driver raises on them.
+                failures[experiment_id] = CANCELLED if runner.stopping \
+                    else traceback.format_exc(limit=20)
+            else:
+                emit(experiment_id, report, time.time() - started)
+    finally:
+        restore_signals()
 
     sanitizer_failed = False
     if args.sanitize:
@@ -268,8 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         sanitizer_failed = bool(sanitizer_findings["total_findings"])
 
     if args.json:
-        if runner is not None:
-            json_reports["_jobs"] = dict(runner.stats)
+        json_reports["_jobs"] = dict(runner.stats)
         path = pathlib.Path(args.json)
         if path.parent != pathlib.Path("."):
             path.parent.mkdir(parents=True, exist_ok=True)

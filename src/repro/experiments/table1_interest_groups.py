@@ -6,13 +6,19 @@ from repro.analysis.tables import format_table
 from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.experiments.registry import ExperimentReport, register
+from repro.jobs.pool import JobRunner
 from repro.memory.address import make_effective
 from repro.memory.interest_groups import InterestGroup, Level
 
 
 @register("table1")
-def run(quick: bool = False) -> ExperimentReport:
-    """Reproduce Table 1: every level's cache sets, plus measured behaviour."""
+def run(quick: bool = False,
+        runner: JobRunner | None = None) -> ExperimentReport:
+    """Reproduce Table 1: every level's cache sets, plus measured behaviour.
+
+    Its microbenchmarks simulate in under a second, so the report is
+    built directly and *runner* goes unused.
+    """
     chip = Chip(ChipConfig.paper())
     n_caches = chip.config.n_dcaches
 

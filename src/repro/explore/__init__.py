@@ -12,17 +12,17 @@ pool. See ``docs/exploration.md``.
 """
 
 from repro.explore.chipspec import (
-    BANK_KB,
     MAX_BANKS,
     MEM_SWITCH_LATENCY,
+    MEMORY_KB,
     ChipSpec,
     sweep,
 )
 
 __all__ = [
-    "BANK_KB",
     "MAX_BANKS",
     "MEM_SWITCH_LATENCY",
+    "MEMORY_KB",
     "ChipSpec",
     "sweep",
 ]

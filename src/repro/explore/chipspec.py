@@ -23,8 +23,9 @@ derived fields it names and nothing else:
 * ``dcache_kb`` / ``dcache_ways`` set the cache geometry, with the
   scratchpad-partition granularity re-derived as one way
   (``sets x line``) so any legal geometry stays partitionable;
-* ``n_banks`` sets the embedded-DRAM bank count (512 KB each, as in the
-  paper — total memory scales with the knob);
+* ``n_banks`` sets the embedded-DRAM bank count; total memory stays at
+  the paper's 8 MB and each bank holds ``8 MB / n_banks``, so the knob
+  varies bank *bandwidth* (and the interleave), never capacity;
 * ``mem_switch_latency`` adjusts the Table-2 *miss* rows: a miss
   crosses the memory switch twice (cache -> bank -> cache), so the
   latency column of both miss rows moves by ``2 x (s - 9)`` cycles.
@@ -52,11 +53,13 @@ from repro.errors import ExploreError
 #: 24-cycle local (6 + 2x9) and 36-cycle remote miss latencies.
 MEM_SWITCH_LATENCY = 9
 
-#: Embedded-DRAM bank size is fixed across the family (the paper's
-#: companion report varies the *count*, not the bank).
-BANK_KB = 512
+#: Total embedded DRAM, fixed across the family at the paper's 8 MB
+#: (16 banks x 512 KB): the bank knob trades bank size for bank count,
+#: as a memory-controller study varies controllers, not capacity.
+MEMORY_KB = 8 * 1024
 
-#: The 24-bit physical address space bounds total memory at 16 MB.
+#: The largest bank count the family admits: 32 banks of 256 KB, half
+#: the paper's bank size.
 MAX_BANKS = 32
 
 
@@ -77,7 +80,7 @@ class ChipSpec:
     dcache_kb: int = 16
     #: Data-cache associativity (ways).
     dcache_ways: int = 8
-    #: Embedded-DRAM banks of 512 KB each.
+    #: Embedded-DRAM banks sharing the fixed :data:`MEMORY_KB`.
     n_banks: int = 16
     #: One-way memory-switch traversal in cycles (Table 2 implies 9).
     mem_switch_latency: int = MEM_SWITCH_LATENCY
@@ -118,8 +121,8 @@ class ChipSpec:
                 f"{self.n_banks}")
         if self.n_banks > MAX_BANKS:
             raise ExploreError(
-                f"{self.n_banks} banks x {BANK_KB} KB exceeds the 24-bit "
-                f"physical address space (max {MAX_BANKS})")
+                f"{self.n_banks} banks exceed the family's {MAX_BANKS} "
+                f"(banks of at least {MEMORY_KB // MAX_BANKS} KB)")
         if self.mem_switch_latency < 0:
             raise ExploreError(
                 f"mem_switch_latency must be >= 0, got "
@@ -135,8 +138,13 @@ class ChipSpec:
 
     @property
     def memory_kb(self) -> int:
-        """Total embedded DRAM in KB."""
-        return self.n_banks * BANK_KB
+        """Total embedded DRAM in KB (the same for every spec)."""
+        return MEMORY_KB
+
+    @property
+    def bank_kb(self) -> int:
+        """Size of one embedded-DRAM bank in KB."""
+        return MEMORY_KB // self.n_banks
 
     def describe(self) -> str:
         """Compact human label, e.g. ``4t x 32q, 16KB/8w, 16 banks, s=9``."""
@@ -181,7 +189,7 @@ class ChipSpec:
             dcache_ways=self.dcache_ways,
             dcache_partition_bytes=sets * base.dcache_line_bytes,
             n_memory_banks=self.n_banks,
-            bank_bytes=BANK_KB * 1024,
+            bank_bytes=self.bank_kb * 1024,
             latency=self.latency_table(),
         )
 

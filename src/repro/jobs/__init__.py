@@ -16,11 +16,11 @@ result by content, and survives crashing or hanging workers.
   bounded backoff retry, and graceful degradation to inline execution;
 * ``python -m repro.jobs`` — ``submit`` / ``status`` / ``cache`` CLI.
 
-The consumers: ``python -m repro.experiments run all --quick -j 4``
-fans experiments (and the simulation points inside the decomposable
-sweeps — fig3, family, and the exploration families)
-across workers; a warm rerun is served from the cache. See
-``docs/orchestration.md``.
+The consumer: every experiment driver maps its simulation points
+through one :class:`JobRunner`, inline by default;
+``python -m repro.experiments run all --quick -j 4`` spreads the points
+of every experiment across four workers; a warm rerun is served from
+the cache. See ``docs/orchestration.md``.
 """
 
 from repro.errors import JobError

@@ -10,8 +10,8 @@ Subcommands::
 
 ``submit`` is the low-level door — it runs any importable task, e.g.::
 
-    python -m repro.jobs submit repro.experiments.jobtasks:run_experiment \\
-        --payload '{"experiment_id": "table2", "quick": true}'
+    python -m repro.jobs submit repro.experiments.fig7_barriers:point \\
+        --payload '{"n_points": 256, "n_threads": 4, "barrier": "hw"}'
 """
 
 from __future__ import annotations

@@ -301,16 +301,21 @@ class JobRunner:
         return results  # type: ignore[return-value]
 
     def map(self, specs: list[JobSpec]) -> list[Any]:
-        """Like :meth:`run` but unwrap values; raise on any failure."""
+        """Like :meth:`run` but unwrap values; raise on any failure.
+
+        The :class:`~repro.errors.JobError` names the first failed job
+        and carries its whole error text — for a raising task, the
+        traceback down to the frame that raised, inline or pooled — so
+        its last line is still the task's own exception.
+        """
         results = self.run(specs)
         failures = [r for r in results if not r.ok]
         if failures:
             first = failures[0]
-            summary = first.error.strip().splitlines()[-1] if first.error \
-                else "unknown error"
             raise JobError(
                 f"{len(failures)}/{len(results)} jobs failed; first: "
-                f"{first.spec.describe()}: {summary}"
+                f"{first.spec.describe()}:\n"
+                f"{(first.error or 'unknown error').strip()}"
             )
         return [r.value for r in results]
 

@@ -70,9 +70,6 @@ class ValidationResult:
         return (self.estimate.ci_low <= self.exact_cycles
                 <= self.estimate.ci_high)
 
-    def within(self, tolerance: float = ERROR_TOLERANCE) -> bool:
-        return abs(self.error) <= tolerance
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "workload": self.workload,
@@ -210,11 +207,5 @@ def validate_workload(workload: str,
     )
 
 
-def validate_all(config: SamplingConfig | str | bool | None = True,
-                 quick: bool = False) -> list[ValidationResult]:
-    """Both validation workloads, canonical order."""
-    return [validate_workload(w, config, quick=quick) for w in WORKLOADS]
-
-
 __all__ = ["ERROR_TOLERANCE", "WORKLOADS", "ValidationResult",
-           "validate_all", "validate_workload"]
+           "validate_workload"]

@@ -10,6 +10,7 @@ import pytest
 from repro.errors import CyclopsError
 from repro.experiments import REGISTRY, get_experiment
 from repro.experiments.runner import main
+from repro.jobs.spec import JobSpec
 
 
 class TestRegistry:
@@ -17,7 +18,6 @@ class TestRegistry:
         assert set(REGISTRY) >= {
             "table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7",
         }
-        assert "family" in REGISTRY  # the extension sweep
         # The exploration families (docs/exploration.md).
         assert {"saturation", "bandwidth", "contention"} <= set(REGISTRY)
 
@@ -149,43 +149,17 @@ class TestRunnerCli:
         assert seen == [runner.DEFAULT_RETRIES, 0]
         assert runner.DEFAULT_RETRIES == 2
 
-    def test_sampled_flag_rejects_jobs(self, capsys):
-        assert main(["run", "table2", "--sampled", "-j", "2"]) == 2
-        assert "--sampled requires serial" in capsys.readouterr().err
-
-    def test_sampled_flag_sets_and_restores_env(self, capsys, monkeypatch):
-        import os
-
-        from repro.experiments import registry, runner
-        from repro.experiments.registry import ExperimentReport
-
-        seen = {}
-
-        def probe(quick=False):
-            seen["env"] = os.environ.get("CYCLOPS_SAMPLE")
-            return ExperimentReport(experiment_id="probe", title="p",
-                                    paper="p")
-
-        fake = {"probe": probe}
-        monkeypatch.setattr(registry, "REGISTRY", fake)
-        monkeypatch.setattr(runner, "REGISTRY", fake)
-        monkeypatch.delenv("CYCLOPS_SAMPLE", raising=False)
-        assert main(["run", "probe", "--sampled", "period=16384"]) == 0
-        capsys.readouterr()
-        assert seen["env"] == "period=16384"
-        assert "CYCLOPS_SAMPLE" not in os.environ
-
     def test_run_all_reports_failures_at_end(self, capsys, monkeypatch):
         """One broken driver no longer aborts the whole batch."""
         from repro.experiments import registry, runner
 
         calls = []
 
-        def broken(quick=False):
+        def broken(quick=False, runner=None):
             calls.append("broken")
             raise RuntimeError("induced driver failure")
 
-        def healthy(quick=False):
+        def healthy(quick=False, runner=None):
             calls.append("healthy")
             return registry.ExperimentReport(
                 experiment_id="zz_ok", title="ok", paper="-")
@@ -260,10 +234,57 @@ class TestRunnerJobsMode:
         assert warm_doc["_jobs"]["cache_hits"] \
             == warm_doc["_jobs"]["submitted"]
 
+    @pytest.mark.parametrize("experiment_id,n_points", [
+        ("fig4", 16),  # 4 kernels x (2 single + 2 multi sizes)
+        ("fig5", 16),  # 4 modes x 2 kernels x 2 sizes
+        ("fig6", 6),   # 2 kernels x 3 thread counts
+        ("fig7", 8),   # 2 inputs x 2 thread counts x 2 barriers
+        ("mix", 7),    # one point per workload case
+    ])
+    def test_pooled_points_match_serial(
+            self, tmp_path, capsys, monkeypatch, experiment_id, n_points):
+        """Every point goes through the pool; the report is unchanged."""
+        monkeypatch.setenv("REPRO_JOBS_CACHE_DIR", str(tmp_path / "cache"))
+        serial = tmp_path / "serial.json"
+        pooled = tmp_path / "pooled.json"
+        assert main(["run", experiment_id, "--quick", "--json",
+                     str(serial)]) == 0
+        assert main(["run", experiment_id, "--quick", "-j", "2", "--json",
+                     str(pooled)]) == 0
+        capsys.readouterr()
+        serial_doc = json.loads(serial.read_text())
+        pooled_doc = json.loads(pooled.read_text())
+        assert pooled_doc[experiment_id] == serial_doc[experiment_id]
+        assert pooled_doc["_jobs"]["submitted"] == n_points
+        assert pooled_doc["_jobs"]["completed"] == n_points
 
-@pytest.mark.skipif(
-    multiprocessing.get_context().get_start_method() != "fork",
-    reason="the fake drivers reach the workers only through fork")
+    @pytest.mark.parametrize("jobs", [[], ["-j", "2", "--no-cache"]],
+                             ids=["inline", "pooled"])
+    def test_point_traceback_reaches_the_detail_block(
+            self, capsys, monkeypatch, jobs):
+        from repro.experiments import registry, runner
+
+        def sweep(quick=False, runner=None):
+            runner.map([
+                JobSpec(task="repro.jobs.testing:square", payload={"n": 3}),
+                JobSpec(task="repro.jobs.testing:fail",
+                        payload={"message": "point exploded"}),
+            ])
+
+        fake = {"sweep": sweep}
+        monkeypatch.setattr(registry, "REGISTRY", fake)
+        monkeypatch.setattr(runner, "REGISTRY", fake)
+        assert main(["run", "all", "--quick", *jobs]) == 1
+        err = capsys.readouterr().err
+        # The summary line is the point's own exception ...
+        assert "  sweep: repro.errors.JobError: point exploded" in err
+        # ... and the detail block reaches the frame that raised it.
+        block = err[err.index("--- sweep ---"):]
+        assert "1/2 jobs failed; first: fail(message=point exploded)" \
+            in block
+        assert 'testing.py", line' in block and ", in fail" in block
+
+
 class TestRunnerInterrupt:
     """``run -j N`` under SIGINT: drain first, kill on the second."""
 
@@ -272,21 +293,24 @@ class TestRunnerInterrupt:
 
         swept = []
 
-        def sleeper(quick=False):
-            time.sleep(seconds)
+        def sleep_points(runner, count):
+            runner.map([JobSpec(task="repro.jobs.testing:sleep",
+                                payload={"seconds": seconds, "i": i})
+                        for i in range(count)])
             return registry.ExperimentReport(
                 experiment_id="sleeper", title="s", paper="-")
 
+        def sleeper(quick=False, runner=None):
+            return sleep_points(runner, 1)
+
         def sweep(quick=False, runner=None):
             swept.append(True)
-            return sleeper()
+            return sleep_points(runner, 3)
 
         fake = {name: sleeper for name in ("a1", "a2", "a3", "a4")}
         fake["z_sweep"] = sweep
         monkeypatch.setattr(registry, "REGISTRY", fake)
         monkeypatch.setattr(runner, "REGISTRY", fake)
-        monkeypatch.setattr(runner, "FANOUT_EXPERIMENTS",
-                            frozenset({"z_sweep"}))
 
         def interrupt_on_first_start(event):
             if event.kind == "start" and event.index == 0:
@@ -331,11 +355,11 @@ class TestRunnerInterrupt:
             self, capsys, monkeypatch):
         from repro.experiments import registry, runner
 
-        def ok(quick=False):
+        def ok(quick=False, runner=None):
             return registry.ExperimentReport(
                 experiment_id="ok", title="o", paper="-")
 
-        def boom(quick=False):
+        def boom(quick=False, runner=None):
             raise RuntimeError("driver exploded")
 
         fake = {"a_ok": ok, "b_boom": boom}

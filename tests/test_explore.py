@@ -16,9 +16,9 @@ from repro.config import ChipConfig, LatencyTable
 from repro.core.chip import Chip
 from repro.errors import ExploreError
 from repro.explore import (
-    BANK_KB,
     MAX_BANKS,
     MEM_SWITCH_LATENCY,
+    MEMORY_KB,
     ChipSpec,
     sweep,
 )
@@ -49,7 +49,10 @@ class TestDerivation:
     def test_thread_and_memory_totals(self):
         spec = ChipSpec(tus_per_quad=2, n_quads=8, n_banks=4)
         assert spec.n_threads == 16
-        assert spec.memory_kb == 4 * BANK_KB
+        # The bank knob moves bank size, not the paper's 8 MB total.
+        assert spec.memory_kb == MEMORY_KB == 8 * 1024
+        assert spec.bank_kb == MEMORY_KB // 4
+        assert spec.to_config().memory_bytes == MEMORY_KB * 1024
 
     def test_small_chip_builds_and_runs(self):
         chip = ChipSpec.small().build()
@@ -95,7 +98,7 @@ class TestValidation:
         {"dcache_ways": 0},
         {"n_banks": 0},
         {"n_banks": 3},                 # not a power of two
-        {"n_banks": 2 * MAX_BANKS},     # exceeds 24-bit physical space
+        {"n_banks": 2 * MAX_BANKS},     # banks below the family's minimum
         {"dcache_kb": 3, "dcache_ways": 8},   # does not divide into ways
         {"dcache_kb": 12, "dcache_ways": 8},  # 24 sets: not a power of two
         {"mem_switch_latency": -1},
@@ -218,3 +221,42 @@ class TestFamilies:
         jobs = saturation._point_specs(spec, [1, 4], 100)
         assert all(job.payload["spec"] == spec.to_dict() for job in jobs)
         assert [job.payload["threads"] for job in jobs] == [1, 4]
+
+
+class _PlanCaptured(Exception):
+    """Raised by :class:`_PlanRunner` once it holds a driver's points."""
+
+
+class _PlanRunner:
+    """A runner that records the points a driver maps, simulating none."""
+
+    def map(self, specs):
+        self.specs = specs
+        raise _PlanCaptured
+
+
+class TestFullSizePlan:
+    """Every full-size point of the Triad families fits its chip.
+
+    Each point's chip is built and its kernel boots (126 stacks) and
+    allocates the three shared vectors — the whole set-up that failed
+    for the 2- and 4-bank ``bandwidth`` points with ``stacks do not
+    fit`` when capacity scaled with the bank count — without
+    simulating a cycle.
+    """
+
+    @pytest.mark.parametrize("family", ["bandwidth", "saturation"])
+    def test_points_hold_stacks_and_vectors(self, family):
+        from repro.experiments import get_experiment
+        from repro.runtime.kernel import Kernel
+
+        runner = _PlanRunner()
+        with pytest.raises(_PlanCaptured):
+            get_experiment(family)(quick=False, runner=runner)
+        assert runner.specs
+        for job in runner.specs:
+            chip = ChipSpec.from_dict(job.payload["spec"]).build()
+            kernel = Kernel(chip)
+            assert kernel.max_software_threads >= job.payload["threads"]
+            for _ in range(3):
+                kernel.heap.alloc_f64_array(job.payload["elements"])
