@@ -81,18 +81,3 @@ def render_plot(series_list: list[Series], width: int = 64,
         legend += f"   [{', '.join(axes)}]"
     lines.append(" " * label_width + "  " + legend)
     return "\n".join(lines)
-
-
-def render_speedup_plot(series_list: list[Series], **kwargs) -> str:
-    """Figure 3 style: log-log with the ideal-speedup diagonal."""
-    if series_list:
-        max_x = max(max(s.x) for s in series_list if len(s))
-        ideal = Series("ideal", x_name="threads", y_name="speedup")
-        p = 1
-        while p <= max_x:
-            ideal.add(p, p)
-            p *= 2
-        series_list = list(series_list) + [ideal]
-    kwargs.setdefault("log_x", True)
-    kwargs.setdefault("log_y", True)
-    return render_plot(series_list, **kwargs)

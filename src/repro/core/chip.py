@@ -112,29 +112,6 @@ class Chip:
         """Peak chip FLOP rate in flops/second."""
         return self.config.peak_flops
 
-    # ------------------------------------------------------------------
-    # Run management
-    # ------------------------------------------------------------------
-    def reset_run(self) -> None:
-        """Prepare a fresh timed run: clear clocks, timelines, counters.
-
-        Cache *tags* survive (use :meth:`cold_start` to also drop them) so
-        experiments can choose warm or cold caches explicitly.
-        """
-        for thread in self.threads:
-            thread.reset()
-        for fpu in self.fpus:
-            fpu.reset()
-        self.memory.reset_timing()
-        self.barrier_spr.reset()
-
-    def cold_start(self) -> None:
-        """Reset everything *and* empty all caches."""
-        self.reset_run()
-        self.memory.cold_caches()
-        for icache in self.icaches:
-            icache.invalidate()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cfg = self.config
         return (

@@ -130,12 +130,6 @@ class BarrierSPRFile:
             raise BarrierError(f"barrier id {barrier_id} out of range")
         self._phase[barrier_id] = 1 - self._phase[barrier_id]
 
-    def withdraw(self, tid: int, barrier_id: int) -> None:
-        """Clear both bits (leave the barrier group entirely)."""
-        base = barrier_id * self.config.bits_per_barrier
-        mask = ((1 << self.config.bits_per_barrier) - 1) << base
-        self.write(tid, self._spr[tid] & ~mask)
-
     def reset(self) -> None:
         """Clear every register and phase."""
         self._spr = [0] * self.n_threads

@@ -28,12 +28,10 @@ from repro.workloads.fft import FFTParams, run_fft
 #: Task reference for one (points, threads, barrier) simulation point.
 POINT_TASK = "repro.experiments.fig7_barriers:point"
 
-#: The large input: the paper uses 65,536 points; the default here is a
-#: quarter of that so a full sweep simulates in minutes (the constraint
-#: structure is identical — see DESIGN.md section 4). Pass
-#: ``full_size=True`` for the paper's exact 64K.
+#: The large input. The paper used 65,536 points; this is a quarter of
+#: that, so a full sweep simulates in minutes. EXPERIMENTS.md (Figure 7)
+#: records the 65,536-point panel once.
 LARGE_POINTS = 16_384
-PAPER_LARGE_POINTS = 65_536
 
 BARRIERS = ("hw", "sw")
 
@@ -57,8 +55,8 @@ def _delta(a: float, b: float) -> float:
 
 
 @register("fig7")
-def run(quick: bool = False, runner: JobRunner | None = None,
-        full_size: bool = False) -> ExperimentReport:
+def run(quick: bool = False,
+        runner: JobRunner | None = None) -> ExperimentReport:
     """Both panels of Figure 7."""
     runner = runner if runner is not None else JobRunner()
     if quick:
@@ -68,7 +66,7 @@ def run(quick: bool = False, runner: JobRunner | None = None,
     else:
         small_counts = [2, 4, 8, 16]
         large_counts = [2, 4, 8, 16, 32, 64]
-        large_points = PAPER_LARGE_POINTS if full_size else LARGE_POINTS
+        large_points = LARGE_POINTS
 
     report = ExperimentReport(
         experiment_id="fig7",
@@ -103,11 +101,4 @@ def run(quick: bool = False, runner: JobRunner | None = None,
             ["threads", "total Δ%", "run Δ%", "stall Δ%"], rows,
             title=f"{label} FFT: hardware barrier relative to software",
         ))
-
-    if not full_size and not quick:
-        report.notes.append(
-            f"Large input scaled to {large_points} points "
-            f"(paper: {PAPER_LARGE_POINTS}); run with full_size=True for "
-            "the paper's exact size."
-        )
     return report

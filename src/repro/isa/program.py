@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import IsaError
 from repro.isa.encoding import decode_instruction, encode_instruction
 from repro.isa.instruction import Instruction
 
@@ -56,13 +55,6 @@ class Program:
     def address_of(self, index: int) -> int:
         """Byte address of the instruction at *index*."""
         return self.base + 4 * index
-
-    def index_of_label(self, label: str) -> int:
-        """Instruction index of a label."""
-        try:
-            return self.labels[label]
-        except KeyError:
-            raise IsaError(f"undefined label {label!r}") from None
 
     def encode(self) -> list[int]:
         """The program as 32-bit machine words."""

@@ -107,12 +107,3 @@ class AddressMap:
         self.check(physical)
         unit = physical // self.config.interleave_bytes
         return self._enabled[unit % len(self._enabled)]
-
-    def banks_of_range(self, physical: int, size: int) -> list[int]:
-        """Every bank touched by ``[physical, physical+size)``, in order."""
-        self.check(physical, size)
-        step = self.config.interleave_bytes
-        first = physical // step
-        last = (physical + size - 1) // step
-        return [self._enabled[unit % len(self._enabled)]
-                for unit in range(first, last + 1)]

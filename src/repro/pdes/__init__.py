@@ -98,7 +98,6 @@ def run_system_parallel(system, domains: int) -> int | None:
 def _merge(system, partition: PartitionMap,
            results: dict[int, dict], retries: int) -> int:
     """Fold every domain's slab state back into the parent system."""
-    topology = system.topology
     final = 0
     parked: list[str] = []
     stats: dict[str, Any] = {
@@ -131,9 +130,6 @@ def _merge(system, partition: PartitionMap,
             coord_text, direction = key.split("|")
             coord = tuple(int(v) for v in coord_text.split(","))
             system.fabric._links[(coord, direction)].bytes_sent = bytes_sent
-        for index_str, bytes_sent in result["host_links"].items():
-            coord = topology.coord(int(index_str))
-            system.fabric.host_links[coord].bytes_sent = bytes_sent
         system.blackboard.update(result["blackboard"])
         dstats = result["stats"]
         stats["null_messages"] += dstats["null_messages"]

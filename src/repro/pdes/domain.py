@@ -169,11 +169,6 @@ def _collect_result(system, runtime: DomainRuntime, final_time: int,
         for (coord, direction), link in system.fabric._links.items()
         if coord in runtime.owned_coords
     }
-    host_links = {
-        str(topology.index(coord)): link.bytes_sent
-        for coord, link in system.fabric.host_links.items()
-        if coord in runtime.owned_coords
-    }
     parked = sorted(p.name for p in system.scheduler._parked_processes)
     stats["messages_sent"] = runtime.messages_sent
     return {
@@ -181,7 +176,6 @@ def _collect_result(system, runtime: DomainRuntime, final_time: int,
         "parked": parked,
         "chips": chips,
         "links": links,
-        "host_links": host_links,
         "blackboard": dict(system.blackboard),
         "stats": stats,
         "steps": system.scheduler.steps,

@@ -63,12 +63,6 @@ class LinkFabric:
                 if topology.step(coord, direction) is not None:
                     name = f"link{coord}{direction}"
                     self._links[(coord, direction)] = ChipLink(name, config)
-        #: One host link per chip (the paper's seventh link).
-        self.host_links = {
-            topology.coord(chip_id): ChipLink(
-                f"host{topology.coord(chip_id)}", config)
-            for chip_id in range(topology.n_chips)
-        }
 
     def link(self, coord: Coord, direction: str) -> ChipLink:
         """The directed link leaving *coord* toward *direction*."""

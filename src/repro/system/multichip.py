@@ -303,29 +303,6 @@ class MultiChipSystem:
                 self._pdes.waiter_resumed()
             ctx.tu.issue_at(woke)
 
-    def host_load(self, time: int, coord: Coord, physical: int,
-                  data: bytes) -> int:
-        """Stage *data* from the host into a cell over its seventh link.
-
-        Returns the completion time. This is how input data sets reach a
-        cellular system before the computation starts. The timing math
-        runs in every domain of a partitioned run (the timelines must
-        stay replica-identical); the memory write only lands on the
-        owning domain's chip.
-        """
-        arrival = self.fabric.host_links[coord].transfer(time, len(data))
-        if self.owns(coord):
-            self.chip_at(coord).memory.backing.write_block(physical, data)
-        return arrival
-
-    def host_store(self, time: int, coord: Coord, physical: int,
-                   n_bytes: int) -> tuple[int, bytes]:
-        """Retrieve results from a cell over its host link."""
-        arrival = self.fabric.host_links[coord].transfer(time, n_bytes)
-        data = self.chip_at(coord).memory.backing.read_block(
-            physical, n_bytes)
-        return arrival, data
-
     def _coord_of_ctx(self, ctx) -> Coord:
         for i, kernel in enumerate(self.kernels):
             if ctx.kernel is kernel:

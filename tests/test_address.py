@@ -92,13 +92,6 @@ class TestAddressMap:
         with pytest.raises(MemoryFault):
             amap.bank_of(8 * 1024 * 1024)
 
-    def test_banks_of_range(self):
-        amap = AddressMap(ChipConfig.paper())
-        assert amap.banks_of_range(0, 64) == [0]
-        assert amap.banks_of_range(0, 65) == [0, 1]
-        assert amap.banks_of_range(56, 8) == [0]
-        assert amap.banks_of_range(60, 8) == [0, 1]  # straddles the boundary
-
 
 class TestBankFailureRemap:
     def test_disable_shrinks_contiguous_space(self):

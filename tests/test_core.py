@@ -196,12 +196,6 @@ class TestBarrierSPR:
         assert spr.read_or() == 0b0111
         assert spr.read_own(3) == 0b0101
 
-    def test_withdraw(self):
-        spr = BarrierSPRFile(CFG)
-        spr.participate(0, 0)
-        spr.withdraw(0, 0)
-        assert spr.current_clear(0)
-
     def test_bad_barrier_id(self):
         spr = BarrierSPRFile(CFG)
         with pytest.raises(BarrierError):
@@ -219,8 +213,7 @@ class TestBarrierSPR:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(
-        st.sampled_from(["write", "participate", "arrive", "withdraw",
-                         "advance"]),
+        st.sampled_from(["write", "participate", "arrive", "advance"]),
         st.sampled_from([0, 1, 2, 5, 127]),
         st.integers(0, 255)), min_size=1, max_size=80))
     def test_wired_or_equals_brute_force(self, ops):
@@ -328,21 +321,6 @@ class TestChipAssembly:
     def test_small_chip(self):
         chip = Chip(ChipConfig.small())
         assert len(chip.quads) == 4
-
-    def test_reset_run_clears_state(self):
-        chip = Chip()
-        chip.threads[0].execute_local(0, (1, 0))
-        chip.fpus[0].add(0)
-        chip.reset_run()
-        assert chip.threads[0].issue_time == 0
-        assert chip.fpus[0].operations == 0
-
-    def test_cold_start_empties_caches(self):
-        chip = Chip()
-        ea = make_effective(0, IG_ALL)
-        chip.memory.access(0, 0, ea, 8, False)
-        chip.cold_start()
-        assert all(c.resident_lines == 0 for c in chip.memory.caches)
 
     def test_quad_mismatch_rejected(self):
         from repro.core.quad import Quad

@@ -233,10 +233,6 @@ class TestProgram:
         assert [i.render() for i in again.instructions] == \
             [i.render() for i in program.instructions]
 
-    def test_undefined_label_lookup(self):
-        with pytest.raises(IsaError):
-            assemble("halt").index_of_label("missing")
-
 
 class TestInterpreter:
     def run_program(self, source, init_regs=None, init_doubles=None,

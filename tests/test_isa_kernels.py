@@ -1,11 +1,23 @@
-"""Cross-validation of the two execution layers via ISA-level STREAM."""
+"""Cross-validation of the two execution layers via ISA-level STREAM,
+and of the ISA FFT against its host replica and numpy."""
 
+import numpy as np
 import pytest
 
 from repro.core.chip import Chip
 from repro.errors import WorkloadError
 from repro.isa import Interpreter
-from repro.isa.kernels import stream_kernel_program, stream_register_setup
+from repro.isa.kernels import (
+    fft_host_reference,
+    fft_kernel_program,
+    fft_register_setup,
+    fft_result_base,
+    fft_twiddles,
+    stream_kernel_program,
+    stream_register_setup,
+)
+from repro.memory.address import make_effective
+from repro.memory.interest_groups import IG_ALL
 from repro.workloads.stream import StreamParams, run_stream
 
 N = 256
@@ -14,9 +26,6 @@ SRC, SRC2, DST = 0x10000, 0x20000, 0x30000
 
 def run_isa_stream(kernel: str, unroll: int = 1, tid: int = 0,
                    ig_byte=None):
-    from repro.memory.address import make_effective
-    from repro.memory.interest_groups import IG_ALL
-
     chip = Chip()
     backing = chip.memory.backing
     backing.f64_view(SRC, N)[:] = 1.0
@@ -96,3 +105,42 @@ class TestLayerCrossValidation:
                                            warmup=False))
         direct_gain = direct_1.cycles / direct_4.cycles
         assert abs(isa_gain - direct_gain) / direct_gain < 0.5
+
+
+class TestFFTKernel:
+    """The ISA FFT the ``sampling`` experiment runs, checked against the
+    host replica of its arithmetic and against numpy."""
+
+    # The one-thread layout of repro.sampling.validate's fft workload.
+    TWID, PING, PONG = 0x010000, 0x100000, 0x400000
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_result_matches_host_reference_and_numpy(self, n):
+        m = n.bit_length() - 1
+        re = [((i * 13 % 31) - 15) * 0.125 for i in range(n)]
+        im = [((i * 7 % 17) - 8) * 0.25 for i in range(n)]
+        chip = Chip()
+        backing = chip.memory.backing
+        backing.f64_view(self.TWID, n * m)[:] = [
+            v for pair in fft_twiddles(n) for v in pair]
+        buf = backing.f64_view(self.PING, 2 * n)
+        buf[0::2] = re
+        buf[1::2] = im
+        interp = Interpreter(chip, model_fetch=False)
+        interp.add_thread(0, fft_kernel_program(n), fft_register_setup(
+            make_effective(self.PING, IG_ALL),
+            make_effective(self.PONG, IG_ALL),
+            make_effective(self.TWID, IG_ALL), n), {})
+        interp.run()
+
+        out = np.array(backing.f64_view(
+            fft_result_base(self.PING, self.PONG, n), 2 * n))
+        ref_re, ref_im = fft_host_reference(re, im, n)
+        expected = np.empty(2 * n)
+        expected[0::2] = ref_re
+        expected[1::2] = ref_im
+        assert out.tobytes() == expected.tobytes()
+
+        bitrev = [int(format(k, f"0{m}b")[::-1], 2) for k in range(n)]
+        spectrum = np.fft.fft(np.array(re) + 1j * np.array(im))[bitrev]
+        assert np.max(np.abs(out[0::2] + 1j * out[1::2] - spectrum)) < 1e-12

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.plot import render_plot, render_speedup_plot
+from repro.analysis.plot import render_plot
 from repro.analysis.series import Series
 
 
@@ -54,16 +54,3 @@ class TestRenderPlot:
         s = make_series(points=((1, 1e-15), (10, 1.0)))
         text = render_plot([s], log_y=True)
         assert "|" in text
-
-
-class TestSpeedupPlot:
-    def test_includes_ideal_diagonal(self):
-        curve = Series("k", x_name="threads", y_name="speedup")
-        for p, s in ((1, 1), (2, 1.9), (4, 3.5)):
-            curve.add(p, s)
-        text = render_speedup_plot([curve])
-        assert "ideal" in text
-        assert "log x" in text
-
-    def test_empty_ok(self):
-        assert render_speedup_plot([]) == "(no data)"

@@ -209,24 +209,6 @@ class TestMultiChipSystem:
         assert thread.result == (222, 111)
 
 
-class TestHostLink:
-    def test_roundtrip_over_seventh_link(self):
-        system = MultiChipSystem(Topology(2, 1, 1))
-        coord = (1, 0, 0)
-        done = system.host_load(0, coord, 0x1000, b"payload!")
-        assert done >= 4 + HOP_LATENCY  # 8 bytes at 2 B/cycle
-        arrival, data = system.host_store(done, coord, 0x1000, 8)
-        assert data == b"payload!"
-        assert arrival > done
-
-    def test_host_links_serialize(self):
-        system = MultiChipSystem(Topology(1, 1, 1))
-        coord = (0, 0, 0)
-        first = system.host_load(0, coord, 0, bytes(2048))
-        second = system.host_load(0, coord, 4096, bytes(2048))
-        assert second >= first + 1024  # 2048 B at 2 B/cycle each
-
-
 class TestHaloWorkload:
     @pytest.mark.parametrize("n_chips", [1, 2, 3])
     def test_matches_global_reference(self, n_chips):
