@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments.fig3_splash_speedups import run as run_fig3
+from repro.experiments import get_experiment
+
+run_fig3 = get_experiment("fig3")
 
 
 @pytest.mark.figure("fig3")

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments.fig4_stream_oob import run as run_fig4
+from repro.experiments import get_experiment
+
+run_fig4 = get_experiment("fig4")
 
 
 @pytest.mark.figure("fig4")

@@ -3,7 +3,9 @@ unrolling, all four panels)."""
 
 import pytest
 
-from repro.experiments.fig5_stream_modes import run as run_fig5
+from repro.experiments import get_experiment
+
+run_fig5 = get_experiment("fig5")
 
 
 @pytest.mark.figure("fig5")

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments.fig6_origin_compare import run as run_fig6
+from repro.experiments import get_experiment
+
+run_fig6 = get_experiment("fig6")
 
 
 @pytest.mark.figure("fig6")

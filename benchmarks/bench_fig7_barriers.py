@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments.fig7_barriers import run as run_fig7
+from repro.experiments import get_experiment
+
+run_fig7 = get_experiment("fig7")
 
 
 @pytest.mark.figure("fig7")

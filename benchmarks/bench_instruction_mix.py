@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments.instruction_mix import run as run_mix
+from repro.experiments import get_experiment
+
+run_mix = get_experiment("mix")
 
 
 @pytest.mark.figure("extension")

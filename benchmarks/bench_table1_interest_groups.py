@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments.table1_interest_groups import run as run_table1
+from repro.experiments import get_experiment
+
+run_table1 = get_experiment("table1")
 
 
 @pytest.mark.figure("table1")

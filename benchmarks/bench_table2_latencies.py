@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments.table2_latencies import run as run_table2
+from repro.experiments import get_experiment
+
+run_table2 = get_experiment("table2")
 
 
 @pytest.mark.figure("table2")

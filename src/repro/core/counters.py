@@ -53,19 +53,6 @@ class ThreadCounters:
         self.barriers += other.barriers
         self.stall_events += other.stall_events
 
-    def reset(self) -> None:
-        """Zero everything."""
-        self.instructions = 0
-        self.run_cycles = 0
-        self.stall_cycles = 0
-        self.flops = 0
-        self.loads = 0
-        self.stores = 0
-        self.barriers = 0
-        self.start_time = 0
-        self.finish_time = 0
-        self.stall_events = 0
-
 
 @dataclass
 class ChipCounters:
@@ -102,8 +89,3 @@ class ChipCounters:
     def total_instructions(self) -> int:
         """Chip-wide instruction count."""
         return sum(c.instructions for c in self.threads.values())
-
-    def reset(self) -> None:
-        """Zero all per-thread counters."""
-        for counters in self.threads.values():
-            counters.reset()

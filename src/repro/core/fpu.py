@@ -156,11 +156,3 @@ class FPU:
     def fail(self) -> None:
         """Break the FPU (disables the whole quad; see faults module)."""
         self.failed = True
-
-    def reset(self) -> None:
-        """Clear pipelines and counters."""
-        self.adder.reset()
-        self.multiplier.reset()
-        self.divider.reset()
-        self.operations = 0
-        self.contention_cycles = 0

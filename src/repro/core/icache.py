@@ -92,11 +92,6 @@ class InstructionCache:
         _, extra = self.config.latency.mem_local_miss
         return max(done, time + extra), False
 
-    def invalidate(self) -> None:
-        """Drop every line (used when code is rewritten)."""
-        for lines in self._sets:
-            lines.clear()
-
     def hit_rate(self) -> float:
         """Fraction of fetches that hit."""
         total = self.hits + self.misses

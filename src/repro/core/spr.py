@@ -129,10 +129,3 @@ class BarrierSPRFile:
         if not 0 <= barrier_id < self.n_barriers:
             raise BarrierError(f"barrier id {barrier_id} out of range")
         self._phase[barrier_id] = 1 - self._phase[barrier_id]
-
-    def reset(self) -> None:
-        """Clear every register and phase."""
-        self._spr = [0] * self.n_threads
-        self._set_counts = [0] * self.config.spr_bits
-        self._or_value = 0
-        self._phase = [0] * self.n_barriers

@@ -86,11 +86,6 @@ class ThreadUnit:
         self.issue_time = release
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Fresh run: clear the clock and the counters."""
-        self.issue_time = 0
-        self.counters.reset()
-
     def fail(self) -> None:
         """Mark the thread unit broken (fault-tolerance experiments)."""
         self.failed = True

@@ -76,14 +76,6 @@ class TimelineResource:
             return 0.0
         return self.busy_cycles / elapsed
 
-    def reset(self) -> None:
-        """Clear the timeline and counters (fresh run on the same chip)."""
-        self.next_free = 0
-        self.busy_cycles = 0
-        self.n_requests = 0
-        self.reorderings = 0
-        self._last_request = 0
-
 
 class PipelinedUnit(TimelineResource):
     """A fully pipelined unit: accepts one issue per cycle.

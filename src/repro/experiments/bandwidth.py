@@ -27,7 +27,6 @@ from repro.analysis.series import Series
 from repro.analysis.tables import format_table
 from repro.experiments.registry import ExperimentReport, register
 from repro.explore.chipspec import ChipSpec
-from repro.jobs.pool import JobRunner
 from repro.jobs.spec import JobSpec
 from repro.workloads.stream import StreamParams, run_stream
 
@@ -62,20 +61,31 @@ def point(spec: JobSpec) -> dict:
     }
 
 
-@register("bandwidth")
-def run(quick: bool = False, runner: JobRunner | None = None,
-        spec: ChipSpec | None = None) -> ExperimentReport:
-    """STREAM bandwidth vs bank count under two placement policies."""
-    runner = runner if runner is not None else JobRunner()
-    if spec is None:
-        spec = ChipSpec.small(n_quads=8, n_banks=4) if quick \
-            else ChipSpec.paper()
+def _sweep(quick: bool) -> tuple[ChipSpec, tuple[int, ...], int, int]:
+    """``(base chip spec, bank counts, threads, elements per thread)``."""
+    spec = ChipSpec.small(n_quads=8, n_banks=4) if quick \
+        else ChipSpec.paper()
     bank_counts = (2, 4, 8) if quick else (2, 4, 8, 16, 32)
-    threads = spec.n_threads - 2
     # The working set must dwarf the combined caches, or counted
     # bandwidth rises above the bank peak on cache residency alone.
     per_thread = 600 if quick else 1000
+    return spec, bank_counts, spec.n_threads - 2, per_thread
 
+
+def points(quick: bool) -> list[JobSpec]:
+    """One point per (placement, bank count), in that nesting."""
+    spec, bank_counts, threads, per_thread = _sweep(quick)
+    return [JobSpec(task=POINT_TASK, payload={
+        "spec": replace(spec, n_banks=banks).to_dict(),
+        "placement": placement,
+        "threads": threads,
+        "elements": threads * per_thread,
+    }) for placement in PLACEMENTS for banks in bank_counts]
+
+
+def assemble(quick: bool, values: list[dict]) -> ExperimentReport:
+    """STREAM bandwidth vs bank count under two placement policies."""
+    spec, bank_counts, threads, per_thread = _sweep(quick)
     report = ExperimentReport(
         experiment_id="bandwidth",
         title=(f"Bandwidth scaling vs bank count and placement "
@@ -86,19 +96,9 @@ def run(quick: bool = False, runner: JobRunner | None = None,
                "controllers only under good thread/data placement."),
     )
 
-    specs = [JobSpec(task=POINT_TASK, payload={
-        "spec": replace(spec, n_banks=banks).to_dict(),
-        "placement": placement,
-        "threads": threads,
-        "elements": threads * per_thread,
-    }) for placement in PLACEMENTS for banks in bank_counts]
-    values = runner.map(specs)
-    cells = {}
-    index = 0
-    for placement in PLACEMENTS:
-        for banks in bank_counts:
-            cells[placement, banks] = values[index]
-            index += 1
+    cells = dict(zip(
+        ((placement, banks) for placement in PLACEMENTS
+         for banks in bank_counts), values))
 
     curves = {placement: Series(placement, x_name="banks", y_name="GB/s")
               for placement in PLACEMENTS}
@@ -136,3 +136,6 @@ def run(quick: bool = False, runner: JobRunner | None = None,
         "al.'s central observation."
     )
     return report
+
+
+register("bandwidth", points, assemble)

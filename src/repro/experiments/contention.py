@@ -26,7 +26,6 @@ from repro.analysis.series import Series
 from repro.analysis.tables import format_table
 from repro.experiments.registry import ExperimentReport, register
 from repro.explore.chipspec import ChipSpec
-from repro.jobs.pool import JobRunner
 from repro.jobs.spec import JobSpec
 from repro.runtime.kernel import AllocationPolicy
 from repro.workloads.stream import StreamParams, run_stream
@@ -38,6 +37,9 @@ LAYOUTS = ("shared", "split")
 
 #: Bytes per element of the three Triad vectors.
 VECTOR_BYTES = 3 * 8
+
+#: The chip both layouts run on.
+SPEC = ChipSpec.small(n_quads=4, n_banks=4)
 
 
 def point(spec: JobSpec) -> dict:
@@ -65,39 +67,41 @@ def point(spec: JobSpec) -> dict:
     }
 
 
-@register("contention")
-def run(quick: bool = False, runner: JobRunner | None = None,
-        spec: ChipSpec | None = None) -> ExperimentReport:
-    """Two threads sharing one cache: hit rate and slowdown vs footprint."""
-    runner = runner if runner is not None else JobRunner()
-    if spec is None:
-        spec = ChipSpec.small(n_quads=4, n_banks=4)
-    cache_kb = spec.dcache_kb
-    footprints_kb = (cache_kb // 4, cache_kb, 2 * cache_kb) if quick else (
-        cache_kb // 8, cache_kb // 4, cache_kb // 2, cache_kb,
-        2 * cache_kb, 4 * cache_kb)
+def _footprints_kb(quick: bool) -> tuple[int, ...]:
+    """Per-thread footprints crossing the shared cache's capacity."""
+    cache_kb = SPEC.dcache_kb
+    if quick:
+        return cache_kb // 4, cache_kb, 2 * cache_kb
+    return (cache_kb // 8, cache_kb // 4, cache_kb // 2, cache_kb,
+            2 * cache_kb, 4 * cache_kb)
 
+
+def points(quick: bool) -> list[JobSpec]:
+    """Per footprint: the ``shared`` point, then the ``split`` one."""
+    return [JobSpec(task=POINT_TASK, payload={
+        "spec": SPEC.to_dict(),
+        "layout": layout,
+        "elements": max(1, kb * 1024 // VECTOR_BYTES),
+    }) for kb in _footprints_kb(quick) for layout in LAYOUTS]
+
+
+def assemble(quick: bool, values: list[dict]) -> ExperimentReport:
+    """Two threads sharing one cache: hit rate and slowdown vs footprint."""
+    cache_kb = SPEC.dcache_kb
+    footprints_kb = _footprints_kb(quick)
     report = ExperimentReport(
         experiment_id="contention",
         title=(f"Two threads sharing one {cache_kb} KB cache "
-               f"({spec.describe()})"),
+               f"({SPEC.describe()})"),
         paper=("Exploration family, not a paper artifact. Modeled on "
                "Desai's two-threads-through-one-cache evaluation "
                "(arXiv:2305.17773): coupling is free until the combined "
                "footprint exceeds the shared cache."),
     )
 
-    specs = [JobSpec(task=POINT_TASK, payload={
-        "spec": spec.to_dict(),
-        "layout": layout,
-        "elements": max(1, kb * 1024 // VECTOR_BYTES),
-    }) for kb in footprints_kb for layout in LAYOUTS]
-    values = runner.map(specs)
-    cells = {}
-    for (kb, layout), value in zip(
-            ((kb, layout) for kb in footprints_kb for layout in LAYOUTS),
-            values):
-        cells[kb, layout] = value
+    cells = dict(zip(
+        ((kb, layout) for kb in footprints_kb for layout in LAYOUTS),
+        values))
 
     slowdown = Series("shared/split slowdown", x_name="KB/thread",
                       y_name="slowdown")
@@ -145,3 +149,6 @@ def run(quick: bool = False, runner: JobRunner | None = None,
         "where the Desai-style degradation sets in."
     )
     return report
+
+
+register("contention", points, assemble)

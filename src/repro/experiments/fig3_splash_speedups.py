@@ -9,18 +9,15 @@ occupancies spread across quads (any reasonable scheduler does this; with
 sequential packing, FPU sharing inside a quad dominates the low-thread
 points instead of algorithm scalability).
 
-Every ``(kernel, thread-count)`` pair is one independent simulation, so
-the driver fans them out through :mod:`repro.jobs`: :func:`point` is the
-per-point task a worker resolves, and :func:`run` accepts a
-``runner=`` to parallelize and cache the sweep (``None`` keeps the
-historical inline behaviour, point for point).
+Every ``(kernel, thread-count)`` pair is one independent simulation:
+:func:`points` lists them, :func:`point` is the task that simulates
+one, and :func:`assemble` turns their cycle counts into the curves.
 """
 
 from __future__ import annotations
 
 from repro.analysis.speedup import speedup_curve
 from repro.experiments.registry import ExperimentReport, register
-from repro.jobs.pool import JobRunner
 from repro.jobs.spec import JobSpec
 from repro.runtime.kernel import AllocationPolicy
 from repro.workloads.barnes import BarnesParams, run_barnes
@@ -97,11 +94,18 @@ def point(spec: JobSpec) -> dict:
     return {"cycles": int(cycles)}
 
 
-@register("fig3")
-def run(quick: bool = False,
-        runner: JobRunner | None = None) -> ExperimentReport:
-    """Sweep thread counts for each Splash-2 kernel and report speedups."""
-    runner = runner if runner is not None else JobRunner()
+def points(quick: bool) -> list[JobSpec]:
+    """One point per (kernel, thread count), in :func:`plan` order."""
+    return [
+        JobSpec(task=POINT_TASK, payload={
+            "kernel": name, "n_threads": p, "quick": bool(quick),
+        })
+        for name, counts in plan(quick) for p in counts
+    ]
+
+
+def assemble(quick: bool, values: list[dict]) -> ExperimentReport:
+    """Speedup curves from the points' cycle counts."""
     report = ExperimentReport(
         experiment_id="fig3",
         title="SPLASH-2 parallel speedups",
@@ -112,16 +116,9 @@ def run(quick: bool = False,
                "Splash-2 paper — near-linear for most, lowest for the "
                "communication-bound kernels."),
     )
-    sweep = plan(quick)
-    specs = [
-        JobSpec(task=POINT_TASK, payload={
-            "kernel": name, "n_threads": p, "quick": bool(quick),
-        })
-        for name, counts in sweep for p in counts
-    ]
-    values = iter(runner.map(specs))
+    values = iter(values)
     measurements = {}
-    for name, counts in sweep:
+    for name, counts in plan(quick):
         cycles = [next(values)["cycles"] for _ in counts]
         curve = speedup_curve(name, counts, cycles)
         report.series.append(curve)
@@ -132,3 +129,6 @@ def run(quick: bool = False,
         "thread allocation."
     )
     return report
+
+
+register("fig3", points, assemble)

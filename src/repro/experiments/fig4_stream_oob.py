@@ -9,16 +9,15 @@ per-thread vector length; the transition appears at 200-300 elements per
 thread and per-thread bandwidth is far below the single-thread run
 because threads contend for shared bandwidth.
 
-Every (kernel, size, panel) pair is one independent simulation:
-:func:`point` runs it, and :func:`run` maps the points through a
-:class:`~repro.jobs.pool.JobRunner` before assembling both panels.
+Every (kernel, size, panel) triple is one independent simulation:
+:func:`points` lists them, :func:`point` runs one, and :func:`assemble`
+builds both panels from their values.
 """
 
 from __future__ import annotations
 
 from repro.analysis.series import Series
 from repro.experiments.registry import ExperimentReport, register
-from repro.jobs.pool import JobRunner
 from repro.jobs.spec import JobSpec
 from repro.workloads.stream import STREAM_KERNELS, StreamParams, run_stream
 
@@ -46,15 +45,24 @@ def point(spec: JobSpec) -> dict:
     }
 
 
-@register("fig4")
-def run(quick: bool = False,
-        runner: JobRunner | None = None) -> ExperimentReport:
-    """Both panels of Figure 4."""
-    runner = runner if runner is not None else JobRunner()
-    single_sizes = QUICK_SINGLE if quick else SINGLE_SIZES
-    multi_sizes = QUICK_MULTI if quick else MULTI_SIZES
-    n_threads = 8 if quick else 126
+def _panels(quick: bool) -> tuple[tuple[int, list[int]], ...]:
+    """``(threads, sizes)`` of panel (a), then of panel (b)."""
+    if quick:
+        return (1, QUICK_SINGLE), (8, QUICK_MULTI)
+    return (1, SINGLE_SIZES), (126, MULTI_SIZES)
 
+
+def points(quick: bool) -> list[JobSpec]:
+    """Per kernel: every panel (a) size, then every panel (b) size."""
+    return [JobSpec(task=POINT_TASK, payload={
+        "kernel": kernel, "n_elements": n, "n_threads": threads,
+    }) for kernel in STREAM_KERNELS for threads, sizes in _panels(quick)
+        for n in sizes]
+
+
+def assemble(quick: bool, values: list[dict]) -> ExperimentReport:
+    """Both panels of Figure 4."""
+    (_, single_sizes), (_, multi_sizes) = _panels(quick)
     report = ExperimentReport(
         experiment_id="fig4",
         title="STREAM out-of-the-box (single- and multi-threaded)",
@@ -65,13 +73,7 @@ def run(quick: bool = False,
                "bandwidth 112-120x the single thread's."),
     )
 
-    panels = ((1, single_sizes), (n_threads, multi_sizes))
-    specs = [JobSpec(task=POINT_TASK, payload={
-        "kernel": kernel, "n_elements": n, "n_threads": threads,
-    }) for kernel in STREAM_KERNELS for threads, sizes in panels
-        for n in sizes]
-    values = iter(runner.map(specs))
-
+    values = iter(values)
     aggregate_ratio = {}
     for kernel in STREAM_KERNELS:
         single = Series(f"1T-{kernel}", x_name="elements",
@@ -98,3 +100,6 @@ def run(quick: bool = False,
         "(Add) to 120x (Triad) the single-threaded bandwidth."
     )
     return report
+
+
+register("fig4", points, assemble)

@@ -13,16 +13,14 @@ out-of-cache plateau sits at the embedded-DRAM bandwidth (~40 GB/s);
 unrolling lifts small-vector (in-cache) bandwidth far above that —
 beyond 80 GB/s — but cannot move the memory-bound plateau.
 
-Every (mode, kernel, size) triple is one :func:`point`; :func:`run`
-maps them through a :class:`~repro.jobs.pool.JobRunner` and assembles
-the panels.
+Every (mode, kernel, size) triple is one :func:`point`;
+:func:`points` lists them and :func:`assemble` builds the panels.
 """
 
 from __future__ import annotations
 
 from repro.analysis.series import Series
 from repro.experiments.registry import ExperimentReport, register
-from repro.jobs.pool import JobRunner
 from repro.jobs.spec import JobSpec
 from repro.workloads.stream import STREAM_KERNELS, StreamParams, run_stream
 
@@ -53,15 +51,25 @@ def point(spec: JobSpec) -> dict:
     return {"gb_s": float(result.bandwidth_gb_s)}
 
 
-@register("fig5")
-def run(quick: bool = False,
-        runner: JobRunner | None = None) -> ExperimentReport:
-    """All four panels of Figure 5."""
-    runner = runner if runner is not None else JobRunner()
-    sizes = QUICK_SIZES if quick else SIZES
-    n_threads = 8 if quick else 126
-    kernels = ("copy", "triad") if quick else STREAM_KERNELS
+def _sweep(quick: bool) -> tuple[list[int], int, tuple[str, ...]]:
+    """``(elements/thread sizes, threads, kernels)`` of every panel."""
+    if quick:
+        return QUICK_SIZES, 8, ("copy", "triad")
+    return SIZES, 126, STREAM_KERNELS
 
+
+def points(quick: bool) -> list[JobSpec]:
+    """One point per (mode, kernel, size), in that nesting."""
+    sizes, n_threads, kernels = _sweep(quick)
+    return [JobSpec(task=POINT_TASK, payload={
+        "mode": mode, "kernel": kernel, "per_thread": per_thread,
+        "n_threads": n_threads,
+    }) for mode in MODES for kernel in kernels for per_thread in sizes]
+
+
+def assemble(quick: bool, values: list[dict]) -> ExperimentReport:
+    """All four panels of Figure 5."""
+    sizes, _, kernels = _sweep(quick)
     report = ExperimentReport(
         experiment_id="fig5",
         title="Multithreaded STREAM: partitioning, local caches, unrolling",
@@ -72,12 +80,7 @@ def run(quick: bool = False,
                "the ~40 GB/s memory bandwidth."),
     )
 
-    specs = [JobSpec(task=POINT_TASK, payload={
-        "mode": mode, "kernel": kernel, "per_thread": per_thread,
-        "n_threads": n_threads,
-    }) for mode in MODES for kernel in kernels for per_thread in sizes]
-    values = iter(runner.map(specs))
-
+    values = iter(values)
     peaks: dict[str, float] = {}
     for mode_name in MODES:
         for kernel in kernels:
@@ -99,3 +102,6 @@ def run(quick: bool = False,
             if k.startswith("local")),
     }
     return report
+
+
+register("fig5", points, assemble)

@@ -12,7 +12,7 @@ memory bandwidth similar to that of a top-of-the-line commercial
 machine" — both sides approach ~40-50 GB/s at full occupancy.
 
 Every (kernel, thread count) pair of panel (a) is one :func:`point`;
-:func:`run` maps them through a :class:`~repro.jobs.pool.JobRunner`.
+:func:`points` lists them and :func:`assemble` adds panel (b).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.analysis.series import Series
 from repro.baselines.origin3800 import ORIGIN_3800_400
 from repro.experiments.registry import ExperimentReport, register
-from repro.jobs.pool import JobRunner
 from repro.jobs.spec import JobSpec
 from repro.runtime.kernel import AllocationPolicy
 from repro.workloads.stream import STREAM_KERNELS, StreamParams, run_stream
@@ -51,15 +50,25 @@ def point(spec: JobSpec) -> dict:
     return {"gb_s": float(result.bandwidth_gb_s)}
 
 
-@register("fig6")
-def run(quick: bool = False,
-        runner: JobRunner | None = None) -> ExperimentReport:
-    """Both panels of Figure 6."""
-    runner = runner if runner is not None else JobRunner()
-    counts = QUICK_COUNTS if quick else THREAD_COUNTS
-    vector = 24_192 if quick else VECTOR_SIZE
-    kernels = ("copy", "triad") if quick else STREAM_KERNELS
+def _sweep(quick: bool) -> tuple[list[int], tuple[str, ...]]:
+    """``(thread counts, kernels)`` of panel (a)."""
+    if quick:
+        return QUICK_COUNTS, ("copy", "triad")
+    return THREAD_COUNTS, STREAM_KERNELS
 
+
+def points(quick: bool) -> list[JobSpec]:
+    """One point per (kernel, thread count), in that nesting."""
+    counts, kernels = _sweep(quick)
+    vector = 24_192 if quick else VECTOR_SIZE
+    return [JobSpec(task=POINT_TASK, payload={
+        "kernel": kernel, "n_elements": vector, "n_threads": p,
+    }) for kernel in kernels for p in counts]
+
+
+def assemble(quick: bool, values: list[dict]) -> ExperimentReport:
+    """Both panels of Figure 6."""
+    counts, kernels = _sweep(quick)
     report = ExperimentReport(
         experiment_id="fig6",
         title="Cyclops (best configuration) vs SGI Origin 3800/400",
@@ -69,11 +78,7 @@ def run(quick: bool = False,
                "similar aggregate — 'remarkable' for a single chip."),
     )
 
-    specs = [JobSpec(task=POINT_TASK, payload={
-        "kernel": kernel, "n_elements": vector, "n_threads": p,
-    }) for kernel in kernels for p in counts]
-    values = iter(runner.map(specs))
-
+    values = iter(values)
     best_at_full = {}
     for kernel in kernels:
         series = Series(f"cyclops-{kernel}", x_name="threads",
@@ -94,3 +99,6 @@ def run(quick: bool = False,
         "(DESIGN.md section 4)."
     )
     return report
+
+
+register("fig6", points, assemble)

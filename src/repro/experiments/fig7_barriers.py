@@ -12,16 +12,15 @@ Paper findings to reproduce: the hardware barrier *increases* run cycles
 net total improvement grows with thread count, reaching ~10% for the
 256-point FFT at 16 threads and ~5% for the 64K-point FFT at 64.
 
-Every (points, threads, barrier) FFT is one :func:`point`; :func:`run`
-maps them through a :class:`~repro.jobs.pool.JobRunner` and reports
-each hardware run relative to its software twin.
+Every (points, threads, barrier) FFT is one :func:`point`;
+:func:`points` lists them and :func:`assemble` reports each hardware
+run relative to its software twin.
 """
 
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
 from repro.experiments.registry import ExperimentReport, register
-from repro.jobs.pool import JobRunner
 from repro.jobs.spec import JobSpec
 from repro.workloads.fft import FFTParams, run_fft
 
@@ -54,20 +53,30 @@ def _delta(a: float, b: float) -> float:
     return 100.0 * (a - b) / b if b else 0.0
 
 
-@register("fig7")
-def run(quick: bool = False,
-        runner: JobRunner | None = None) -> ExperimentReport:
-    """Both panels of Figure 7."""
-    runner = runner if runner is not None else JobRunner()
+def _panels(quick: bool) -> tuple[tuple[str, int, list[int]], ...]:
+    """``(label, FFT points, thread counts)`` of each panel."""
     if quick:
-        small_counts = [2, 4]
-        large_counts = [2, 4]
-        large_points = 1024
+        small_counts, large_counts, large_points = [2, 4], [2, 4], 1024
     else:
         small_counts = [2, 4, 8, 16]
         large_counts = [2, 4, 8, 16, 32, 64]
         large_points = LARGE_POINTS
+    return (
+        ("256-point", 256, small_counts),
+        (f"{large_points}-point", large_points, large_counts),
+    )
 
+
+def points(quick: bool) -> list[JobSpec]:
+    """Per panel and thread count: the hw point, then its sw twin."""
+    return [JobSpec(task=POINT_TASK, payload={
+        "n_points": n_points, "n_threads": p, "barrier": barrier,
+    }) for _, n_points, counts in _panels(quick) for p in counts
+        for barrier in BARRIERS]
+
+
+def assemble(quick: bool, values: list[dict]) -> ExperimentReport:
+    """Both panels of Figure 7."""
     report = ExperimentReport(
         experiment_id="fig7",
         title="Hardware vs software barriers in SPLASH-2 FFT",
@@ -78,17 +87,8 @@ def run(quick: bool = False,
                "64K points/64 threads."),
     )
 
-    panels = (
-        ("256-point", 256, small_counts),
-        (f"{large_points}-point", large_points, large_counts),
-    )
-    specs = [JobSpec(task=POINT_TASK, payload={
-        "n_points": n_points, "n_threads": p, "barrier": barrier,
-    }) for _, n_points, counts in panels for p in counts
-        for barrier in BARRIERS]
-    values = iter(runner.map(specs))
-
-    for label, _, counts in panels:
+    values = iter(values)
+    for label, _, counts in _panels(quick):
         rows = []
         for p in counts:
             hw, sw = next(values), next(values)
@@ -102,3 +102,6 @@ def run(quick: bool = False,
             title=f"{label} FFT: hardware barrier relative to software",
         ))
     return report
+
+
+register("fig7", points, assemble)

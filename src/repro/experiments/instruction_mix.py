@@ -13,7 +13,7 @@ saturates its FMA pipe).
 Registered as ``mix``; an extension, not a paper artifact.
 
 Every workload case is one :func:`point` on a fresh paper chip;
-:func:`run` maps them through a :class:`~repro.jobs.pool.JobRunner`.
+:func:`points` lists them and :func:`assemble` tabulates their mixes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Callable
 from repro.analysis.tables import format_table
 from repro.core.chip import Chip
 from repro.experiments.registry import ExperimentReport, register
-from repro.jobs.pool import JobRunner
 from repro.jobs.spec import JobSpec
 from repro.runtime.kernel import AllocationPolicy
 from repro.workloads.dgemm import DgemmParams, run_dgemm
@@ -94,17 +93,17 @@ def point(spec: JobSpec) -> dict:
     return _mix_of(chip)
 
 
-@register("mix")
-def run(quick: bool = False,
-        runner: JobRunner | None = None) -> ExperimentReport:
-    """Measure the workloads' instruction mixes."""
-    runner = runner if runner is not None else JobRunner()
-    names = list(_cases(quick))
-    mixes = runner.map([
+def points(quick: bool) -> list[JobSpec]:
+    """One point per workload case."""
+    return [
         JobSpec(task=POINT_TASK, payload={"case": name, "quick": bool(quick)})
-        for name in names
-    ])
+        for name in _cases(quick)
+    ]
 
+
+def assemble(quick: bool, mixes: list[dict]) -> ExperimentReport:
+    """Tabulate the workloads' instruction mixes."""
+    names = list(_cases(quick))
     rows = []
     fp_bound = []
     for name, mix in zip(names, mixes):
@@ -134,3 +133,6 @@ def run(quick: bool = False,
             f"pipe saturates at full occupancy): {', '.join(fp_bound)}"
         )
     return report
+
+
+register("mix", points, assemble)

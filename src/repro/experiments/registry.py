@@ -1,12 +1,16 @@
-"""Experiment registry and report container."""
+"""Experiment registry, report container and the one way to run an
+experiment: map its points through a job runner, then assemble."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.analysis.series import Series, merge_render
 from repro.errors import CyclopsError
+from repro.jobs.pool import JobRunner
+from repro.jobs.spec import JobSpec
 
 
 @dataclass
@@ -77,27 +81,41 @@ class ExperimentReport:
         }
 
 
-#: experiment id -> driver ``run(quick=False, runner=None)`` returning an
-#: ExperimentReport; *runner* is the JobRunner its points map through.
-REGISTRY: dict[str, Callable[..., ExperimentReport]] = {}
+#: Builds an experiment's simulation points without simulating any.
+PointsFn = Callable[[bool], list[JobSpec]]
+#: Builds an experiment's report from its points' values, in order.
+AssembleFn = Callable[[bool, list], ExperimentReport]
+
+#: experiment id -> ``(points, assemble)`` of its module.
+REGISTRY: dict[str, tuple[PointsFn, AssembleFn]] = {}
 
 
-def register(experiment_id: str):
-    """Decorator adding a driver to the registry."""
+def register(experiment_id: str, points: PointsFn,
+             assemble: AssembleFn) -> None:
+    """Add an experiment: ``points(quick)`` lists its simulation points,
+    ``assemble(quick, values)`` builds its report from their values."""
+    REGISTRY[experiment_id] = (points, assemble)
 
-    def wrap(fn: Callable[..., ExperimentReport]):
-        REGISTRY[experiment_id] = fn
-        return fn
 
-    return wrap
+def run(experiment_id: str, quick: bool = False,
+        runner: JobRunner | None = None) -> ExperimentReport:
+    """Map one experiment's points through *runner*, then assemble.
+
+    *runner* defaults to the inline, uncached ``JobRunner()``. The CLI
+    (:mod:`repro.experiments.runner`) does the same for many experiments
+    at once, in one batch.
+    """
+    points, assemble = REGISTRY[experiment_id]
+    runner = runner if runner is not None else JobRunner()
+    return assemble(quick, runner.map(points(quick)))
 
 
 def get_experiment(experiment_id: str) -> Callable[..., ExperimentReport]:
-    """Look up a driver, with a helpful error."""
-    try:
-        return REGISTRY[experiment_id]
-    except KeyError:
+    """The experiment's ``run(quick=False, runner=None)``, with a helpful
+    error for an unknown id."""
+    if experiment_id not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise CyclopsError(
             f"unknown experiment {experiment_id!r}; known: {known}"
-        ) from None
+        )
+    return partial(run, experiment_id)

@@ -8,19 +8,22 @@ Subcommands::
     run <id> --json f    also write machine-readable results as JSON
     run all -j 4         run the simulation points on 4 worker processes
 
-Every experiment runs one way: its driver builds a list of simulation
-points (:class:`~repro.jobs.spec.JobSpec`) and maps them through one
-:class:`~repro.jobs.pool.JobRunner`, then assembles its report from the
-results. Without ``-j`` that runner is inline and uncached, so the
-points simulate one after another in this process. With ``-j N`` it is
-the :mod:`repro.jobs` pool: the points of every experiment spread over
-N workers, results are cached by content so a re-run only simulates
+Every run goes one way, in three steps. Each selected experiment lists
+its simulation points (:class:`~repro.jobs.spec.JobSpec`) without
+simulating any; all the points, in id order and then point order, go
+to one :meth:`~repro.jobs.pool.JobRunner.run` call; and each
+experiment assembles its report from its own slice of the results.
+Without ``-j`` that runner is inline and uncached, so the points
+simulate one after another in this process. With ``-j N`` it is the
+:mod:`repro.jobs` pool: one pool of N workers serves the points of every
+experiment, results are cached by content so a re-run only simulates
 what changed, and a crashing or hanging point no longer takes ``run
 all`` down with it. Under ``-j`` the first SIGINT or SIGTERM drains the
-pool: points already on a worker finish, and every experiment not yet
-finished is reported as a cancelled failure; a second signal kills the
-in-flight points too. Failures are collected and reported at the end,
-each with the traceback of the point that raised; the exit code is 0 on
+pool: points already on a worker finish, and every experiment left with
+an undispatched point is reported as a cancelled failure; a second
+signal kills the in-flight points too. Failures are collected and
+reported at the end, each with the traceback of the point (or the
+``points``/``assemble`` call) that raised; the exit code is 0 on
 success, 1 when any experiment failed or was cancelled, and 2 for usage
 errors such as an unknown experiment id or a flag that does not apply
 to the chosen mode (``--sanitize`` and ``-j`` exclude each other).
@@ -35,19 +38,16 @@ import sys
 import time
 import traceback
 
-from repro.experiments.registry import (
-    REGISTRY,
-    ExperimentReport,
-    get_experiment,
-)
+from repro.experiments.registry import REGISTRY, ExperimentReport
 from repro.jobs.cache import ResultCache
 from repro.jobs.pool import (
     CANCELLED,
     JobEvent,
     JobRunner,
+    failure_text,
     install_signal_handlers,
 )
-from repro.jobs.spec import jsonify
+from repro.jobs.spec import JobSpec, jsonify
 
 #: Pool attempts after a crash or timeout when ``-j`` is given without
 #: ``--retries``.
@@ -185,21 +185,37 @@ def main(argv: list[str] | None = None) -> int:
     restore_signals = install_signal_handlers(runner) if use_jobs \
         else (lambda: None)
     try:
+        batches: dict[str, list[JobSpec]] = {}
         for experiment_id in ids:
-            if runner.stopping:
-                failures[experiment_id] = CANCELLED
-                continue
-            driver = get_experiment(experiment_id)
-            started = time.time()
+            points, _ = REGISTRY[experiment_id]
             try:
-                report = driver(quick=args.quick, runner=runner)
+                batches[experiment_id] = points(args.quick)
             except Exception:
-                # A stop mid-sweep cancels the driver's remaining
-                # points, and the driver raises on them.
-                failures[experiment_id] = CANCELLED if runner.stopping \
-                    else traceback.format_exc(limit=20)
-            else:
-                emit(experiment_id, report, time.time() - started)
+                failures[experiment_id] = traceback.format_exc(limit=20)
+        # One call, so one pool serves every experiment's points.
+        results = runner.run(
+            [spec for specs in batches.values() for spec in specs])
+        start = 0
+        for experiment_id, specs in batches.items():
+            mine = results[start:start + len(specs)]
+            start += len(specs)
+            error = failure_text(mine)
+            if error is not None:
+                failures[experiment_id] = CANCELLED \
+                    if error.endswith(CANCELLED) else error
+                continue
+            _, assemble = REGISTRY[experiment_id]
+            started = time.perf_counter()
+            try:
+                report = assemble(args.quick, [r.value for r in mine])
+            except Exception:
+                failures[experiment_id] = traceback.format_exc(limit=20)
+                continue
+            # Points share the pool, so an experiment has no wall time
+            # of its own: report the task time it actually spent.
+            elapsed = time.perf_counter() - started + sum(
+                r.elapsed for r in mine if not r.cached)
+            emit(experiment_id, report, elapsed)
     finally:
         restore_signals()
 

@@ -12,8 +12,8 @@ table stays a pure function of the simulation. The CI
 same harness with the same tolerance.
 
 Each validation workload is one :func:`point`, carrying the sampling
-knobs in its payload; :func:`run` maps them through a
-:class:`~repro.jobs.pool.JobRunner`.
+knobs in its payload; :func:`points` lists them and :func:`assemble`
+tabulates the estimates.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import os
 from dataclasses import asdict
 
 from repro.experiments.registry import ExperimentReport, register
-from repro.jobs.pool import JobRunner
 from repro.jobs.spec import JobSpec
 from repro.sampling import SAMPLE_ENV, SamplingConfig
 from repro.sampling.validate import (
@@ -69,11 +68,16 @@ def point(spec: JobSpec) -> dict:
     }
 
 
-@register("sampling")
-def run(quick: bool = False,
-        runner: JobRunner | None = None) -> ExperimentReport:
+def points(quick: bool) -> list[JobSpec]:
+    """One exact-vs-sampled point per validation workload."""
+    config = asdict(_active_config())
+    return [JobSpec(task=POINT_TASK, payload={
+        "workload": workload, "config": config, "quick": bool(quick),
+    }) for workload in WORKLOADS]
+
+
+def assemble(quick: bool, results: list[dict]) -> ExperimentReport:
     """Differential validation of sampled simulation."""
-    runner = runner if runner is not None else JobRunner()
     config = _active_config()
     report = ExperimentReport(
         experiment_id="sampling",
@@ -95,9 +99,6 @@ def run(quick: bool = False,
               f"{'state':>6s}")
     rows = [header, "-" * len(header)]
     worst_error = 0.0
-    results = runner.map([JobSpec(task=POINT_TASK, payload={
-        "workload": workload, "config": asdict(config), "quick": bool(quick),
-    }) for workload in WORKLOADS])
     for workload, result in zip(WORKLOADS, results):
         error = result["error"]
         rows.append(
@@ -129,3 +130,6 @@ def run(quick: bool = False,
     report.tables.append("\n".join(rows))
     report.measurements["worst_error_pct"] = worst_error * 100
     return report
+
+
+register("sampling", points, assemble)

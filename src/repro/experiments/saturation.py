@@ -11,8 +11,7 @@ knee, and the plateau pinned at the embedded-DRAM bank bandwidth.
 Each thread count is an independent simulation: :func:`point` runs one,
 carrying the chip spec in its payload so the jobs-pool result cache is
 keyed on the chip *shape* — rerunning the family with one knob changed
-re-simulates only the new shapes. Pass ``spec=`` to :func:`run` to
-saturate an arbitrary family member.
+re-simulates only the new shapes.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.analysis.series import Series
 from repro.analysis.tables import format_table
 from repro.experiments.registry import ExperimentReport, register
 from repro.explore.chipspec import ChipSpec
-from repro.jobs.pool import JobRunner
 from repro.jobs.spec import JobSpec
 from repro.workloads.stream import StreamParams, run_stream
 
@@ -56,25 +54,12 @@ def point(spec: JobSpec) -> dict:
     }
 
 
-def _point_specs(chip_spec: ChipSpec, thread_counts: list[int],
-                 per_thread: int) -> list[JobSpec]:
-    return [JobSpec(task=POINT_TASK, payload={
-        "spec": chip_spec.to_dict(),
-        "threads": threads,
-        "elements": threads * per_thread,
-    }) for threads in thread_counts]
-
-
-@register("saturation")
-def run(quick: bool = False, runner: JobRunner | None = None,
-        spec: ChipSpec | None = None) -> ExperimentReport:
-    """Cycles and throughput vs thread count until the banks saturate."""
-    runner = runner if runner is not None else JobRunner()
-    if spec is None:
-        # The quick chip keeps only two banks so the curve visibly
-        # saturates even at smoke-test problem sizes.
-        spec = ChipSpec.small(n_quads=8, n_banks=2) if quick \
-            else ChipSpec.paper()
+def _sweep(quick: bool) -> tuple[ChipSpec, list[int], int]:
+    """``(chip spec, thread counts, elements per thread)``."""
+    # The quick chip keeps only two banks so the curve visibly
+    # saturates even at smoke-test problem sizes.
+    spec = ChipSpec.small(n_quads=8, n_banks=2) if quick \
+        else ChipSpec.paper()
     usable = spec.n_threads - 2  # the kernel reserves two threads
     thread_counts = [t for t in (1, 2, 4, 8, 16, 32, 64, 96)
                      if t < usable] + [usable]
@@ -83,7 +68,22 @@ def run(quick: bool = False, runner: JobRunner | None = None,
     # Out-of-cache per-thread slice: 3 vectors x 8 B x per_thread per
     # thread must dwarf the combined caches at every swept count.
     per_thread = 300 if quick else 1000
+    return spec, thread_counts, per_thread
 
+
+def points(quick: bool) -> list[JobSpec]:
+    """One point per thread count."""
+    spec, thread_counts, per_thread = _sweep(quick)
+    return [JobSpec(task=POINT_TASK, payload={
+        "spec": spec.to_dict(),
+        "threads": threads,
+        "elements": threads * per_thread,
+    }) for threads in thread_counts]
+
+
+def assemble(quick: bool, values: list[dict]) -> ExperimentReport:
+    """Cycles and throughput vs thread count until the banks saturate."""
+    spec, thread_counts, per_thread = _sweep(quick)
     report = ExperimentReport(
         experiment_id="saturation",
         title=f"Throughput saturation vs thread count ({spec.describe()})",
@@ -92,7 +92,6 @@ def run(quick: bool = False, runner: JobRunner | None = None,
                "aggregate bandwidth saturates with thread count while "
                "per-thread bandwidth dilutes."),
     )
-    values = runner.map(_point_specs(spec, thread_counts, per_thread))
 
     agg = Series("triad GB/s", x_name="threads", y_name="GB/s")
     per = Series("MB/s per thread", x_name="threads", y_name="MB/s")
@@ -130,3 +129,6 @@ def run(quick: bool = False, runner: JobRunner | None = None,
         "cache ports."
     )
     return report
+
+
+register("saturation", points, assemble)

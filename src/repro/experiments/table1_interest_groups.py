@@ -6,19 +6,18 @@ from repro.analysis.tables import format_table
 from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.experiments.registry import ExperimentReport, register
-from repro.jobs.pool import JobRunner
+from repro.jobs.spec import JobSpec
 from repro.memory.address import make_effective
 from repro.memory.interest_groups import InterestGroup, Level
 
 
-@register("table1")
-def run(quick: bool = False,
-        runner: JobRunner | None = None) -> ExperimentReport:
-    """Reproduce Table 1: every level's cache sets, plus measured behaviour.
+def points(quick: bool) -> list[JobSpec]:
+    """None: :func:`assemble` runs the sub-second microbenchmarks."""
+    return []
 
-    Its microbenchmarks simulate in under a second, so the report is
-    built directly and *runner* goes unused.
-    """
+
+def assemble(quick: bool, values: list) -> ExperimentReport:
+    """Reproduce Table 1: every level's cache sets, plus measured behaviour."""
     chip = Chip(ChipConfig.paper())
     n_caches = chip.config.n_dcaches
 
@@ -96,3 +95,6 @@ def run(quick: bool = False,
                "See DESIGN.md section 3."],
         measurements={"all_group_imbalance": imbalance},
     )
+
+
+register("table1", points, assemble)

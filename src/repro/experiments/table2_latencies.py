@@ -12,8 +12,8 @@ from repro.analysis.tables import format_table
 from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.experiments.registry import ExperimentReport, register
-from repro.jobs.pool import JobRunner
-from repro.isa import Interpreter, assemble
+from repro.jobs.spec import JobSpec
+from repro.isa import Interpreter, assemble as assemble_program
 from repro.memory.interest_groups import IG_OWN, InterestGroup, Level
 
 
@@ -21,7 +21,7 @@ def _final_ready(body: str, reps: int, setup: str) -> int:
     """Ready time of the chain register after *reps* chained copies."""
     chip = Chip(ChipConfig.paper())
     source = setup + "\n" + (body + "\n") * reps + "halt\n"
-    program = assemble(source)
+    program = assemble_program(source)
     interp = Interpreter(chip, model_fetch=False)
     state = interp.add_thread(0, program)
     interp.run()
@@ -40,14 +40,13 @@ def _chain_cycles(body: str, reps: int = 8, setup: str = "") -> float:
     return (long - short) / reps
 
 
-@register("table2")
-def run(quick: bool = False,
-        runner: JobRunner | None = None) -> ExperimentReport:
-    """Measure every Table 2 row with an assembly microbenchmark.
+def points(quick: bool) -> list[JobSpec]:
+    """None: :func:`assemble` runs the sub-second microbenchmarks."""
+    return []
 
-    Its microbenchmarks simulate in under a second, so the report is
-    built directly and *runner* goes unused.
-    """
+
+def assemble(quick: bool, values: list) -> ExperimentReport:
+    """Measure every Table 2 row with an assembly microbenchmark."""
     cfg = ChipConfig.paper()
     lat = cfg.latency
     reps = 4 if quick else 8
@@ -100,7 +99,7 @@ def run(quick: bool = False,
                                       base + (i + 1) * stride)
     source = f"addi r5, r0, {base}\n" + "lw r5, 0(r5)\n" * (reps + 1) \
         + "halt\n"
-    program = assemble(source)
+    program = assemble_program(source)
     interp = Interpreter(chip, model_fetch=False)
     state = interp.add_thread(0, program)
     interp.run()
@@ -128,7 +127,7 @@ def run(quick: bool = False,
     chip.memory.backing.store_u32(0x400, first_ea)
     source = ("addi r5, r0, 0x400\nlw r5, 0(r5)\n"
               + "lw r5, 0(r5)\n" * (reps + 1) + "halt\n")
-    program = assemble(source)
+    program = assemble_program(source)
     interp = Interpreter(chip, model_fetch=False)
     state = interp.add_thread(0, program)
     interp.run()
@@ -155,3 +154,6 @@ def run(quick: bool = False,
         measurements={"rows_checked": float(len(rows)),
                       "mismatches": float(mismatches)},
     )
+
+
+register("table2", points, assemble)

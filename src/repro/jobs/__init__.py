@@ -16,11 +16,11 @@ result by content, and survives crashing or hanging workers.
   bounded backoff retry, and graceful degradation to inline execution;
 * ``python -m repro.jobs`` — ``submit`` / ``status`` / ``cache`` CLI.
 
-The consumer: every experiment driver maps its simulation points
-through one :class:`JobRunner`, inline by default;
-``python -m repro.experiments run all --quick -j 4`` spreads the points
-of every experiment across four workers; a warm rerun is served from
-the cache. See ``docs/orchestration.md``.
+The consumer: every experiment's simulation points run through a
+:class:`JobRunner`, inline by default;
+``python -m repro.experiments run all --quick -j 4`` submits the points
+of every experiment as one batch to one pool of four workers; a warm
+rerun is served from the cache. See ``docs/orchestration.md``.
 """
 
 from repro.errors import JobError

@@ -35,13 +35,12 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import JobError
 from repro.jobs.cache import ResultCache
 from repro.jobs.spec import JobSpec, execute_spec
-from repro.telemetry.metrics import MetricsRegistry, NULL_METRICS
 
 #: Kill the worker before attempt 0 of this job index (fault injection).
 CRASH_ENV = "REPRO_JOBS_INJECT_CRASH"
@@ -88,6 +87,23 @@ class JobEvent:
     spec: JobSpec | None = None
     attempt: int = 0
     detail: str = ""
+
+
+def failure_text(results: list[JobResult]) -> str | None:
+    """The error text of a batch, or None when every job succeeded.
+
+    It names the first failed job and carries its whole error text —
+    for a raising task, the traceback down to the frame that raised,
+    inline or pooled — so its last line is still the task's own
+    exception.
+    """
+    failures = [r for r in results if not r.ok]
+    if not failures:
+        return None
+    first = failures[0]
+    return (f"{len(failures)}/{len(results)} jobs failed; first: "
+            f"{first.spec.describe()}:\n"
+            f"{(first.error or 'unknown error').strip()}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +200,9 @@ class JobRunner:
 
     The default construction — ``JobRunner()`` — is a pure inline,
     cache-free executor whose behaviour is indistinguishable from
-    calling the tasks directly; drivers use it when no orchestration
-    context is supplied, which is what keeps ``-j 1`` and library-level
-    calls exactly as deterministic as before the subsystem existed.
+    calling the tasks directly; an experiment run without a runner
+    uses it, which is what keeps ``-j 1`` and library-level calls
+    exactly as deterministic as before the subsystem existed.
     """
 
     def __init__(
@@ -196,9 +212,7 @@ class JobRunner:
         timeout: float | None = None,
         retries: int = 2,
         backoff: float = 0.05,
-        metrics: MetricsRegistry | None = None,
         on_event: Callable[[JobEvent], None] | None = None,
-        start_method: str | None = None,
     ) -> None:
         if n_workers < 1:
             raise JobError(f"n_workers must be >= 1, got {n_workers}")
@@ -209,9 +223,7 @@ class JobRunner:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         self.on_event = on_event
-        self.start_method = start_method
         #: Lifetime counters, accumulated across every ``run`` call.
         self.stats = _new_stats()
         self._stop_event = threading.Event()
@@ -241,11 +253,7 @@ class JobRunner:
 
     def _cancel(self, results, state: "_JobState") -> None:
         self.stats["cancelled"] += 1
-        self.metrics.counter("jobs.cancelled").inc()
         self._finish_error(results, state, CANCELLED)
-
-    def _kill_worker(self, worker: "_Worker") -> None:
-        kill_process(worker.process)
 
     # ------------------------------------------------------------------
     def _emit(self, kind: str, index: int, spec: JobSpec | None = None,
@@ -266,11 +274,8 @@ class JobRunner:
         """Execute *specs*; the result list matches the submit order."""
         results: list[JobResult | None] = [None] * len(specs)
         misses: list[int] = []
-        hits = self.metrics.counter("jobs.cache", outcome="hit")
-        missed = self.metrics.counter("jobs.cache", outcome="miss")
         for index, spec in enumerate(specs):
             self.stats["submitted"] += 1
-            self.metrics.counter("jobs.submitted").inc()
             self._emit("submitted", index, spec)
             if self.cache is not None:
                 entry = self.cache.get(spec)
@@ -281,11 +286,9 @@ class JobRunner:
                         elapsed=float(meta.get("elapsed_seconds", 0.0)),
                     )
                     self.stats["cache_hits"] += 1
-                    hits.inc()
                     self._emit("hit", index, spec)
                     continue
                 self.stats["cache_misses"] += 1
-                missed.inc()
             misses.append(index)
 
         if misses:
@@ -303,20 +306,13 @@ class JobRunner:
     def map(self, specs: list[JobSpec]) -> list[Any]:
         """Like :meth:`run` but unwrap values; raise on any failure.
 
-        The :class:`~repro.errors.JobError` names the first failed job
-        and carries its whole error text — for a raising task, the
-        traceback down to the frame that raised, inline or pooled — so
-        its last line is still the task's own exception.
+        The :class:`~repro.errors.JobError` carries the batch's
+        :func:`failure_text`.
         """
         results = self.run(specs)
-        failures = [r for r in results if not r.ok]
-        if failures:
-            first = failures[0]
-            raise JobError(
-                f"{len(failures)}/{len(results)} jobs failed; first: "
-                f"{first.spec.describe()}:\n"
-                f"{(first.error or 'unknown error').strip()}"
-            )
+        error = failure_text(results)
+        if error is not None:
+            raise JobError(error)
         return [r.value for r in results]
 
     # ------------------------------------------------------------------
@@ -329,11 +325,6 @@ class JobRunner:
             elapsed=elapsed,
         )
         self.stats["completed"] += 1
-        self.metrics.counter("jobs.completed", status="ok").inc()
-        self.metrics.histogram(
-            "jobs.elapsed_seconds",
-            task=state.spec.task.rsplit(":", 1)[-1],
-        ).observe(elapsed)
         self._emit("done", state.index, state.spec, state.attempts)
 
     def _finish_error(self, results, state: "_JobState", error: str) -> None:
@@ -342,7 +333,6 @@ class JobRunner:
             state.spec, error=error, attempts=state.attempts,
         )
         self.stats["failed"] += 1
-        self.metrics.counter("jobs.completed", status="error").inc()
         self._emit("error", state.index, state.spec, state.attempts, error)
 
     def _run_inline(self, specs, indices, results) -> None:
@@ -378,7 +368,7 @@ class JobRunner:
             for index in indices:
                 self._cancel(results, _JobState(index, specs[index]))
             return
-        ctx = multiprocessing.get_context(self.start_method)
+        ctx = multiprocessing.get_context()
         n = min(self.n_workers, len(indices))
         result_queue = ctx.Queue()
         try:
@@ -418,7 +408,6 @@ class JobRunner:
             state.not_before = time.monotonic() + delay
             waiting.append(state.index)
             self.stats["retries"] += 1
-            self.metrics.counter("jobs.retries").inc()
             self._emit("retry", state.index, state.spec, state.attempts,
                        reason)
         else:
@@ -432,7 +421,7 @@ class JobRunner:
                 if self._stop_force:
                     for worker in workers:
                         if worker.busy is not None:
-                            self._kill_worker(worker)
+                            kill_process(worker.process)
                             worker.busy = None
                 if all(worker.busy is None for worker in workers):
                     # Drained (or force-killed): everything not yet
@@ -513,7 +502,6 @@ class JobRunner:
                         worker.busy = None
                         respawns += 1
                         self.stats["respawns"] += 1
-                        self.metrics.counter("jobs.worker_respawns").inc()
                         self._emit("respawn", index, state.spec,
                                    state.attempts,
                                    f"worker died (exit {exitcode})")
@@ -528,16 +516,11 @@ class JobRunner:
                     elif deadline is not None and now > deadline:
                         # Killing the process is the only way to stop a
                         # stuck simulation; the job pays one attempt.
-                        worker.process.terminate()
-                        worker.process.join(1.0)
-                        if worker.process.is_alive():
-                            worker.process.kill()
-                            worker.process.join(1.0)
+                        kill_process(worker.process)
                         worker.busy = None
                         respawns += 1
                         self.stats["respawns"] += 1
                         self.stats["timeouts"] += 1
-                        self.metrics.counter("jobs.timeouts").inc()
                         self._emit("timeout", index, state.spec,
                                    state.attempts,
                                    f"exceeded {self.timeout}s")

@@ -103,10 +103,3 @@ class MemoryBank(TimelineResource):
     def bytes_total(self) -> int:
         """All traffic through this bank."""
         return self.bytes_read + self.bytes_written
-
-    def reset_counters(self) -> None:
-        """Zero traffic counters and the busy timeline."""
-        self.reset()
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.conflict_cycles = 0

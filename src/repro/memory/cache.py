@@ -268,14 +268,3 @@ class CacheUnit:
             return 0.0
         return (self.hits + self.store_hits) / total
 
-    def reset_counters(self) -> None:
-        """Zero the statistics counters (tags are kept)."""
-        self.hits = self.misses = 0
-        self.store_hits = self.store_misses = 0
-        self.evictions = self.writebacks = 0
-
-    def drop_pending_fills(self) -> None:
-        """Forget every resident line's fill time (timelines restart)."""
-        for lines in self._sets:
-            for state in lines.values():
-                state.ready = 0

@@ -604,18 +604,6 @@ class MemorySubsystem:
         """Total bytes moved in/out of the embedded banks."""
         return sum(bank.bytes_total for bank in self.banks)
 
-    def reset_timing(self) -> None:
-        """Clear all busy timelines and counters; keep tags and data."""
-        for bank in self.banks:
-            bank.reset_counters()
-        for cache in self.caches:
-            cache.reset_counters()
-        self.cache_switch.reset()
-        self.offchip.engine.reset()
-        for cache in self.caches:
-            cache.drop_pending_fills()
-        self._reset_kind_counts()
-
     def cold_caches(self) -> None:
         """Drop every cached line (cold-start between experiments)."""
         for cache_id in range(len(self.caches)):

@@ -59,13 +59,6 @@ class CrossbarSwitch:
         """Busy fraction of one output port."""
         return self.ports[port].utilization(elapsed)
 
-    def reset(self) -> None:
-        """Clear all port timelines and traffic counters."""
-        for port in self.ports:
-            port.reset()
-        self.bytes_moved = 0
-        self.contention_cycles = 0
-
 
 def build_cache_switch(config: ChipConfig) -> CrossbarSwitch:
     """The A/B cache switch: one 8 B/cycle port per data cache."""

@@ -217,10 +217,3 @@ class TestCounters:
 
     def test_hit_rate_empty(self):
         assert make_cache().hit_rate() == 0.0
-
-    def test_reset_counters_keeps_tags(self):
-        cache = make_cache()
-        cache.access(0, is_store=False)
-        cache.reset_counters()
-        assert cache.misses == 0
-        assert cache.probe(0)

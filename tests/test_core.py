@@ -69,13 +69,6 @@ class TestFPU:
         fpu.divide(0)
         assert fpu.add(0)[0] == 1
 
-    def test_reset(self):
-        fpu = FPU(0, CFG)
-        fpu.add(0)
-        fpu.reset()
-        assert fpu.operations == 0
-        assert fpu.add(0)[0] == 1
-
 
 class _ReferenceFPU:
     """The adder/multiplier/FMA timing spelled out through
@@ -230,8 +223,6 @@ class TestBarrierSPR:
             for t in range(CFG.n_threads):
                 expected |= spr.read_own(t)
             assert spr.read_or() == expected
-        spr.reset()
-        assert spr.read_or() == 0
 
 
 class TestThreadUnit:
@@ -264,13 +255,6 @@ class TestThreadUnit:
         tu.execute_local(0, CFG.latency.int_divide)
         assert tu.issue_time == 33
         assert tu.counters.run_cycles == 33
-
-    def test_reset(self):
-        tu = ThreadUnit(0, CFG)
-        tu.execute_local(0, (1, 0))
-        tu.reset()
-        assert tu.issue_time == 0
-        assert tu.counters.instructions == 0
 
 
 class TestCounters:
@@ -373,13 +357,6 @@ class TestInstructionCache:
         icache, banks, amap = self.make()
         icache.fetch(0, 0x400, banks, amap)
         assert sum(b.bytes_read for b in banks) == 64
-
-    def test_invalidate(self):
-        icache, banks, amap = self.make()
-        icache.fetch(0, 0, banks, amap)
-        icache.invalidate()
-        _, hit = icache.fetch(100, 0, banks, amap)
-        assert not hit
 
 
 class TestFaultTolerance:

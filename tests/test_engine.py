@@ -95,14 +95,6 @@ class TestTimelineResource:
         with pytest.raises(SimulationError):
             r.reserve(-1, 1)
 
-    def test_reset(self):
-        r = TimelineResource("r")
-        r.reserve(0, 10)
-        r.reset()
-        assert r.next_free == 0
-        assert r.busy_cycles == 0
-        assert r.n_requests == 0
-
 
 class TestUnits:
     def test_pipelined_one_issue_per_cycle(self):

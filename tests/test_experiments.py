@@ -150,26 +150,29 @@ class TestRunnerCli:
         assert runner.DEFAULT_RETRIES == 2
 
     def test_run_all_reports_failures_at_end(self, capsys, monkeypatch):
-        """One broken driver no longer aborts the whole batch."""
+        """One broken experiment no longer aborts the whole batch."""
         from repro.experiments import registry, runner
 
         calls = []
 
-        def broken(quick=False, runner=None):
+        def broken(quick):
             calls.append("broken")
             raise RuntimeError("induced driver failure")
 
-        def healthy(quick=False, runner=None):
+        def healthy(quick):
             calls.append("healthy")
+            return []
+
+        def assemble(quick, values):
             return registry.ExperimentReport(
                 experiment_id="zz_ok", title="ok", paper="-")
 
-        fake = {"aa_broken": broken, "zz_ok": healthy}
+        fake = {"aa_broken": (broken, assemble), "zz_ok": (healthy, assemble)}
         monkeypatch.setattr(registry, "REGISTRY", fake)
         monkeypatch.setattr(runner, "REGISTRY", fake)
         assert main(["run", "all", "--quick"]) == 1
         captured = capsys.readouterr()
-        # The failing driver ran first yet the healthy one still ran.
+        # The failing experiment came first yet the healthy one still ran.
         assert calls == ["broken", "healthy"]
         assert "zz_ok" in captured.out
         assert "1 of 2" in captured.err and "aa_broken" in captured.err
@@ -258,20 +261,53 @@ class TestRunnerJobsMode:
         assert pooled_doc["_jobs"]["submitted"] == n_points
         assert pooled_doc["_jobs"]["completed"] == n_points
 
+    def test_run_all_forks_one_pool(self, capsys, monkeypatch):
+        """Every experiment's points share one pool: ``run all -j 2``
+        forks two workers in all, not two per experiment."""
+        from repro.experiments import registry, runner
+
+        def points(quick):
+            return [JobSpec(task="repro.jobs.testing:sleep",
+                            payload={"seconds": 0.05, "i": i})
+                    for i in range(2)]
+
+        def assemble(quick, values):
+            return registry.ExperimentReport(
+                experiment_id="sleeper", title="s", paper="-")
+
+        fake = {name: (points, assemble) for name in ("a", "b", "c")}
+        monkeypatch.setattr(registry, "REGISTRY", fake)
+        monkeypatch.setattr(runner, "REGISTRY", fake)
+        spawned = []
+        spawn = runner.JobRunner._spawn_worker
+
+        def counting_spawn(self, *args):
+            spawned.append(True)
+            return spawn(self, *args)
+
+        monkeypatch.setattr(runner.JobRunner, "_spawn_worker",
+                            counting_spawn)
+        assert main(["run", "all", "--quick", "-j", "2", "--no-cache"]) == 0
+        assert capsys.readouterr().out.count("== sleeper: s ==") == 3
+        assert len(spawned) == 2
+
     @pytest.mark.parametrize("jobs", [[], ["-j", "2", "--no-cache"]],
                              ids=["inline", "pooled"])
     def test_point_traceback_reaches_the_detail_block(
             self, capsys, monkeypatch, jobs):
         from repro.experiments import registry, runner
 
-        def sweep(quick=False, runner=None):
-            runner.map([
+        def points(quick):
+            return [
                 JobSpec(task="repro.jobs.testing:square", payload={"n": 3}),
                 JobSpec(task="repro.jobs.testing:fail",
                         payload={"message": "point exploded"}),
-            ])
+            ]
 
-        fake = {"sweep": sweep}
+        def assemble(quick, values):
+            raise AssertionError("assembled despite a failed point")
+
+        fake = {"sweep": (points, assemble)}
         monkeypatch.setattr(registry, "REGISTRY", fake)
         monkeypatch.setattr(runner, "REGISTRY", fake)
         assert main(["run", "all", "--quick", *jobs]) == 1
@@ -291,31 +327,31 @@ class TestRunnerInterrupt:
     def _interrupt(self, monkeypatch, signals: int, seconds: float):
         from repro.experiments import registry, runner
 
-        swept = []
+        dispatched = []
 
-        def sleep_points(runner, count):
-            runner.map([JobSpec(task="repro.jobs.testing:sleep",
-                                payload={"seconds": seconds, "i": i})
-                        for i in range(count)])
+        def sleep_points(count, sweep=False):
+            return [JobSpec(task="repro.jobs.testing:sleep",
+                            payload={"seconds": seconds, "i": i,
+                                     "sweep": sweep})
+                    for i in range(count)]
+
+        def assemble(quick, values):
             return registry.ExperimentReport(
                 experiment_id="sleeper", title="s", paper="-")
 
-        def sleeper(quick=False, runner=None):
-            return sleep_points(runner, 1)
-
-        def sweep(quick=False, runner=None):
-            swept.append(True)
-            return sleep_points(runner, 3)
-
-        fake = {name: sleeper for name in ("a1", "a2", "a3", "a4")}
-        fake["z_sweep"] = sweep
+        fake = {name: (lambda quick: sleep_points(1), assemble)
+                for name in ("a1", "a2", "a3", "a4")}
+        fake["z_sweep"] = (lambda quick: sleep_points(3, sweep=True),
+                           assemble)
         monkeypatch.setattr(registry, "REGISTRY", fake)
         monkeypatch.setattr(runner, "REGISTRY", fake)
 
         def interrupt_on_first_start(event):
-            if event.kind == "start" and event.index == 0:
-                for _ in range(signals):
-                    signal.raise_signal(signal.SIGINT)
+            if event.kind == "start":
+                dispatched.append(event.spec)
+                if event.index == 0:
+                    for _ in range(signals):
+                        signal.raise_signal(signal.SIGINT)
 
         monkeypatch.setattr(runner, "_progress", interrupt_on_first_start)
         before = signal.getsignal(signal.SIGINT)
@@ -323,7 +359,8 @@ class TestRunnerInterrupt:
         code = main(["run", "all", "--quick", "-j", "2", "--no-cache"])
         elapsed = time.monotonic() - started
         assert signal.getsignal(signal.SIGINT) is before
-        assert not swept, "a sweep started after the stop"
+        assert not any(spec.payload["sweep"] for spec in dispatched), \
+            "a z_sweep point started after the stop"
         return code, elapsed
 
     def test_first_signal_drains_and_cancels_the_rest(
@@ -355,14 +392,18 @@ class TestRunnerInterrupt:
             self, capsys, monkeypatch):
         from repro.experiments import registry, runner
 
-        def ok(quick=False, runner=None):
+        def ok(quick, values):
             return registry.ExperimentReport(
                 experiment_id="ok", title="o", paper="-")
 
-        def boom(quick=False, runner=None):
+        def boom(quick, values):
             raise RuntimeError("driver exploded")
 
-        fake = {"a_ok": ok, "b_boom": boom}
+        def points(quick):
+            return [JobSpec(task="repro.jobs.testing:square",
+                            payload={"n": 2})]
+
+        fake = {"a_ok": (points, ok), "b_boom": (points, boom)}
         monkeypatch.setattr(registry, "REGISTRY", fake)
         monkeypatch.setattr(runner, "REGISTRY", fake)
         assert main(["run", "all", "--quick"]) == 1

@@ -218,21 +218,12 @@ class TestFamilies:
         from repro.experiments import saturation
 
         spec = ChipSpec.small(n_quads=8, n_banks=2)
-        jobs = saturation._point_specs(spec, [1, 4], 100)
+        jobs = saturation.points(quick=True)
         assert all(job.payload["spec"] == spec.to_dict() for job in jobs)
-        assert [job.payload["threads"] for job in jobs] == [1, 4]
-
-
-class _PlanCaptured(Exception):
-    """Raised by :class:`_PlanRunner` once it holds a driver's points."""
-
-
-class _PlanRunner:
-    """A runner that records the points a driver maps, simulating none."""
-
-    def map(self, specs):
-        self.specs = specs
-        raise _PlanCaptured
+        assert [job.payload["threads"] for job in jobs] \
+            == [1, 4, 8, 16, spec.n_threads - 2]
+        assert all(job.payload["elements"] == 300 * job.payload["threads"]
+                   for job in jobs)
 
 
 class TestFullSizePlan:
@@ -247,14 +238,13 @@ class TestFullSizePlan:
 
     @pytest.mark.parametrize("family", ["bandwidth", "saturation"])
     def test_points_hold_stacks_and_vectors(self, family):
-        from repro.experiments import get_experiment
+        from repro.experiments import REGISTRY
         from repro.runtime.kernel import Kernel
 
-        runner = _PlanRunner()
-        with pytest.raises(_PlanCaptured):
-            get_experiment(family)(quick=False, runner=runner)
-        assert runner.specs
-        for job in runner.specs:
+        points, _ = REGISTRY[family]
+        jobs = points(quick=False)
+        assert jobs
+        for job in jobs:
             chip = ChipSpec.from_dict(job.payload["spec"]).build()
             kernel = Kernel(chip)
             assert kernel.max_software_threads >= job.payload["threads"]

@@ -18,7 +18,6 @@ from repro.jobs import (
 )
 from repro.jobs.pool import CANCELLED
 from repro.jobs.__main__ import main as jobs_main
-from repro.telemetry.metrics import MetricsRegistry
 
 SQUARE = "repro.jobs.testing:square"
 ECHO = "repro.jobs.testing:echo"
@@ -279,20 +278,6 @@ class TestCachedRunner:
                        payload={"message": "no"})
         assert not runner.run([spec])[0].ok
         assert cache.get(spec) is None
-
-    def test_metrics_flow_into_registry(self, cache):
-        metrics = MetricsRegistry()
-        runner = JobRunner(cache=cache, metrics=metrics)
-        specs = [JobSpec(task=SQUARE, payload={"n": n}) for n in range(3)]
-        runner.run(specs)
-        runner.run(specs)
-        snap = metrics.snapshot()
-        assert snap["counters"]['jobs.submitted'] == 6
-        assert snap["counters"]['jobs.cache{outcome="hit"}'] == 3
-        assert snap["counters"]['jobs.cache{outcome="miss"}'] == 3
-        assert snap["counters"]['jobs.completed{status="ok"}'] == 3
-        assert snap["histograms"]['jobs.elapsed_seconds{task="square"}'][
-            "count"] == 3
 
     def test_events_observed(self, cache):
         events = []

@@ -179,12 +179,6 @@ class TestCrossbarSwitch:
         switch.transfer(0, 0, 8)
         assert switch.transfer(1, 0, 8) == 0
 
-    def test_reset(self):
-        switch = build_cache_switch(CFG)
-        switch.transfer(0, 0, 8)
-        switch.reset()
-        assert switch.transfer(0, 0, 8) == 0
-
 
 # ---------------------------------------------------------------------------
 # Composed subsystem: Table 2 latencies
@@ -340,18 +334,6 @@ class TestPendingFills:
 
     IG = InterestGroup(Level.ONE, 0).encode()
 
-    def test_reset_timing_drops_pending_fills(self):
-        ms = fresh()
-        ea = make_effective(0x8000, self.IG)
-        _, miss_complete, _, _ = ms.access(0, 0, ea, 8, False)
-        assert miss_complete > 10
-        ms.reset_timing()
-        # Timelines restart at zero; the resident line has nothing to
-        # wait for, so an early hit costs the plain Table 2 latency.
-        issue_end, complete, kind, _ = ms.access(0, 0, ea, 8, False)
-        assert kind is AccessKind.LOCAL_HIT
-        assert complete - issue_end == 6
-
     def test_evicted_fill_time_not_inherited(self):
         ms = fresh()
         cache = ms.caches[0]
@@ -403,11 +385,6 @@ class TestSwitchTransfers:
         ms.scratchpad_access(4, 0, 2, 16)  # two beats
         assert switch.transfers == 5
         assert switch.transfers == sum(p.n_requests for p in switch.ports)
-        switch.reset()
-        assert switch.transfers == 0
-        assert all(p.n_requests == 0 for p in switch.ports)
-        switch.transfer(0, 0, 8)
-        assert switch.transfers == 1
 
 
 class TestAtomics:
@@ -491,20 +468,10 @@ class TestOffChip:
 
 
 class TestReset:
-    def test_reset_timing_clears_counters_keeps_tags(self):
-        ms = fresh()
-        ea = make_effective(0x9000, IG_ALL)
-        ms.access(0, 0, ea, 8, False)
-        ms.reset_timing()
-        assert ms.memory_traffic_bytes == 0
-        _, _, kind, _ = ms.access(0, 0, ea, 8, False)
-        assert kind in (AccessKind.LOCAL_HIT, AccessKind.REMOTE_HIT)
-
     def test_cold_caches_drops_tags(self):
         ms = fresh()
         ea = make_effective(0x9000, IG_ALL)
         ms.access(0, 0, ea, 8, False)
         ms.cold_caches()
-        ms.reset_timing()
         _, _, kind, _ = ms.access(0, 0, ea, 8, False)
         assert kind in (AccessKind.LOCAL_MISS, AccessKind.REMOTE_MISS)
