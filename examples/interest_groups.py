@@ -91,8 +91,7 @@ def main() -> None:
     # provenance of the write that never reached the reader's copy.
     print("\nThe same hazard under the coherence sanitizer:")
     chip = Chip()
-    # (Under CYCLOPS_SANITIZE=1 the chip attached one at construction.)
-    sanitizer = chip.sanitizer or CoherenceSanitizer().attach(chip)
+    sanitizer = CoherenceSanitizer().attach(chip)
     writer = sanitizer.thread_view(chip.memory, tid=0)   # a TU in quad 0
     reader = sanitizer.thread_view(chip.memory, tid=36)  # a TU in quad 9
     writer.load_f64(0, 0, ea)

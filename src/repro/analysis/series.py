@@ -30,10 +30,6 @@ class Series:
             lines.append(f"{xv:>{width}.6g}  {yv:>{width}.6g}")
         return "\n".join(lines)
 
-    def as_rows(self) -> list[tuple[float, float]]:
-        """The points as (x, y) tuples."""
-        return list(zip(self.x, self.y))
-
     def to_dict(self) -> dict:
         """A JSON-safe dictionary (machine-readable experiment output)."""
         return {

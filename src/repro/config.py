@@ -195,11 +195,6 @@ class ChipConfig:
         """Distinct hardware barriers provided by the SPR."""
         return self.spr_bits // self.bits_per_barrier
 
-    @property
-    def usable_threads(self) -> int:
-        """Threads available to applications once the kernel reserves its own."""
-        return self.n_threads - self.reserved_threads
-
     # ------------------------------------------------------------------
     # Peak-rate book-keeping (used by analysis and tests)
     # ------------------------------------------------------------------
@@ -208,11 +203,6 @@ class ChipConfig:
         """Peak embedded-DRAM bandwidth in bytes/second (paper: 42 GB/s)."""
         per_bank = self.burst_bytes / self.burst_cycles
         return per_bank * self.n_memory_banks * self.clock_hz
-
-    @property
-    def peak_cache_bandwidth(self) -> float:
-        """Peak aggregate cache-port bandwidth in bytes/second (128 GB/s)."""
-        return self.dcache_port_bytes_per_cycle * self.n_dcaches * self.clock_hz
 
     @property
     def peak_flops(self) -> float:
@@ -264,14 +254,6 @@ class ChipConfig:
             raise ConfigError("reserved_threads must leave usable threads")
         if self.spr_bits % self.bits_per_barrier:
             raise ConfigError("SPR bits must divide evenly into barriers")
-
-    def with_threads(self, n_threads: int) -> "ChipConfig":
-        """A copy with a different thread-unit count (quads scale along)."""
-        return replace(self, n_threads=n_threads)
-
-    def with_sharing(self, threads_per_quad: int) -> "ChipConfig":
-        """A copy with a different FPU/cache sharing degree (ablation)."""
-        return replace(self, threads_per_quad=threads_per_quad)
 
     def with_store_miss_fetch(self, fetch: bool) -> "ChipConfig":
         """A copy flipping the store-miss policy (ablation)."""

@@ -11,9 +11,9 @@ stalls, 127 others can still issue.
 :class:`repro.core.chip.Chip` assembles the whole hierarchy and is the
 library's central object; everything else (kernel, workloads,
 experiments) operates on a chip instance. ``Chip(sanitize=True)`` — or
-the ``CYCLOPS_SANITIZE`` environment variable — attaches the coherence
-sanitizer (:mod:`repro.sanitizer`, contract in
-``docs/memory-model.md``) at construction. Its hook point in this
+a CLI's ``--sanitize`` — attaches the coherence sanitizer
+(:mod:`repro.sanitizer`, contract in ``docs/memory-model.md``) at
+construction. Its hook point in this
 package is ``BarrierSPRFile.sanitizer``: the SPR file reports an
 ``arrive`` whose current-cycle bit is already clear (a missing
 ``participate``, or a double arrive) as barrier misuse, and the runtime

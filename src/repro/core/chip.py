@@ -59,12 +59,12 @@ class Chip:
         )
         self.barrier_spr = BarrierSPRFile(self.config)
         #: Optional coherence checker (:mod:`repro.sanitizer`). Enabled
-        #: explicitly via ``sanitize=True``, or for every chip when
-        #: ``CYCLOPS_SANITIZE=1`` is set (or a CLI passed ``--sanitize``).
+        #: explicitly via ``sanitize=True``, or for every chip while a
+        #: CLI's ``--sanitize`` holds :func:`repro.sanitizer.session.force`.
         #: When off the simulator carries no sanitizer code at all.
         if sanitize is None:
-            from repro.sanitizer.session import env_enabled
-            sanitize = env_enabled()
+            from repro.sanitizer.session import forced
+            sanitize = forced()
         if sanitize:
             from repro.sanitizer import CoherenceSanitizer
             self.sanitizer = CoherenceSanitizer().attach(self)

@@ -75,11 +75,6 @@ class BarrierSPRFile:
             bit += 1
         self._or_value = or_value
 
-    def read_own(self, tid: int) -> int:
-        """A thread reads back its own register contents."""
-        self._check_tid(tid)
-        return self._spr[tid]
-
     def read_or(self) -> int:
         """The wired-OR of every thread's SPR (what a read returns)."""
         return self._or_value

@@ -9,17 +9,13 @@ time order. Shared hardware (cache ports, memory banks, FPU issue slots)
 is modeled by busy timelines (:mod:`repro.engine.resources`):
 first-come-first-served in simulated time, with same-cycle ties served
 in arrival order. That is starvation-free and aggregate-equivalent to
-the paper's round-robin winner selection; the per-cycle hardware
-decision itself is modeled by
-:class:`~repro.engine.resources.RoundRobinArbiter` and validated at the
-unit level.
+the paper's round-robin winner selection.
 """
 
 from repro.engine.events import EventQueue, Waiter
 from repro.engine.resources import (
     NonPipelinedUnit,
     PipelinedUnit,
-    RoundRobinArbiter,
     TimelineResource,
 )
 from repro.engine.scheduler import BLOCK, Process, Scheduler
@@ -30,7 +26,6 @@ __all__ = [
     "NonPipelinedUnit",
     "PipelinedUnit",
     "Process",
-    "RoundRobinArbiter",
     "Scheduler",
     "TimelineResource",
     "Waiter",

@@ -13,11 +13,9 @@ nondecreasing simulated time, so each resource only needs a busy timeline:
   without occupying the unit).
 * :class:`NonPipelinedUnit` — occupies the unit for the full execution
   time (integer divide, FP divide, square root).
-* :class:`RoundRobinArbiter` — the explicit per-cycle round-robin winner
-  selection of the hardware, modeled standalone: the event-driven engine
-  serves contenders FIFO-in-time (aggregate-equivalent and equally
-  starvation-free), and this class documents and validates the
-  cycle-level policy itself.
+
+Contenders are served FIFO in simulated time, which is starvation-free
+and aggregate-equivalent to the hardware's per-cycle round-robin.
 """
 
 from __future__ import annotations
@@ -96,35 +94,3 @@ class NonPipelinedUnit(TimelineResource):
         """Occupy the unit for *cycles*; returns the start time."""
         return self.reserve(time, cycles)
 
-
-class RoundRobinArbiter:
-    """Per-cycle round-robin winner selection among *n* requesters.
-
-    The arbiter remembers the last winner and scans forward from it,
-    exactly the starvation-free scheme the paper describes for threads
-    contending on a shared unit in the same cycle.
-    """
-
-    __slots__ = ("n", "_last_winner")
-
-    def __init__(self, n: int) -> None:
-        if n <= 0:
-            raise SimulationError("arbiter needs at least one requester")
-        self.n = n
-        self._last_winner = n - 1
-
-    def pick(self, requesters: list[int]) -> int:
-        """Choose one id from *requesters* (non-empty), round-robin."""
-        if not requesters:
-            raise SimulationError("arbiter invoked with no requesters")
-        eligible = set(requesters)
-        for offset in range(1, self.n + 1):
-            candidate = (self._last_winner + offset) % self.n
-            if candidate in eligible:
-                self._last_winner = candidate
-                return candidate
-        raise SimulationError("requester ids out of range")  # pragma: no cover
-
-    def reset(self) -> None:
-        """Restart the rotation."""
-        self._last_winner = self.n - 1

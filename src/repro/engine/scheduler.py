@@ -26,11 +26,13 @@ from typing import Any, Callable, Generator
 from repro.engine.events import NEVER, EventQueue
 from repro.errors import DeadlockError, SimulationError
 
-#: Sentinel yielded by a process that parks itself until woken.
-BLOCK = object()
+#: Sentinel yielded by a process that parks itself until woken. The
+#: sentinels are negative ints, below every simulated time, so one
+#: comparison tells a reschedule (``request >= time``) from either.
+BLOCK = -1
 
 #: Internal sentinel: a process's generator raised ``StopIteration``.
-_FINISHED = object()
+_FINISHED = -2
 
 ProcessBody = Generator[Any, int, None]
 
@@ -203,50 +205,54 @@ class Scheduler:
                         steps += 1
                         if probe is not None:
                             probe(queue.n, time)
-                        if isinstance(request, int):
-                            if request < time:
-                                raise SimulationError(
-                                    f"{process.name} rescheduled into the "
-                                    f"past ({request} < {time})"
-                                )
-                            process.time = request
-                            # Fast path: the process rescheduled itself at
-                            # a time strictly before every queued event (it
-                            # would pop next anyway; an empty queue's
-                            # next_time is NEVER), so resume it directly
-                            # and skip the queue round-trip. Ties must go
-                            # through the queue — FIFO order says earlier-
-                            # pushed events run first — and so must
-                            # anything past the `until` horizon.
-                            if request >= queue.next_time or \
-                                    (until is not None and request > until):
-                                # EventQueue.push, inlined.
-                                later = slots.get(request)
-                                if later is None:
-                                    slots[request] = deque((process,))
-                                    heappush(times, request)
-                                    if request < queue.next_time:
-                                        queue.next_time = request
-                                else:
-                                    later.append(process)
-                                queue.n += 1
-                                break
-                            if request != time:
-                                time = request
-                                self.now = request
-                            continue
-                        if request is _FINISHED:
-                            self._n_live -= 1
-                            process._finish()
-                            break
-                        if request is BLOCK:
+                        try:
+                            if request >= time:
+                                process.time = request
+                                # Fast path: the process rescheduled
+                                # itself at a time strictly before every
+                                # queued event (it would pop next anyway;
+                                # an empty queue's next_time is NEVER), so
+                                # resume it directly and skip the queue
+                                # round-trip. Ties must go through the
+                                # queue — FIFO order says earlier-pushed
+                                # events run first — and so must anything
+                                # past the `until` horizon.
+                                if request >= queue.next_time or (
+                                        until is not None
+                                        and request > until):
+                                    # EventQueue.push, inlined.
+                                    later = slots.get(request)
+                                    if later is None:
+                                        slots[request] = deque((process,))
+                                        heappush(times, request)
+                                        if request < queue.next_time:
+                                            queue.next_time = request
+                                    else:
+                                        later.append(process)
+                                    queue.n += 1
+                                    break
+                                if request != time:
+                                    time = request
+                                    self.now = request
+                                continue
+                        except TypeError:
+                            # Not comparable with an int: not a time.
+                            raise SimulationError(
+                                f"{process.name} yielded {request!r}; "
+                                f"expected int time or BLOCK"
+                            ) from None
+                        if request == BLOCK:
                             process.blocked = True
                             self._n_parked += 1
                             self._parked_processes.add(process)
                             break
+                        if request == _FINISHED:
+                            self._n_live -= 1
+                            process._finish()
+                            break
                         raise SimulationError(
-                            f"{process.name} yielded {request!r}; "
-                            f"expected int time or BLOCK"
+                            f"{process.name} rescheduled into the past "
+                            f"({request} < {time})"
                         )
                     # Next event of the same cycle, unless the slot is
                     # spent (a fast-path resume always spends it) or a

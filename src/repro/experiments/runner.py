@@ -204,6 +204,11 @@ def main(argv: list[str] | None = None) -> int:
                 failures[experiment_id] = CANCELLED \
                     if error.endswith(CANCELLED) else error
                 continue
+            if not specs and runner.stopping:
+                # A point-less experiment simulates in its assemble:
+                # after a stop, that would be new simulation.
+                failures[experiment_id] = CANCELLED
+                continue
             _, assemble = REGISTRY[experiment_id]
             started = time.perf_counter()
             try:

@@ -11,19 +11,16 @@ table stays a pure function of the simulation. The CI
 ``sampling-smoke`` job and ``benchmarks/bench_sampling.py`` run the
 same harness with the same tolerance.
 
-Each validation workload is one :func:`point`, carrying the sampling
-knobs in its payload; :func:`points` lists them and :func:`assemble`
-tabulates the estimates.
+It validates the default knobs, :data:`CONFIG`. Each validation
+workload is one :func:`point`; :func:`points` lists them and
+:func:`assemble` tabulates the estimates.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import asdict
-
 from repro.experiments.registry import ExperimentReport, register
 from repro.jobs.spec import JobSpec
-from repro.sampling import SAMPLE_ENV, SamplingConfig
+from repro.sampling import SamplingConfig
 from repro.sampling.validate import (
     ERROR_TOLERANCE,
     WORKLOADS,
@@ -33,27 +30,14 @@ from repro.sampling.validate import (
 #: Task reference for one validation workload.
 POINT_TASK = "repro.experiments.sampling_validation:point"
 
-
-def _active_config() -> SamplingConfig:
-    """The run's sampling knobs: ``CYCLOPS_SAMPLE`` or the defaults.
-
-    Set the variable to a spec like ``period=16384,measure=256`` (see
-    docs/sampled-sim.md) to validate other knobs. Validation itself
-    always samples (that is the point), so an empty/unset variable
-    means default knobs, not off. The knobs travel to the workers in
-    each point's payload, never through their environment.
-    """
-    spec = os.environ.get(SAMPLE_ENV, "").strip()
-    if spec:
-        return SamplingConfig.from_spec(spec) or SamplingConfig()
-    return SamplingConfig()
+#: The sampling knobs under validation: the defaults.
+CONFIG = SamplingConfig()
 
 
 def point(spec: JobSpec) -> dict:
     """Job task: one exact-vs-sampled validation run."""
     p = spec.payload
-    result = validate_workload(p["workload"], SamplingConfig(**p["config"]),
-                               quick=bool(p["quick"]))
+    result = validate_workload(p["workload"], CONFIG, quick=bool(p["quick"]))
     est = result.estimate
     return {
         "exact_cycles": int(result.exact_cycles),
@@ -70,15 +54,13 @@ def point(spec: JobSpec) -> dict:
 
 def points(quick: bool) -> list[JobSpec]:
     """One exact-vs-sampled point per validation workload."""
-    config = asdict(_active_config())
     return [JobSpec(task=POINT_TASK, payload={
-        "workload": workload, "config": config, "quick": bool(quick),
+        "workload": workload, "quick": bool(quick),
     }) for workload in WORKLOADS]
 
 
 def assemble(quick: bool, results: list[dict]) -> ExperimentReport:
     """Differential validation of sampled simulation."""
-    config = _active_config()
     report = ExperimentReport(
         experiment_id="sampling",
         title="Sampled simulation vs exact goldens (STREAM, FFT)",
@@ -88,10 +70,10 @@ def assemble(quick: bool, results: list[dict]) -> ExperimentReport:
                "byte-identical.".format(ERROR_TOLERANCE)),
     )
     report.notes.append(
-        f"config: warmup={config.warmup_insns} "
-        f"measure={config.measure_insns} period={config.period_insns} "
-        f"horizon={config.resolved_horizon} "
-        f"confidence={config.confidence:.0%}"
+        f"config: warmup={CONFIG.warmup_insns} "
+        f"measure={CONFIG.measure_insns} period={CONFIG.period_insns} "
+        f"horizon={CONFIG.resolved_horizon} "
+        f"confidence={CONFIG.confidence:.0%}"
     )
 
     header = (f"{'workload':10s} {'exact':>10s} {'estimate':>10s} "

@@ -30,8 +30,6 @@ assembly validate the timing model the workloads run on.
 
 from __future__ import annotations
 
-import os
-
 from repro.core.chip import Chip
 from repro.core.icache import PrefetchBuffer
 from repro.core.thread_unit import ThreadUnit
@@ -44,10 +42,6 @@ from repro.isa.blocks import (
 )
 from repro.isa.program import Program
 from repro.isa.registers import RegisterFile
-
-#: Mirrors ``repro.sampling.SAMPLE_ENV`` as a literal so the default
-#: (exact) path never imports the sampling package.
-_SAMPLE_ENV = "CYCLOPS_SAMPLE"
 
 
 class ThreadExit(Exception):
@@ -149,28 +143,23 @@ class Interpreter:
 
         ``sampled`` opts into SMARTS-style sampled simulation (see
         :mod:`repro.sampling` and ``docs/sampled-sim.md``): pass a
-        ``SamplingConfig``, ``True`` for defaults, or a spec string;
-        ``CYCLOPS_SAMPLE`` in the environment does the same for
-        unmodified callers, and an explicit ``sampled=False`` overrides
-        it back to exact. A sampled run returns the *estimated* cycle
-        count (the full estimate with error bars lands on
+        ``SamplingConfig``, or ``True`` for defaults; ``None`` and
+        ``False`` run exact. A sampled run returns the *estimated*
+        cycle count (the full estimate with error bars lands on
         ``self.sampling``); the default path is untouched — not even an
         import.
         """
-        if sampled is None:
-            sampled = os.environ.get(_SAMPLE_ENV) or None
         if sampled is not None and sampled is not False:
             from repro.sampling import resolve_config
 
             config = resolve_config(sampled)
-            if config is not None:
-                if until is not None:
-                    raise ConfigError(
-                        "sampled runs estimate whole-run cycles and "
-                        "cannot stop at an exact 'until' time; run "
-                        "exact instead"
-                    )
-                return self.run_sampled(config).estimated_cycles
+            if until is not None:
+                raise ConfigError(
+                    "sampled runs estimate whole-run cycles and "
+                    "cannot stop at an exact 'until' time; run "
+                    "exact instead"
+                )
+            return self.run_sampled(config).estimated_cycles
         final = self.scheduler.run(until)
         self._publish_block_metrics()
         return final

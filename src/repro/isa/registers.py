@@ -51,11 +51,6 @@ class RegisterFile:
             return
         self._regs[reg] = value & _U32
 
-    def read_signed(self, reg: int) -> int:
-        """Read a register as a signed 32-bit value."""
-        value = self.read(reg)
-        return value - (1 << 32) if value & 0x80000000 else value
-
     # ------------------------------------------------------------------
     # Double-precision pairs
     # ------------------------------------------------------------------
@@ -83,7 +78,3 @@ class RegisterFile:
         low, high = struct.unpack("<II", struct.pack("<d", value))
         self._regs[reg] = low
         self._regs[reg + 1] = high
-
-    def reset(self) -> None:
-        """Zero every register."""
-        self._regs = [0] * N_REGISTERS

@@ -45,9 +45,6 @@ from repro.jobs.spec import JobSpec, execute_spec
 #: Kill the worker before attempt 0 of this job index (fault injection).
 CRASH_ENV = "REPRO_JOBS_INJECT_CRASH"
 
-#: Force inline execution regardless of the requested worker count.
-FORCE_INLINE_ENV = "REPRO_JOBS_FORCE_INLINE"
-
 #: How often the manager polls for results / deadlines / dead workers.
 _POLL_SECONDS = 0.02
 
@@ -265,10 +262,6 @@ class JobRunner:
         except Exception:
             pass  # observers must never break the batch
 
-    def _inline_only(self) -> bool:
-        return (self.n_workers <= 1
-                or os.environ.get(FORCE_INLINE_ENV, "") == "1")
-
     # ------------------------------------------------------------------
     def run(self, specs: list[JobSpec]) -> list[JobResult]:
         """Execute *specs*; the result list matches the submit order."""
@@ -292,7 +285,7 @@ class JobRunner:
             misses.append(index)
 
         if misses:
-            if self._inline_only():
+            if self.n_workers <= 1:
                 self._run_inline(specs, misses, results)
             else:
                 self._run_pool(specs, misses, results)

@@ -47,19 +47,16 @@ class LineState:
 
 
 class AccessResult(NamedTuple):
-    """Outcome of a cache access: hit/miss plus any victim to write back."""
+    """Outcome of a cache miss: any victim line to write back."""
 
-    hit: bool
     victim_line: int | None = None
     victim_dirty: bool = False
     victim_data: bytes | None = None
 
 
-#: Interned results for the two allocation-free outcomes (immutable, so
-#: every hit / victimless miss can share one instance — the dominant
-#: paths allocate nothing).
-_HIT = AccessResult(hit=True)
-_MISS_NO_VICTIM = AccessResult(hit=False)
+#: Interned result of a victimless miss (immutable, so every one can
+#: share this instance and allocate nothing).
+_MISS_NO_VICTIM = AccessResult()
 
 #: ``tuple.__new__`` called directly builds an eviction's result in one C
 #: call, without the named tuple's keyword-capable ``__new__`` frame.
@@ -107,11 +104,6 @@ class CacheUnit:
     def effective_ways(self) -> int:
         """Ways still participating in caching (total minus scratchpad)."""
         return self.total_ways - self.scratchpad_ways
-
-    @property
-    def capacity_bytes(self) -> int:
-        """Bytes still used as cache."""
-        return self.effective_ways * self.n_sets * self.line_bytes
 
     @property
     def scratchpad_bytes(self) -> int:
@@ -163,49 +155,23 @@ class CacheUnit:
     # ------------------------------------------------------------------
     # Tag-array operations
     # ------------------------------------------------------------------
-    def probe(self, line_addr: int) -> bool:
-        """Hit test without touching replacement state."""
-        return line_addr in self._sets[self._set_index(line_addr)]
-
     def line(self, line_addr: int) -> LineState | None:
         """The resident line's state, or ``None``."""
         return self._sets[self._set_index(line_addr)].get(line_addr)
 
-    def access(self, line_addr: int, is_store: bool,
-               allocate: bool = True) -> AccessResult:
-        """Perform a load/store lookup, updating LRU and allocating on miss.
-
-        The caller decides what a miss *costs* (fetch or write-validate);
-        here a miss just installs the tag and reports any victim that must
-        be written back.
-        """
-        lines = self._sets[self._set_index(line_addr)]
-        state = lines.get(line_addr)
-        if state is not None:
-            lines.move_to_end(line_addr)
-            if is_store:
-                state.dirty = True
-                self.store_hits += 1
-            else:
-                self.hits += 1
-            return _HIT
-        return self.miss(lines, line_addr, is_store, allocate)
-
     def miss(self, lines: OrderedDict[int, LineState], line_addr: int,
-             is_store: bool, allocate: bool = True) -> AccessResult:
+             is_store: bool) -> AccessResult:
         """Count a miss on *line_addr* in its set *lines*; allocate it.
 
-        The second half of :meth:`access`, for callers that probed the
-        set themselves (the memory subsystem's inlined hit path): the
-        line must not be resident. The new line is the set's most
-        recently used entry, ``lines[line_addr]``.
+        Callers probe the set themselves (the memory subsystem's inlined
+        hit path), so the line must not be resident. The new line is the
+        set's most recently used entry, ``lines[line_addr]``; the result
+        reports any victim that must be written back.
         """
         if is_store:
             self.store_misses += 1
         else:
             self.misses += 1
-        if not allocate:
-            return _MISS_NO_VICTIM
         effective_ways = self.total_ways - self.scratchpad_ways
         if effective_ways == 0:
             raise CacheConfigError("cache has no ways left for caching")
@@ -225,7 +191,7 @@ class CacheUnit:
             self.observer.on_evict(self.cache_id, victim_line, victim_dirty)
         lines[line_addr] = LineState(is_store, data)
         return _tuple_new(AccessResult,
-                          (False, victim_line, victim_dirty, victim_data))
+                          (victim_line, victim_dirty, victim_data))
 
     def invalidate(self, line_addr: int) -> LineState | None:
         """Drop a line without writing it back; returns its final state."""
@@ -251,11 +217,6 @@ class CacheUnit:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def resident_lines(self) -> int:
-        """Number of lines currently cached."""
-        return sum(len(lines) for lines in self._sets)
-
     @property
     def accesses(self) -> int:
         """Total lookups."""

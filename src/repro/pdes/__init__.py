@@ -10,9 +10,8 @@ byte-identical memory images, identical per-thread counters, identical
 final time. See ``docs/parallel-sim.md``.
 
 The partitioning axis is the chip: :func:`run_system_parallel`, reached
-through ``MultiChipSystem.run(domains=N)`` or ``CYCLOPS_PDES=N``. Chips
-only interact through the link fabric, whose minimum hop latency
-provides the lookahead.
+through ``MultiChipSystem.run(domains=N)``. Chips only interact through
+the link fabric, whose minimum hop latency provides the lookahead.
 
 The entry point returns ``None`` — after recording
 ``system.pdes_fallback_reason`` — whenever the parallel path cannot or
@@ -22,11 +21,9 @@ result is identical by construction.
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
-from repro.errors import (ConfigError, DeadlockError, PdesCrashError,
-                          PdesError)
+from repro.errors import DeadlockError, PdesCrashError, PdesError
 from repro.pdes.coordinator import Coordinator
 from repro.pdes.partition import PartitionMap
 from repro.pdes.program import CellProgram
@@ -42,7 +39,6 @@ __all__ = [
 
 #: Wall-clock cap (seconds) on one parallel attempt before it is killed
 #: and the run degrades; protocol bugs must never hang a caller.
-TIMEOUT_ENV = "CYCLOPS_PDES_TIMEOUT"
 DEFAULT_TIMEOUT = 600.0
 
 
@@ -56,15 +52,9 @@ def run_system_parallel(system, domains: int) -> int | None:
     ``system.pdes_fallback_reason`` set and the parent system untouched
     — when the partition is rejected or the parallel run degrades; a
     single crash is retried once first, since the protocol is
-    deterministic. A malformed :data:`TIMEOUT_ENV` raises
-    :class:`~repro.errors.ConfigError`.
+    deterministic. One attempt gets :data:`DEFAULT_TIMEOUT` seconds of
+    wall clock.
     """
-    raw_timeout = os.environ.get(TIMEOUT_ENV, DEFAULT_TIMEOUT)
-    try:
-        timeout = float(raw_timeout)
-    except ValueError:
-        raise ConfigError(
-            f"{TIMEOUT_ENV}={raw_timeout!r} is not a number of seconds")
     system.pdes_fallback_reason = None
     system.pdes_stats = None
     try:
@@ -77,7 +67,7 @@ def run_system_parallel(system, domains: int) -> int | None:
     results = None
     for _attempt in range(2):
         coordinator = Coordinator(system.program, partition,
-                                  timeout=timeout)
+                                  timeout=DEFAULT_TIMEOUT)
         try:
             results = coordinator.run()
             break

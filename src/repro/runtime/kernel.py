@@ -82,7 +82,6 @@ class Kernel:
         #: Application heap: everything below the stack area.
         self.heap = BumpHeap(0, usable_memory - stack_area,
                              default_align=self.config.dcache_line_bytes)
-        self._stack_base = usable_memory - stack_area
         self._threads: list[SoftwareThread] = []
         self._hw_order = self._hardware_order()
         self._next_slot = 0
@@ -113,10 +112,6 @@ class Kernel:
         if not 0 <= index < len(self._hw_order):
             raise KernelError(f"software thread slot {index} out of range")
         return self._hw_order[index]
-
-    def stack_base(self, hw_tid: int) -> int:
-        """Physical base address of a hardware thread's stack."""
-        return self._stack_base + hw_tid * self.config.stack_bytes
 
     # ------------------------------------------------------------------
     # Thread lifecycle

@@ -23,37 +23,18 @@ measured CPI and carries a Student-t confidence interval
 *measured*, not estimated — so as the fast-forward share goes to zero
 the estimate converges to the exact cycle count.
 
-Opt-in only: ``Interpreter.run(sampled=SamplingConfig(...))`` or
-``CYCLOPS_SAMPLE=1`` / ``CYCLOPS_SAMPLE=warmup=512,measure=256,...``.
-Default runs never touch this package. See ``docs/sampled-sim.md``.
+Opt-in only: ``Interpreter.run(sampled=SamplingConfig(...))`` (or
+``sampled=True`` for the default knobs). Default runs never touch this
+package. See ``docs/sampled-sim.md``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ConfigError
 from repro.sampling.stats import CONFIDENCE_LEVELS, mean_ci
-
-#: Environment opt-in knob, mirrored (as a literal, to keep the default
-#: interpreter path import-free) in ``repro.isa.interpreter``.
-SAMPLE_ENV = "CYCLOPS_SAMPLE"
-
-#: Short spec keys accepted in ``CYCLOPS_SAMPLE=k=v,...`` and their
-#: :class:`SamplingConfig` fields.
-_SPEC_KEYS = {
-    "warmup": "warmup_insns",
-    "measure": "measure_insns",
-    "period": "period_insns",
-    "chunk": "chunk_insns",
-    "jitter": "jitter_insns",
-    "horizon": "horizon_insns",
-    "confidence": "confidence",
-}
-
-_ON_WORDS = frozenset({"1", "true", "on", "yes"})
-_OFF_WORDS = frozenset({"", "0", "false", "off", "no"})
 
 
 @dataclass(frozen=True)
@@ -158,48 +139,12 @@ class SamplingConfig:
             return self.horizon_insns
         return 4096
 
-    @classmethod
-    def from_spec(cls, spec: str) -> "SamplingConfig | None":
-        """Parse a ``CYCLOPS_SAMPLE`` value; ``None`` means *off*.
-
-        Accepts on/off words (``1``, ``0``, ``on``, ``off``, ...) or a
-        comma-separated ``key=value`` list over ``warmup``, ``measure``,
-        ``period``, ``chunk``, ``confidence``.
-        """
-        text = spec.strip().lower()
-        if text in _OFF_WORDS:
-            return None
-        if text in _ON_WORDS:
-            return cls()
-        kwargs: dict[str, Any] = {}
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            field_name = _SPEC_KEYS.get(key.strip())
-            if not sep or field_name is None:
-                raise ConfigError(
-                    f"bad {SAMPLE_ENV} entry {part!r}; expected "
-                    f"key=value with keys {sorted(_SPEC_KEYS)}"
-                )
-            try:
-                parsed: Any = (float(value) if field_name == "confidence"
-                               else int(value))
-            except ValueError:
-                raise ConfigError(
-                    f"bad {SAMPLE_ENV} value in {part!r}"
-                ) from None
-            kwargs[field_name] = parsed
-        return cls(**kwargs)
-
 
 def resolve_config(sampled) -> SamplingConfig | None:
     """Normalize a ``sampled=`` argument; ``None`` means run exact.
 
-    ``None``/``False`` → exact; ``True`` → defaults; a string is parsed
-    as a ``CYCLOPS_SAMPLE`` spec; a :class:`SamplingConfig` passes
-    through.
+    ``None``/``False`` → exact; ``True`` → defaults; a
+    :class:`SamplingConfig` passes through.
     """
     if sampled is None or sampled is False:
         return None
@@ -207,11 +152,9 @@ def resolve_config(sampled) -> SamplingConfig | None:
         return SamplingConfig()
     if isinstance(sampled, SamplingConfig):
         return sampled
-    if isinstance(sampled, str):
-        return SamplingConfig.from_spec(sampled)
     raise ConfigError(
-        f"sampled= expects None, a bool, a spec string, or a "
-        f"SamplingConfig, got {type(sampled).__name__}"
+        f"sampled= expects None, a bool, or a SamplingConfig, "
+        f"got {type(sampled).__name__}"
     )
 
 
@@ -348,6 +291,6 @@ def build_estimate(unit_cpis: list[float], total_insns: int,
 
 
 __all__ = [
-    "SAMPLE_ENV", "SamplingConfig", "SamplingEstimate", "build_estimate",
+    "SamplingConfig", "SamplingEstimate", "build_estimate",
     "mean_ci", "resolve_config",
 ]

@@ -163,7 +163,7 @@ _BUILDERS: dict[str, tuple[Callable[..., _Workload],
 
 
 def validate_workload(workload: str,
-                      config: SamplingConfig | str | bool | None = True,
+                      config: SamplingConfig | bool | None = True,
                       quick: bool = False,
                       params: dict[str, int] | None = None
                       ) -> ValidationResult:

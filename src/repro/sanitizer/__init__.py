@@ -31,13 +31,12 @@ reports four classes of findings, each with full provenance:
 Enabling it
 -----------
 
-* ``CYCLOPS_SANITIZE=1`` in the environment — every :class:`Chip`
-  built afterwards attaches a sanitizer automatically (how the test
-  suite runs sanitized);
 * ``Chip(sanitize=True)`` — per-chip, programmatic;
 * ``--sanitize`` on ``python -m repro.workloads`` and
-  ``python -m repro.experiments run`` — also prints a findings report
-  and exits non-zero if anything was found;
+  ``python -m repro.experiments run`` — every :class:`Chip` the run
+  builds attaches a sanitizer (through
+  :func:`repro.sanitizer.session.force`); the CLI also prints a
+  findings report and exits non-zero if anything was found;
 * ``CoherenceSanitizer().attach(chip)`` — explicit, before any kernel
   or interpreter threads are created on the chip.
 
@@ -46,12 +45,10 @@ does more than test an attribute against ``None`` on cold paths — the
 hot access path is untouched (see docs/memory-model.md, "Sanitizer").
 """
 
-from repro.sanitizer.session import env_enabled
 from repro.sanitizer.shadow import CoherenceSanitizer, Finding, SanitizedMemory
 
 __all__ = [
     "CoherenceSanitizer",
     "Finding",
     "SanitizedMemory",
-    "env_enabled",
 ]

@@ -4,36 +4,25 @@ Chips are created deep inside workloads and experiment drivers, so the
 CLIs cannot hand a sanitizer object down to them. Instead this module
 holds two tiny pieces of process state:
 
-* the *enable switch* — ``CYCLOPS_SANITIZE=1`` in the environment, or
-  :func:`force` (what ``--sanitize`` flips) — consulted by
-  :class:`~repro.core.chip.Chip` at construction time;
+* the *enable switch* — :func:`force`, what ``--sanitize`` flips —
+  consulted by :class:`~repro.core.chip.Chip` at construction time;
 * the *roster* of every sanitizer attached during the session, so a CLI
   can aggregate findings across however many chips its run created.
 
 Nothing here imports the rest of the package, so the enable check costs
-one dict lookup even when the sanitizer never activates.
+one global load even when the sanitizer never activates.
 """
 
 from __future__ import annotations
-
-import os
-
-#: Environment variable that turns the sanitizer on for every chip.
-ENV_VAR = "CYCLOPS_SANITIZE"
-
-_TRUTHY = ("1", "true", "yes", "on")
 
 _forced = False
 
 _active: list = []
 
 
-def env_enabled(environ=None) -> bool:
-    """Should new chips attach a sanitizer? (env var or :func:`force`)."""
-    if _forced:
-        return True
-    value = (os.environ if environ is None else environ).get(ENV_VAR, "")
-    return value.strip().lower() in _TRUTHY
+def forced() -> bool:
+    """Should new chips attach a sanitizer? (set by :func:`force`)."""
+    return _forced
 
 
 def force(enabled: bool) -> None:

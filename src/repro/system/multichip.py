@@ -15,17 +15,16 @@ receiver's, charged on every link of the route.
 By default every cell simulates under one global scheduler, so
 cross-chip timing is exact with respect to the link model. A system
 built from a :class:`~repro.pdes.program.CellProgram` can instead run
-partitioned across host processes — ``run(domains=N)`` or
-``CYCLOPS_PDES=N`` — through the conservative parallel-DES layer in
-:mod:`repro.pdes`, which validates byte-identical against this serial
-path. When no program is attached (the system was populated with live
-closures) or the partition is rejected, ``run`` falls back to the serial
-engine and records why in :attr:`pdes_fallback_reason`.
+partitioned across host processes — ``run(domains=N)`` — through the
+conservative parallel-DES layer in :mod:`repro.pdes`, which validates
+byte-identical against this serial path. When no program is attached
+(the system was populated with live closures) or the partition is
+rejected, ``run`` falls back to the serial engine and records why in
+:attr:`pdes_fallback_reason`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable
 
 from repro.config import ChipConfig
@@ -36,15 +35,6 @@ from repro.errors import ConfigError
 from repro.runtime.kernel import AllocationPolicy, Kernel
 from repro.system.links import LinkFabric
 from repro.system.topology import Coord, Topology
-
-#: Environment opt-in: number of parallel-DES domains for ``run()``
-#: when the caller does not pass ``domains=`` explicitly.
-PDES_ENV = "CYCLOPS_PDES"
-
-#: Sampled-simulation knob (mirrors ``repro.sampling.SAMPLE_ENV`` as a
-#: literal; the default path must not import the sampling package).
-#: ``run()`` rejects it with an explanation — see its docstring.
-SAMPLE_ENV = "CYCLOPS_SAMPLE"
 
 
 class _Message:
@@ -325,46 +315,16 @@ class MultiChipSystem:
 
     # ------------------------------------------------------------------
     def run(self, until: int | None = None,
-            domains: int | None = None, sampled=None) -> int:
+            domains: int | None = None) -> int:
         """Run the whole system to quiescence.
 
-        ``domains=N`` (or ``CYCLOPS_PDES=N`` in the environment) opts in
-        to conservative parallel simulation with N host processes; it
-        requires the system to have been built from a
-        :class:`~repro.pdes.program.CellProgram` (see :meth:`build`) and
-        falls back to the serial engine — recording the reason — when
-        N <= 1, the partition is rejected, or the parallel run degrades.
-
-        ``sampled=`` (or ``CYCLOPS_SAMPLE`` in the environment) is
-        *rejected* here with an explanation rather than silently
-        ignored: sampled simulation (:mod:`repro.sampling`) estimates
-        cycles from an ISA instruction stream, and system workloads are
-        kernel closures with no instruction counters to sample. Pass
-        ``sampled=False`` to run exact even when the environment knob
-        is set.
+        ``domains=N`` opts in to conservative parallel simulation with
+        N host processes; it requires the system to have been built
+        from a :class:`~repro.pdes.program.CellProgram` (see
+        :meth:`build`) and falls back to the serial engine — recording
+        the reason — when N <= 1, the partition is rejected, or the
+        parallel run degrades.
         """
-        if sampled is None:
-            sampled = os.environ.get(SAMPLE_ENV) or None
-        if sampled is not None and sampled is not False:
-            from repro.sampling import resolve_config
-
-            if resolve_config(sampled) is not None:
-                raise ConfigError(
-                    "sampled simulation applies to ISA interpreter "
-                    "runs, not MultiChipSystem: system workloads are "
-                    "kernel closures without an instruction stream to "
-                    "sample. Run Interpreter.run(sampled=...) per "
-                    "chip, or unset " + SAMPLE_ENV + " / pass "
-                    "sampled=False for an exact system run."
-                )
-        if domains is None:
-            raw = os.environ.get(PDES_ENV, "").strip()
-            if raw:
-                try:
-                    domains = int(raw)
-                except ValueError:
-                    raise ConfigError(
-                        f"{PDES_ENV}={raw!r} is not an integer")
         if domains is not None and domains > 1:
             if until is not None:
                 self.pdes_fallback_reason = \

@@ -103,11 +103,6 @@ class HostProfiler:
         except KeyError:
             raise TelemetryError(f"unknown phase {name!r}") from None
 
-    @property
-    def total_seconds(self) -> float:
-        """Wall time across all phases (phases may overlap; this sums)."""
-        return sum(p.seconds for p in self._phases.values())
-
     def summary(self) -> dict[str, dict]:
         """JSON-safe dump: phase name -> seconds, entries, work, rates."""
         return {name: timing.to_dict()

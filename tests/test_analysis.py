@@ -20,7 +20,7 @@ class TestSeries:
         s = Series("test")
         s.add(1, 2.0)
         s.add(2, 4.0)
-        assert s.as_rows() == [(1, 2.0), (2, 4.0)]
+        assert list(zip(s.x, s.y)) == [(1, 2.0), (2, 4.0)]
         assert len(s) == 2
 
     def test_render_contains_points(self):

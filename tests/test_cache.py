@@ -1,4 +1,9 @@
-"""Tests for the data cache unit: LRU, dirty state, way partitioning."""
+"""Tests for the data cache unit: LRU, dirty state, way partitioning.
+
+Lookups go through :meth:`MemorySubsystem.access`, the one path the
+simulator runs: an interest-group-zero (OWN) address from quad 0 lands
+in cache 0, whose tag state the assertions read back.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,13 +11,24 @@ from hypothesis import given, strategies as st
 from repro.config import ChipConfig
 from repro.errors import CacheConfigError
 from repro.memory.cache import CacheUnit
+from repro.memory.subsystem import AccessKind, MemorySubsystem
 
 CFG = ChipConfig.paper()
 LINE = CFG.dcache_line_bytes
 
 
+def make_memory(**kwargs) -> MemorySubsystem:
+    return MemorySubsystem(CFG, **kwargs)
+
+
 def make_cache(**kwargs) -> CacheUnit:
-    return CacheUnit(0, CFG, **kwargs)
+    return make_memory(**kwargs).caches[0]
+
+
+def touch(memory: MemorySubsystem, line: int, is_store: bool = False) -> bool:
+    """One 8-byte access to *line* from quad 0; True on a hit."""
+    kind = memory.access(0, 0, line, 8, is_store)[2]
+    return kind is AccessKind.LOCAL_HIT
 
 
 def line_in_set(cache: CacheUnit, set_index: int, k: int) -> int:
@@ -20,122 +36,134 @@ def line_in_set(cache: CacheUnit, set_index: int, k: int) -> int:
     return (set_index + k * cache.n_sets) * LINE
 
 
+def resident(cache: CacheUnit, lines) -> int:
+    """How many of *lines* the cache holds."""
+    return sum(cache.line(addr) is not None for addr in lines)
+
+
 class TestGeometry:
     def test_paper_geometry(self):
         cache = make_cache()
         assert cache.n_sets == 32
         assert cache.total_ways == 8
-        assert cache.capacity_bytes == 16 * 1024
+        assert cache.effective_ways * cache.n_sets * LINE == 16 * 1024
 
     def test_resident_lines_starts_empty(self):
-        assert make_cache().resident_lines == 0
+        cache = make_cache()
+        assert resident(cache, [line_in_set(cache, s, k)
+                                for s in range(cache.n_sets)
+                                for k in range(2)]) == 0
 
 
 class TestHitsAndMisses:
     def test_first_access_misses_then_hits(self):
-        cache = make_cache()
-        assert not cache.access(0, is_store=False).hit
-        assert cache.access(0, is_store=False).hit
+        memory = make_memory()
+        assert not touch(memory, 0)
+        assert touch(memory, 0)
+        cache = memory.caches[0]
         assert cache.hits == 1 and cache.misses == 1
 
     def test_different_lines_tracked_separately(self):
-        cache = make_cache()
-        cache.access(0, is_store=False)
-        assert not cache.access(LINE, is_store=False).hit
+        memory = make_memory()
+        touch(memory, 0)
+        assert not touch(memory, LINE)
 
     def test_store_marks_dirty(self):
-        cache = make_cache()
-        cache.access(0, is_store=True)
-        assert cache.line(0).dirty
+        memory = make_memory()
+        touch(memory, 0, is_store=True)
+        assert memory.caches[0].line(0).dirty
 
     def test_load_does_not_mark_dirty(self):
-        cache = make_cache()
-        cache.access(0, is_store=False)
-        assert not cache.line(0).dirty
+        memory = make_memory()
+        touch(memory, 0)
+        assert not memory.caches[0].line(0).dirty
 
     def test_store_hit_dirties_clean_line(self):
-        cache = make_cache()
-        cache.access(0, is_store=False)
-        cache.access(0, is_store=True)
-        assert cache.line(0).dirty
+        memory = make_memory()
+        touch(memory, 0)
+        touch(memory, 0, is_store=True)
+        assert memory.caches[0].line(0).dirty
 
     def test_probe_does_not_change_state(self):
         cache = make_cache()
-        assert not cache.probe(0)
+        assert cache.line(0) is None
         assert cache.accesses == 0
-
-    def test_no_allocate_records_miss_without_fill(self):
-        cache = make_cache()
-        result = cache.access(0, is_store=False, allocate=False)
-        assert not result.hit
-        assert cache.resident_lines == 0
 
 
 class TestLRU:
     def test_evicts_least_recently_used(self):
-        cache = make_cache()
+        memory = make_memory()
+        cache = memory.caches[0]
         lines = [line_in_set(cache, 0, k) for k in range(9)]
         for addr in lines[:8]:
-            cache.access(addr, is_store=False)
+            touch(memory, addr)
         # Touch line 0 so line 1 becomes LRU.
-        cache.access(lines[0], is_store=False)
-        result = cache.access(lines[8], is_store=False)
-        assert result.victim_line == lines[1]
+        touch(memory, lines[0])
+        touch(memory, lines[8])
+        assert cache.line(lines[1]) is None
+        assert resident(cache, lines) == 8
+        assert cache.evictions == 1
 
     def test_victim_reports_dirty(self):
-        cache = make_cache()
+        memory = make_memory()
+        cache = memory.caches[0]
         lines = [line_in_set(cache, 3, k) for k in range(9)]
-        cache.access(lines[0], is_store=True)
+        touch(memory, lines[0], is_store=True)
         for addr in lines[1:8]:
-            cache.access(addr, is_store=False)
-        result = cache.access(lines[8], is_store=False)
-        assert result.victim_line == lines[0]
-        assert result.victim_dirty
+            touch(memory, addr)
+        touch(memory, lines[8])
+        assert cache.line(lines[0]) is None
         assert cache.writebacks == 1
 
     def test_clean_victim_needs_no_writeback(self):
-        cache = make_cache()
+        memory = make_memory()
+        cache = memory.caches[0]
         lines = [line_in_set(cache, 0, k) for k in range(9)]
         for addr in lines[:8]:
-            cache.access(addr, is_store=False)
-        result = cache.access(lines[8], is_store=False)
-        assert result.victim_dirty is False
+            touch(memory, addr)
+        touch(memory, lines[8])
+        assert cache.evictions == 1
         assert cache.writebacks == 0
 
     def test_capacity_never_exceeded(self):
-        cache = make_cache()
-        for k in range(100):
-            cache.access(line_in_set(cache, 5, k), is_store=False)
-        assert cache.resident_lines <= cache.total_ways
+        memory = make_memory()
+        cache = memory.caches[0]
+        lines = [line_in_set(cache, 5, k) for k in range(100)]
+        for addr in lines:
+            touch(memory, addr)
+        assert resident(cache, lines) <= cache.total_ways
 
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=200))
     def test_property_bounded_occupancy(self, accesses):
-        cache = make_cache()
+        memory = make_memory()
+        cache = memory.caches[0]
         for k in accesses:
-            cache.access(k * LINE, is_store=bool(k % 2))
-        assert cache.resident_lines <= cache.n_sets * cache.total_ways
-        # Everything recently touched within associativity must still hit.
+            touch(memory, k * LINE, is_store=bool(k % 2))
+        assert resident(cache, [k * LINE for k in range(64)]) \
+            <= cache.n_sets * cache.total_ways
         assert cache.accesses == len(accesses)
 
 
 class TestInvalidateAndFlush:
     def test_invalidate_drops_line(self):
-        cache = make_cache()
-        cache.access(0, is_store=True)
+        memory = make_memory()
+        cache = memory.caches[0]
+        touch(memory, 0, is_store=True)
         state = cache.invalidate(0)
         assert state.dirty
-        assert not cache.probe(0)
+        assert cache.line(0) is None
 
     def test_invalidate_missing_returns_none(self):
         assert make_cache().invalidate(0) is None
 
     def test_flush_returns_dirty_lines(self):
-        cache = make_cache()
-        cache.access(0, is_store=True)
-        cache.access(LINE, is_store=False)
+        memory = make_memory()
+        cache = memory.caches[0]
+        touch(memory, 0, is_store=True)
+        touch(memory, LINE)
         dirty = cache.flush()
         assert [addr for addr, _ in dirty] == [0]
-        assert cache.resident_lines == 0
+        assert resident(cache, [0, LINE]) == 0
 
 
 class TestWayPartitioning:
@@ -144,7 +172,7 @@ class TestWayPartitioning:
         cache.set_scratchpad_ways(2)
         assert cache.effective_ways == 6
         assert cache.scratchpad_bytes == 4 * 1024
-        assert cache.capacity_bytes == 12 * 1024
+        assert cache.effective_ways * cache.n_sets * LINE == 12 * 1024
 
     def test_partition_by_bytes_at_2kb_grain(self):
         cache = make_cache()
@@ -160,19 +188,21 @@ class TestWayPartitioning:
             make_cache().set_scratchpad_ways(8)
 
     def test_partition_flushes(self):
-        cache = make_cache()
-        cache.access(0, is_store=False)
+        memory = make_memory()
+        cache = memory.caches[0]
+        touch(memory, 0)
         cache.set_scratchpad_ways(1)
-        assert cache.resident_lines == 0
+        assert cache.line(0) is None
 
     def test_reduced_associativity_evicts_sooner(self):
-        cache = make_cache()
+        memory = make_memory()
+        cache = memory.caches[0]
         cache.set_scratchpad_ways(6)  # 2 ways left
         lines = [line_in_set(cache, 0, k) for k in range(3)]
-        cache.access(lines[0], is_store=False)
-        cache.access(lines[1], is_store=False)
-        result = cache.access(lines[2], is_store=False)
-        assert result.victim_line == lines[0]
+        for addr in lines:
+            touch(memory, addr)
+        assert cache.line(lines[0]) is None
+        assert resident(cache, lines) == 2
 
     def test_scratchpad_readback(self):
         cache = make_cache()
@@ -191,29 +221,33 @@ class TestWayPartitioning:
 
 class TestBufferedData:
     def test_lines_carry_buffers_in_strict_mode(self):
-        cache = make_cache(buffer_data=True)
-        cache.access(0, is_store=False)
+        memory = make_memory(strict_incoherence=True)
+        touch(memory, 0)
+        cache = memory.caches[0]
         assert cache.line(0).data is not None
         assert len(cache.line(0).data) == LINE
 
     def test_victim_data_travels_out(self):
-        cache = make_cache(buffer_data=True)
+        memory = make_memory(strict_incoherence=True)
+        cache = memory.caches[0]
         lines = [line_in_set(cache, 0, k) for k in range(9)]
-        cache.access(lines[0], is_store=True)
+        touch(memory, lines[0], is_store=True)
         cache.line(lines[0]).data[:5] = b"dirty"
         for addr in lines[1:9]:
-            cache.access(addr, is_store=False)
-        # lines[0] was the LRU victim of the 9th access.
+            touch(memory, addr)
+        # lines[0] was the LRU victim of the 9th access; its bytes
+        # reached the backing store.
         assert cache.evictions == 1
+        assert memory.backing.read_block(lines[0], 5) == b"dirty"
 
 
 class TestCounters:
     def test_hit_rate(self):
-        cache = make_cache()
-        cache.access(0, is_store=False)
-        cache.access(0, is_store=False)
-        cache.access(0, is_store=True)
-        assert cache.hit_rate() == pytest.approx(2 / 3)
+        memory = make_memory()
+        touch(memory, 0)
+        touch(memory, 0)
+        touch(memory, 0, is_store=True)
+        assert memory.caches[0].hit_rate() == pytest.approx(2 / 3)
 
     def test_hit_rate_empty(self):
         assert make_cache().hit_rate() == 0.0

@@ -33,7 +33,8 @@ class TestPaperDesignPoint:
 
     def test_peak_cache_bandwidth_is_papers_128_gb_s(self):
         cfg = ChipConfig.paper()
-        assert cfg.peak_cache_bandwidth == pytest.approx(128e9)
+        per_cycle = cfg.dcache_port_bytes_per_cycle * cfg.n_dcaches
+        assert per_cycle * cfg.clock_hz == pytest.approx(128e9)
 
     def test_peak_flops_is_papers_32_gflops(self):
         cfg = ChipConfig.paper()
@@ -43,7 +44,8 @@ class TestPaperDesignPoint:
         assert ChipConfig.paper().n_barriers == 4
 
     def test_126_usable_threads(self):
-        assert ChipConfig.paper().usable_threads == 126
+        cfg = ChipConfig.paper()
+        assert cfg.n_threads - cfg.reserved_threads == 126
 
 
 class TestLatencyTable:
@@ -101,12 +103,12 @@ class TestValidation:
 
 class TestDerivation:
     def test_with_threads_scales_quads(self):
-        cfg = ChipConfig.paper().with_threads(64)
+        cfg = dataclasses.replace(ChipConfig.paper(), n_threads=64)
         assert cfg.n_quads == 16
         assert cfg.n_fpus == 16
 
     def test_with_sharing_changes_degree(self):
-        cfg = ChipConfig.paper().with_sharing(8)
+        cfg = dataclasses.replace(ChipConfig.paper(), threads_per_quad=8)
         assert cfg.n_quads == 16
         assert cfg.threads_per_quad == 8
 

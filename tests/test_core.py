@@ -187,7 +187,6 @@ class TestBarrierSPR:
         spr.write(3, 0b0101)
         spr.write(90, 0b0010)
         assert spr.read_or() == 0b0111
-        assert spr.read_own(3) == 0b0101
 
     def test_bad_barrier_id(self):
         spr = BarrierSPRFile(CFG)
@@ -221,7 +220,7 @@ class TestBarrierSPR:
                 getattr(spr, op)(tid, barrier)
             expected = 0
             for t in range(CFG.n_threads):
-                expected |= spr.read_own(t)
+                expected |= spr._spr[t]
             assert spr.read_or() == expected
 
 

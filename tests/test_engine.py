@@ -6,7 +6,6 @@ from repro.engine.events import EventQueue, Waiter
 from repro.engine.resources import (
     NonPipelinedUnit,
     PipelinedUnit,
-    RoundRobinArbiter,
     TimelineResource,
 )
 from repro.engine.scheduler import BLOCK, Scheduler
@@ -107,29 +106,6 @@ class TestUnits:
         d = NonPipelinedUnit("d")
         assert d.execute(0, 30) == 0
         assert d.execute(1, 30) == 30
-
-
-class TestRoundRobinArbiter:
-    def test_rotates_fairly(self):
-        a = RoundRobinArbiter(4)
-        assert a.pick([0, 1, 2, 3]) == 0
-        assert a.pick([0, 1, 2, 3]) == 1
-        assert a.pick([0, 3]) == 3
-        assert a.pick([0, 3]) == 0
-
-    def test_no_starvation_under_contention(self):
-        a = RoundRobinArbiter(4)
-        winners = [a.pick([0, 1, 2, 3]) for _ in range(40)]
-        for requester in range(4):
-            assert winners.count(requester) == 10
-
-    def test_rejects_empty(self):
-        with pytest.raises(SimulationError):
-            RoundRobinArbiter(2).pick([])
-
-    def test_rejects_zero_size(self):
-        with pytest.raises(SimulationError):
-            RoundRobinArbiter(0)
 
 
 class TestScheduler:

@@ -379,6 +379,42 @@ class TestRunnerInterrupt:
         assert "Traceback" not in captured.err
         assert multiprocessing.active_children() == []
 
+    def test_stop_before_dispatch_assembles_nothing(
+            self, capsys, monkeypatch):
+        """A stopped batch starts no simulation, not even the one a
+        point-less experiment (table1, table2) runs in its assemble."""
+        from repro.experiments import registry, runner
+
+        assembled = []
+
+        def assemble(quick, values):
+            assembled.append(values)
+            return registry.ExperimentReport(
+                experiment_id="x", title="x", paper="-")
+
+        fake = {
+            "a_points": (lambda quick: [JobSpec(
+                task="repro.jobs.testing:square", payload={"n": 3})],
+                assemble),
+            "t_no_points": (lambda quick: [], assemble),
+        }
+        monkeypatch.setattr(registry, "REGISTRY", fake)
+        monkeypatch.setattr(runner, "REGISTRY", fake)
+
+        def interrupt_on_submit(event):
+            if event.kind == "submitted":
+                signal.raise_signal(signal.SIGINT)
+
+        monkeypatch.setattr(runner, "_progress", interrupt_on_submit)
+        code = main(["run", "all", "--quick", "-j", "2", "--no-cache"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert assembled == []
+        assert "2 of 2 experiments FAILED" in captured.err
+        for name in fake:
+            assert f"  {name}: cancelled" in captured.err
+        assert multiprocessing.active_children() == []
+
     def test_second_signal_kills_the_in_flight_job(
             self, capsys, monkeypatch):
         code, elapsed = self._interrupt(monkeypatch, signals=2, seconds=60)

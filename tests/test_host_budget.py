@@ -73,22 +73,22 @@ class Budget:
 BUDGETS = {
     # STREAM triad, 32 threads x 256 elements, Figure 6 placement
     # (4-way unrolled, local caches, balanced); per element.
-    "stream": Budget("element", ops=1353.9, calls=20.69, c_calls=26.77,
+    "stream": Budget("element", ops=1333.1, calls=20.69, c_calls=22.75,
                      cycles=4028),
     # 256-point FFT, 16 threads, hardware barrier; per memory access.
-    "fft": Budget("access", ops=519.7, calls=7.87, c_calls=11.54,
+    "fft": Budget("access", ops=511.6, calls=7.87, c_calls=9.93,
                   cycles=7747),
     # The triad as assembly through block dispatch, stream's shape and
     # placement; per element.
-    "isa_triad": Budget("element", ops=1684.0, calls=20.96, c_calls=43.83,
+    "isa_triad": Budget("element", ops=1660.7, calls=20.96, c_calls=39.33,
                         cycles=4381),
     # Radix sort, 512 keys, 4 threads (test_radix_golden's shape); per
     # memory access.
-    "radix": Budget("access", ops=561.2, calls=11.72, c_calls=8.82,
+    "radix": Budget("access", ops=556.1, calls=11.72, c_calls=7.81,
                     cycles=16831),
     # Blocked LU, n=16, block 8, 4 threads: the generator-form context
     # ops the other Splash kernels use; per memory access.
-    "lu": Budget("access", ops=558.5, calls=12.14, c_calls=6.77,
+    "lu": Budget("access", ops=551.3, calls=12.14, c_calls=5.32,
                  cycles=30049),
 }
 

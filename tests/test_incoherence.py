@@ -52,7 +52,7 @@ class TestOwnGroupReplication:
         assert values == {2.75}
         # All eight quads now hold the line locally (replication).
         line = 0x3000 - 0x3000 % 64
-        holders = sum(1 for c in chip.memory.caches if c.probe(line))
+        holders = sum(1 for c in chip.memory.caches if c.line(line) is not None)
         assert holders == 8
 
 

@@ -25,6 +25,11 @@ from repro.isa.opcodes import (
 from repro.isa.registers import REG_ZERO, RegisterFile
 
 
+def signed32(value: int) -> int:
+    """A register's 32 bits read as a two's-complement integer."""
+    return value - (1 << 32) if value & 0x80000000 else value
+
+
 class TestOpcodeTable:
     def test_about_60_instruction_types(self):
         """The paper: 'about 60 instruction types'."""
@@ -64,8 +69,9 @@ class TestRegisterFile:
 
     def test_signed_read(self):
         regs = RegisterFile()
-        regs.write(5, 0xFFFFFFFF)
-        assert regs.read_signed(5) == -1
+        regs.write(5, -1)
+        assert regs.read(5) == 0xFFFFFFFF
+        assert signed32(regs.read(5)) == -1
 
     def test_double_pairing(self):
         regs = RegisterFile()
@@ -261,8 +267,8 @@ class TestInterpreter:
             rem  r6, r3, r4
             halt
         """)
-        assert state.regs.read_signed(5) == -3  # truncating division
-        assert state.regs.read_signed(6) == -1
+        assert signed32(state.regs.read(5)) == -3  # truncating division
+        assert signed32(state.regs.read(6)) == -1
 
     def test_divide_by_zero_traps(self):
         with pytest.raises(ExecutionError):
@@ -333,7 +339,7 @@ class TestInterpreter:
             halt
         """)
         assert state.regs.read_double(10) == -5.0
-        assert state.regs.read_signed(4) == -5
+        assert signed32(state.regs.read(4)) == -5
 
     def test_atomics(self):
         chip, state, _ = self.run_program("""

@@ -151,17 +151,6 @@ class TestInlineRunner:
             [JobSpec(task=SQUARE, payload={"n": n}) for n in range(4)])
         assert [r.value for r in results] == [0, 1, 4, 9]
 
-    def test_force_inline_env(self, monkeypatch):
-        import repro.jobs.pool as pool
-
-        monkeypatch.setenv(pool.FORCE_INLINE_ENV, "1")
-        monkeypatch.setattr(
-            pool.JobRunner, "_spawn_worker",
-            lambda *a, **k: pytest.fail("forced-inline runner forked"))
-        runner = JobRunner(n_workers=8)
-        assert runner.run([JobSpec(task=SQUARE,
-                                   payload={"n": 6})])[0].value == 36
-
     def test_inline_task_error_is_captured(self):
         runner = JobRunner()
         result = runner.run(

@@ -241,8 +241,8 @@ class TestInterestGroupPlacement:
         _, _, kind, cache_id = ms.access(50, 9, ea, 8, is_store=False)
         assert cache_id == 9
         assert kind is AccessKind.LOCAL_MISS  # its own copy, own miss
-        assert ms.caches[7].probe(0x4000)
-        assert ms.caches[9].probe(0x4000)
+        assert ms.caches[7].line(0x4000) is not None
+        assert ms.caches[9].line(0x4000) is not None
 
     def test_all_group_single_home(self):
         ms = fresh()

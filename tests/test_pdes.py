@@ -11,8 +11,8 @@ import os
 import pytest
 
 from repro.config import ChipConfig
-from repro.errors import ConfigError, PdesError
-from repro.pdes import TIMEOUT_ENV, CellProgram, PartitionMap
+from repro.errors import PdesError
+from repro.pdes import CellProgram, PartitionMap
 from repro.pdes.domain import CRASH_ENV, crash_injection_target
 from repro.system.halo import HaloParams, run_halo
 from repro.system.multichip import _Mailbox, _Message
@@ -184,13 +184,6 @@ class TestFallback:
         reason = result.system.pdes_fallback_reason
         assert "2 failed attempt(s)" in reason
         assert "exit code" in reason
-
-    def test_malformed_timeout_is_a_config_error(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV, "abc")
-        params = HaloParams(n_chips=2, band_elements=32, iterations=1,
-                            threads_per_chip=2)
-        with pytest.raises(ConfigError, match=TIMEOUT_ENV):
-            run_halo(params, _small_config(), domains=2)
 
     def test_crash_env_cleared_recovers_on_retry(self, monkeypatch):
         """The retry machinery itself: first attempt crashes, and with

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import ChipConfig
 from repro.core.chip import Chip
-from repro.memory.cache import CacheUnit
 from repro.memory.address import make_effective
 from repro.memory.interest_groups import IG_ALL
+from repro.memory.subsystem import AccessKind, MemorySubsystem
 from repro.runtime.heap import BumpHeap
 from repro.runtime.kernel import AllocationPolicy, Kernel
 from repro.workloads.stream import StreamParams, run_stream
@@ -134,13 +134,15 @@ class _ReferenceCache:
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 200), min_size=1, max_size=300))
 def test_cache_matches_reference_model(line_numbers):
-    cache = CacheUnit(0, CFG)
+    memory = MemorySubsystem(CFG)
+    cache = memory.caches[0]
     reference = _ReferenceCache(cache.n_sets, cache.total_ways,
                                 cache.line_bytes)
-    for number in line_numbers:
+    for time, number in enumerate(line_numbers):
+        # Interest group zero (OWN) from quad 0: cache 0 holds the line.
         addr = number * CFG.dcache_line_bytes
-        assert cache.access(addr, is_store=False).hit \
-            == reference.access(addr)
+        kind = memory.access(time, 0, addr, 8, is_store=False)[2]
+        assert (kind is AccessKind.LOCAL_HIT) == reference.access(addr)
 
 
 # ---------------------------------------------------------------------------

@@ -178,9 +178,9 @@ class TestSpawnJoinRun:
 
     def test_stacks_fit_below_memory_top(self):
         kernel = make_kernel()
-        top = kernel.stack_base(127) + kernel.config.stack_bytes
-        assert top == kernel.chip.memory.address_map.max_memory
-        assert kernel.heap.limit <= kernel.stack_base(0)
+        stacks = kernel.config.stack_bytes * kernel.config.n_threads
+        top = kernel.chip.memory.address_map.max_memory
+        assert kernel.heap.limit == top - stacks
 
 
 class TestThreadCtxOps:

@@ -15,8 +15,8 @@ from repro.isa import Interpreter
 from repro.isa.kernels import stream_kernel_program, stream_register_setup
 from repro.memory.address import make_effective
 from repro.memory.interest_groups import IG_ALL
-from repro.sampling import (SAMPLE_ENV, SamplingConfig, build_estimate,
-                            mean_ci, resolve_config)
+from repro.sampling import (SamplingConfig, build_estimate, mean_ci,
+                            resolve_config)
 from repro.sampling.validate import validate_workload
 
 #: Small enough to keep the suite fast, large enough to span several
@@ -48,30 +48,9 @@ def _stream_interp(n_threads: int = 4, n_per_thread: int = 600):
 
 
 # ---------------------------------------------------------------------------
-# Configuration and spec parsing
+# Configuration
 # ---------------------------------------------------------------------------
 class TestConfig:
-    def test_spec_on_off_words(self):
-        for word in ("1", "true", "on", "yes", " ON "):
-            assert SamplingConfig.from_spec(word) == SamplingConfig()
-        for word in ("", "0", "false", "off", "no"):
-            assert SamplingConfig.from_spec(word) is None
-
-    def test_spec_key_values_including_jitter_and_horizon(self):
-        config = SamplingConfig.from_spec(
-            "warmup=64,measure=32,period=256,chunk=128,"
-            "jitter=16,horizon=512,confidence=0.99")
-        assert config == SamplingConfig(
-            warmup_insns=64, measure_insns=32, period_insns=256,
-            chunk_insns=128, jitter_insns=16, horizon_insns=512,
-            confidence=0.99)
-
-    def test_spec_rejects_unknown_key_and_bad_value(self):
-        with pytest.raises(ConfigError, match="expected key=value"):
-            SamplingConfig.from_spec("warmups=64")
-        with pytest.raises(ConfigError, match="bad CYCLOPS_SAMPLE value"):
-            SamplingConfig.from_spec("warmup=lots")
-
     def test_period_must_leave_room_to_fast_forward(self):
         with pytest.raises(ConfigError, match="period_insns must exceed"):
             SamplingConfig(warmup_insns=512, measure_insns=256,
@@ -100,11 +79,11 @@ class TestConfig:
         assert resolve_config(None) is None
         assert resolve_config(False) is None
         assert resolve_config(True) == SamplingConfig()
-        assert resolve_config("period=16384") == \
-            SamplingConfig(period_insns=16384)
         assert resolve_config(TINY) is TINY
         with pytest.raises(ConfigError, match="sampled="):
             resolve_config(42)
+        with pytest.raises(ConfigError, match="sampled="):
+            resolve_config("period=16384")
 
 
 # ---------------------------------------------------------------------------
@@ -236,28 +215,12 @@ class TestSampledRun:
         _, again, _ = _stream_interp()
         assert again.run() == golden_cycles
 
-    def test_env_opt_in_and_explicit_override(self, monkeypatch):
-        monkeypatch.setenv(SAMPLE_ENV, "warmup=64,measure=64,period=512")
-        _, interp, _ = _stream_interp()
-        interp.run()
-        assert interp.sampling is not None
-
-        _, exact, _ = _stream_interp()
-        exact.run(sampled=False)  # explicit override beats the env
-        assert exact.sampling is None
-
-        monkeypatch.setenv(SAMPLE_ENV, "0")
-        _, off, _ = _stream_interp()
-        off.run()
-        assert off.sampling is None
-
-    def test_env_off_runs_byte_identical_to_default(self, monkeypatch):
-        monkeypatch.delenv(SAMPLE_ENV, raising=False)
+    def test_sampled_false_runs_byte_identical_to_default(self):
         chip_a, interp_a, dsts = _stream_interp()
         cycles_a = interp_a.run()
-        monkeypatch.setenv(SAMPLE_ENV, "off")
         chip_b, interp_b, _ = _stream_interp()
-        assert interp_b.run() == cycles_a
+        assert interp_b.run(sampled=False) == cycles_a
+        assert interp_b.sampling is None
         n = TINY_PARAMS["n_per_thread"]
         for dst in dsts:
             assert bytes(chip_b.memory.backing.f64_view(dst, n)) \
@@ -278,19 +241,6 @@ class TestSampledRun:
         interp = Interpreter(Chip(), model_fetch=False)
         with pytest.raises(ConfigError, match="add_thread"):
             interp.run_sampled(TINY)
-
-    def test_multichip_rejects_sampling_with_guidance(self, monkeypatch):
-        from repro.system.multichip import MultiChipSystem
-        from repro.system.topology import Topology
-
-        system = MultiChipSystem(Topology(1, 1, 1))
-        with pytest.raises(ConfigError, match="Interpreter.run"):
-            system.run(sampled=True)
-        monkeypatch.setenv(SAMPLE_ENV, "1")
-        system2 = MultiChipSystem(Topology(1, 1, 1))
-        with pytest.raises(ConfigError, match=SAMPLE_ENV):
-            system2.run()
-        system2.run(sampled=False)  # explicit override still works
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.isa.assembler import assemble
 from repro.isa.interpreter import Interpreter
 from repro.memory.address import make_effective
 from repro.memory.interest_groups import IG_ALL, IG_OWN, InterestGroup, Level
-from repro.sanitizer import CoherenceSanitizer, env_enabled, session
+from repro.sanitizer import CoherenceSanitizer, session
 from repro.sanitizer.report import render_report, session_report, write_json
 
 EA_OWN = make_effective(0x1000, IG_OWN)
@@ -192,12 +192,13 @@ class TestCleanRuns:
 
 
 class TestEnablement:
-    def test_env_variable_attaches_sanitizer(self, monkeypatch):
+    def test_force_attaches_sanitizer(self):
         assert Chip().sanitizer is None
-        monkeypatch.setenv(session.ENV_VAR, "1")
-        assert env_enabled()
+        session.force(True)
+        assert session.forced()
         assert Chip().sanitizer is not None
-        monkeypatch.setenv(session.ENV_VAR, "off")
+        assert Chip(sanitize=False).sanitizer is None
+        session.force(False)
         assert Chip().sanitizer is None
 
     def test_double_attach_rejected(self):
