@@ -25,7 +25,7 @@ def _stream(config=None, **overrides) -> float:
         n_threads=overrides.pop("n_threads", THREADS),
         **overrides,
     )
-    return run_stream(params, config=config).bandwidth_gb_s
+    return run_stream(params, chip=Chip(config)).bandwidth_gb_s
 
 
 @pytest.mark.figure("ablation")

@@ -121,18 +121,12 @@ class ChipConfig:
     offchip_block_cycles: int = 2048
 
     # --- communication links (Section 2.2; built but not benchmarked) ----
-    n_links: int = 6
     link_width_bits: int = 16
-    link_hz: float = 500e6
 
     # --- synchronization ---------------------------------------------------
     #: SPR width: 8 bits, 2 bits per barrier -> 4 distinct barriers.
     spr_bits: int = 8
     bits_per_barrier: int = 2
-
-    # --- FPU (one per quad) ------------------------------------------------
-    #: Functional sub-units: adder, multiplier, divide/square-root.
-    fpu_pipelined_issue_per_cycle: int = 1
 
     # --- kernel ------------------------------------------------------------
     #: Threads reserved by the resident system kernel (paper uses 2).

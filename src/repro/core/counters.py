@@ -37,11 +37,6 @@ class ThreadCounters:
         """Wall-clock cycles between start and finish."""
         return max(0, self.finish_time - self.start_time)
 
-    @property
-    def idle_cycles(self) -> int:
-        """Cycles neither running nor accounted as stall (pre-start slack)."""
-        return max(0, self.total_cycles - self.run_cycles - self.stall_cycles)
-
     def merge(self, other: "ThreadCounters") -> None:
         """Accumulate *other* into this counter set (aggregation)."""
         self.instructions += other.instructions
@@ -74,16 +69,6 @@ class ChipCounters:
         for counters in self.threads.values():
             total.merge(counters)
         return total
-
-    @property
-    def total_run_cycles(self) -> int:
-        """Chip-wide run cycles."""
-        return sum(c.run_cycles for c in self.threads.values())
-
-    @property
-    def total_stall_cycles(self) -> int:
-        """Chip-wide stall cycles."""
-        return sum(c.stall_cycles for c in self.threads.values())
 
     @property
     def total_instructions(self) -> int:

@@ -42,7 +42,7 @@ class EventQueue:
         self.n = 0
         #: Earliest queued time (``_times[0]``), or :data:`NEVER` while
         #: the queue is empty; maintained on every push/pop so hot
-        #: callers read an attribute instead of calling :meth:`peek_time`.
+        #: callers read an attribute instead of calling a method.
         self.next_time = NEVER
         #: time -> deque of the payloads queued at that time, in order.
         self._slots: dict[int, deque[Any]] = {}
@@ -99,12 +99,6 @@ class EventQueue:
             self.next_time = times[0] if times else NEVER
         return time, payload
 
-    def peek_time(self) -> int:
-        """Earliest scheduled time without removing it."""
-        if self.n == 0:
-            raise IndexError("peek into an empty event queue")
-        return self.next_time
-
     def peek_time_or(self, default: int) -> int:
         """Earliest scheduled time, or *default* when the queue is empty.
 
@@ -123,9 +117,9 @@ class EventQueue:
 class Waiter:
     """A FIFO parking lot for blocked processes.
 
-    Processes park here while blocked; :meth:`wake_all` / :meth:`wake_one`
-    hand them back to the caller (typically to be rescheduled at the
-    waking time). The waiter itself is policy-free.
+    Processes park here while blocked; :meth:`wake_all` hands them back
+    to the caller (typically to be rescheduled at the waking time). The
+    waiter itself is policy-free.
     """
 
     __slots__ = ("_parked",)
@@ -145,9 +139,3 @@ class Waiter:
         woken = list(self._parked)
         self._parked.clear()
         return woken
-
-    def wake_one(self) -> Any | None:
-        """Remove and return the earliest-parked process, or ``None``."""
-        if not self._parked:
-            return None
-        return self._parked.popleft()

@@ -277,11 +277,6 @@ class Scheduler:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def n_live(self) -> int:
-        """Processes spawned and not yet finished."""
-        return self._n_live
-
-    @property
     def n_parked(self) -> int:
         """Processes currently blocked."""
         return self._n_parked

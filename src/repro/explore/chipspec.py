@@ -137,11 +137,6 @@ class ChipSpec:
         return self.tus_per_quad * self.n_quads
 
     @property
-    def memory_kb(self) -> int:
-        """Total embedded DRAM in KB (the same for every spec)."""
-        return MEMORY_KB
-
-    @property
     def bank_kb(self) -> int:
         """Size of one embedded-DRAM bank in KB."""
         return MEMORY_KB // self.n_banks

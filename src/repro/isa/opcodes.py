@@ -4,7 +4,8 @@ A 3-operand load/store RISC set of ~60 instruction types modeled on the
 most-used PowerPC instructions, plus the multithreading additions the
 paper calls out (atomic memory operations, SPR access for the hardware
 barrier, sync). Each opcode carries its instruction format, the hardware
-unit class it issues to, and the Table 2 latency row that prices it.
+unit class it issues to, and the Table 2 latency row that prices it;
+``docs/isa.md`` tabulates each opcode's semantics.
 """
 
 from __future__ import annotations
@@ -55,95 +56,84 @@ class Opcode:
     fmt: Format
     unit: UnitClass
     latency_row: str
-    doc: str
 
 
-_TABLE: list[tuple[str, Format, UnitClass, str, str]] = [
+_TABLE: list[tuple[str, Format, UnitClass, str]] = [
     # --- fixed point, register form ------------------------------------
-    ("add", Format.R, UnitClass.ALU, "other", "rd = ra + rb"),
-    ("sub", Format.R, UnitClass.ALU, "other", "rd = ra - rb"),
-    ("and", Format.R, UnitClass.ALU, "other", "rd = ra & rb"),
-    ("or", Format.R, UnitClass.ALU, "other", "rd = ra | rb"),
-    ("xor", Format.R, UnitClass.ALU, "other", "rd = ra ^ rb"),
-    ("nor", Format.R, UnitClass.ALU, "other", "rd = ~(ra | rb)"),
-    ("slt", Format.R, UnitClass.ALU, "other", "rd = (ra <s rb)"),
-    ("sltu", Format.R, UnitClass.ALU, "other", "rd = (ra <u rb)"),
-    ("sll", Format.R, UnitClass.ALU, "other", "rd = ra << (rb & 31)"),
-    ("srl", Format.R, UnitClass.ALU, "other", "rd = ra >>u (rb & 31)"),
-    ("sra", Format.R, UnitClass.ALU, "other", "rd = ra >>s (rb & 31)"),
+    ("add", Format.R, UnitClass.ALU, "other"),
+    ("sub", Format.R, UnitClass.ALU, "other"),
+    ("and", Format.R, UnitClass.ALU, "other"),
+    ("or", Format.R, UnitClass.ALU, "other"),
+    ("xor", Format.R, UnitClass.ALU, "other"),
+    ("nor", Format.R, UnitClass.ALU, "other"),
+    ("slt", Format.R, UnitClass.ALU, "other"),
+    ("sltu", Format.R, UnitClass.ALU, "other"),
+    ("sll", Format.R, UnitClass.ALU, "other"),
+    ("srl", Format.R, UnitClass.ALU, "other"),
+    ("sra", Format.R, UnitClass.ALU, "other"),
     # --- fixed point, immediate form ------------------------------------
-    ("addi", Format.I, UnitClass.ALU, "other", "rd = ra + imm"),
-    ("andi", Format.I, UnitClass.ALU, "other", "rd = ra & imm"),
-    ("ori", Format.I, UnitClass.ALU, "other", "rd = ra | imm"),
-    ("xori", Format.I, UnitClass.ALU, "other", "rd = ra ^ imm"),
-    ("slti", Format.I, UnitClass.ALU, "other", "rd = (ra <s imm)"),
-    ("sltiu", Format.I, UnitClass.ALU, "other", "rd = (ra <u imm)"),
-    ("slli", Format.I, UnitClass.ALU, "other", "rd = ra << imm"),
-    ("srli", Format.I, UnitClass.ALU, "other", "rd = ra >>u imm"),
-    ("srai", Format.I, UnitClass.ALU, "other", "rd = ra >>s imm"),
-    ("lui", Format.I, UnitClass.ALU, "other", "rd = imm << 19"),
+    ("addi", Format.I, UnitClass.ALU, "other"),
+    ("andi", Format.I, UnitClass.ALU, "other"),
+    ("ori", Format.I, UnitClass.ALU, "other"),
+    ("xori", Format.I, UnitClass.ALU, "other"),
+    ("slti", Format.I, UnitClass.ALU, "other"),
+    ("sltiu", Format.I, UnitClass.ALU, "other"),
+    ("slli", Format.I, UnitClass.ALU, "other"),
+    ("srli", Format.I, UnitClass.ALU, "other"),
+    ("srai", Format.I, UnitClass.ALU, "other"),
+    ("lui", Format.I, UnitClass.ALU, "other"),
     # --- fixed point multiply / divide ----------------------------------
-    ("mul", Format.R, UnitClass.ALU_MUL, "int_multiply", "rd = ra * rb (low)"),
-    ("mulhu", Format.R, UnitClass.ALU_MUL, "int_multiply",
-     "rd = (ra * rb) >> 32"),
-    ("div", Format.R, UnitClass.ALU_DIV, "int_divide", "rd = ra /s rb"),
-    ("divu", Format.R, UnitClass.ALU_DIV, "int_divide", "rd = ra /u rb"),
-    ("rem", Format.R, UnitClass.ALU_DIV, "int_divide", "rd = ra %s rb"),
+    ("mul", Format.R, UnitClass.ALU_MUL, "int_multiply"),
+    ("mulhu", Format.R, UnitClass.ALU_MUL, "int_multiply"),
+    ("div", Format.R, UnitClass.ALU_DIV, "int_divide"),
+    ("divu", Format.R, UnitClass.ALU_DIV, "int_divide"),
+    ("rem", Format.R, UnitClass.ALU_DIV, "int_divide"),
     # --- branches ---------------------------------------------------------
-    ("beq", Format.B, UnitClass.BRANCH, "branch", "if ra == rb goto off"),
-    ("bne", Format.B, UnitClass.BRANCH, "branch", "if ra != rb goto off"),
-    ("blt", Format.B, UnitClass.BRANCH, "branch", "if ra <s rb goto off"),
-    ("bge", Format.B, UnitClass.BRANCH, "branch", "if ra >=s rb goto off"),
-    ("bltu", Format.B, UnitClass.BRANCH, "branch", "if ra <u rb goto off"),
-    ("bgeu", Format.B, UnitClass.BRANCH, "branch", "if ra >=u rb goto off"),
-    ("j", Format.J, UnitClass.BRANCH, "branch", "goto target"),
-    ("jal", Format.J, UnitClass.BRANCH, "branch", "r2 = pc+4; goto target"),
-    ("jr", Format.S, UnitClass.BRANCH, "branch", "goto rd"),
+    ("beq", Format.B, UnitClass.BRANCH, "branch"),
+    ("bne", Format.B, UnitClass.BRANCH, "branch"),
+    ("blt", Format.B, UnitClass.BRANCH, "branch"),
+    ("bge", Format.B, UnitClass.BRANCH, "branch"),
+    ("bltu", Format.B, UnitClass.BRANCH, "branch"),
+    ("bgeu", Format.B, UnitClass.BRANCH, "branch"),
+    ("j", Format.J, UnitClass.BRANCH, "branch"),
+    ("jal", Format.J, UnitClass.BRANCH, "branch"),
+    ("jr", Format.S, UnitClass.BRANCH, "branch"),
     # --- memory -------------------------------------------------------------
-    ("lw", Format.M, UnitClass.LOAD, "memory", "rd = mem32[ra+imm]"),
-    ("lhu", Format.M, UnitClass.LOAD, "memory", "rd = mem16[ra+imm] zext"),
-    ("lbu", Format.M, UnitClass.LOAD, "memory", "rd = mem8[ra+imm] zext"),
-    ("ld", Format.M, UnitClass.LOAD, "memory", "pair rd = mem64[ra+imm]"),
-    ("sw", Format.M, UnitClass.STORE, "memory", "mem32[ra+imm] = rd"),
-    ("sh", Format.M, UnitClass.STORE, "memory", "mem16[ra+imm] = rd"),
-    ("sb", Format.M, UnitClass.STORE, "memory", "mem8[ra+imm] = rd"),
-    ("sd", Format.M, UnitClass.STORE, "memory", "mem64[ra+imm] = pair rd"),
+    ("lw", Format.M, UnitClass.LOAD, "memory"),
+    ("lhu", Format.M, UnitClass.LOAD, "memory"),
+    ("lbu", Format.M, UnitClass.LOAD, "memory"),
+    ("ld", Format.M, UnitClass.LOAD, "memory"),
+    ("sw", Format.M, UnitClass.STORE, "memory"),
+    ("sh", Format.M, UnitClass.STORE, "memory"),
+    ("sb", Format.M, UnitClass.STORE, "memory"),
+    ("sd", Format.M, UnitClass.STORE, "memory"),
     # --- multithreading additions -------------------------------------------
-    ("amoadd", Format.R, UnitClass.ATOMIC, "memory",
-     "rd = mem32[ra]; mem32[ra] += rb (atomic)"),
-    ("amoswap", Format.R, UnitClass.ATOMIC, "memory",
-     "rd = mem32[ra]; mem32[ra] = rb (atomic)"),
-    ("amoand", Format.R, UnitClass.ATOMIC, "memory",
-     "rd = mem32[ra]; mem32[ra] &= rb (atomic)"),
-    ("amoor", Format.R, UnitClass.ATOMIC, "memory",
-     "rd = mem32[ra]; mem32[ra] |= rb (atomic)"),
-    ("sync", Format.S, UnitClass.SYSTEM, "other",
-     "order earlier memory operations"),
-    ("mtspr", Format.I, UnitClass.SPR, "other", "SPR[imm] = ra"),
-    ("mfspr", Format.I, UnitClass.SPR, "other", "rd = wired-OR SPR[imm]"),
+    ("amoadd", Format.R, UnitClass.ATOMIC, "memory"),
+    ("amoswap", Format.R, UnitClass.ATOMIC, "memory"),
+    ("amoand", Format.R, UnitClass.ATOMIC, "memory"),
+    ("amoor", Format.R, UnitClass.ATOMIC, "memory"),
+    ("sync", Format.S, UnitClass.SYSTEM, "other"),
+    ("mtspr", Format.I, UnitClass.SPR, "other"),
+    ("mfspr", Format.I, UnitClass.SPR, "other"),
     # --- floating point (double precision via even/odd pairs) ---------------
-    ("fadd", Format.R, UnitClass.FPU_ADD, "fp_add", "dd = da + db"),
-    ("fsub", Format.R, UnitClass.FPU_ADD, "fp_add", "dd = da - db"),
-    ("fmul", Format.R, UnitClass.FPU_MUL, "fp_multiply", "dd = da * db"),
-    ("fdiv", Format.R, UnitClass.FPU_DIV, "fp_divide", "dd = da / db"),
-    ("fsqrt", Format.R, UnitClass.FPU_SQRT, "fp_sqrt", "dd = sqrt(da)"),
-    ("fmadd", Format.R, UnitClass.FPU_FMA, "fp_multiply_add",
-     "dd = dd + da * db"),
-    ("fmsub", Format.R, UnitClass.FPU_FMA, "fp_multiply_add",
-     "dd = dd - da * db"),
-    ("fneg", Format.R, UnitClass.FPU_ADD, "fp_add", "dd = -da"),
-    ("fabs", Format.R, UnitClass.FPU_ADD, "fp_add", "dd = |da|"),
-    ("fmov", Format.R, UnitClass.FPU_ADD, "fp_add", "dd = da"),
-    ("fcmplt", Format.R, UnitClass.FPU_ADD, "fp_add", "rd = (da < db)"),
-    ("fcmpeq", Format.R, UnitClass.FPU_ADD, "fp_add", "rd = (da == db)"),
-    ("cvtif", Format.R, UnitClass.FPU_CVT, "fp_convert",
-     "dd = double(signed ra)"),
-    ("cvtfi", Format.R, UnitClass.FPU_CVT, "fp_convert",
-     "rd = int(da), truncating"),
+    ("fadd", Format.R, UnitClass.FPU_ADD, "fp_add"),
+    ("fsub", Format.R, UnitClass.FPU_ADD, "fp_add"),
+    ("fmul", Format.R, UnitClass.FPU_MUL, "fp_multiply"),
+    ("fdiv", Format.R, UnitClass.FPU_DIV, "fp_divide"),
+    ("fsqrt", Format.R, UnitClass.FPU_SQRT, "fp_sqrt"),
+    ("fmadd", Format.R, UnitClass.FPU_FMA, "fp_multiply_add"),
+    ("fmsub", Format.R, UnitClass.FPU_FMA, "fp_multiply_add"),
+    ("fneg", Format.R, UnitClass.FPU_ADD, "fp_add"),
+    ("fabs", Format.R, UnitClass.FPU_ADD, "fp_add"),
+    ("fmov", Format.R, UnitClass.FPU_ADD, "fp_add"),
+    ("fcmplt", Format.R, UnitClass.FPU_ADD, "fp_add"),
+    ("fcmpeq", Format.R, UnitClass.FPU_ADD, "fp_add"),
+    ("cvtif", Format.R, UnitClass.FPU_CVT, "fp_convert"),
+    ("cvtfi", Format.R, UnitClass.FPU_CVT, "fp_convert"),
     # --- system ---------------------------------------------------------------
-    ("nop", Format.S, UnitClass.SYSTEM, "other", "do nothing"),
-    ("halt", Format.S, UnitClass.SYSTEM, "other", "stop this thread"),
-    ("tid", Format.S, UnitClass.SYSTEM, "other", "rd = hardware thread id"),
+    ("nop", Format.S, UnitClass.SYSTEM, "other"),
+    ("halt", Format.S, UnitClass.SYSTEM, "other"),
+    ("tid", Format.S, UnitClass.SYSTEM, "other"),
 ]
 
 #: Name -> Opcode for the whole instruction set.
@@ -151,8 +141,8 @@ OPCODES: dict[str, Opcode] = {}
 #: Numeric code -> Opcode (encoding/decoding).
 OPCODES_BY_CODE: dict[int, Opcode] = {}
 
-for _code, (_name, _fmt, _unit, _row, _doc) in enumerate(_TABLE):
-    _op = Opcode(_name, _code, _fmt, _unit, _row, _doc)
+for _code, (_name, _fmt, _unit, _row) in enumerate(_TABLE):
+    _op = Opcode(_name, _code, _fmt, _unit, _row)
     OPCODES[_name] = _op
     OPCODES_BY_CODE[_code] = _op
 

@@ -75,11 +75,6 @@ class AddressMap:
 
     # ------------------------------------------------------------------
     @property
-    def enabled_banks(self) -> tuple[int, ...]:
-        """Ids of the banks still in service."""
-        return tuple(self._enabled)
-
-    @property
     def max_memory(self) -> int:
         """The fault-tolerance special register: usable contiguous bytes."""
         return self._max_memory

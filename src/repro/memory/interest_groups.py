@@ -155,24 +155,9 @@ class InterestGroup:
             return members[0]
         return members[scramble_pick(physical_line, len(members))]
 
-    @property
-    def may_replicate(self) -> bool:
-        """True when the same physical address can land in several caches."""
-        return self.level is Level.OWN
-
 
 #: The byte software uses by default: all caches as one coherent unit.
 IG_ALL = InterestGroup(Level.ALL).encode()
 
 #: Interest group zero: the accessing thread's own cache (may replicate).
 IG_OWN = InterestGroup(Level.OWN).encode()
-
-
-def own_group() -> InterestGroup:
-    """The thread's-own-cache group (interest group zero)."""
-    return InterestGroup(Level.OWN)
-
-
-def single_cache_group(cache_id: int) -> InterestGroup:
-    """The group that pins data to exactly one cache."""
-    return InterestGroup(Level.ONE, cache_id)

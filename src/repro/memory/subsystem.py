@@ -472,11 +472,15 @@ class MemorySubsystem:
         Supported ops: ``add``, ``swap``, ``and``, ``or``. The engine
         serializes all shared-state operations in time order, so the RMW
         is atomic by construction; timing is a store-classified access
-        (the line must be owned to modify it).
+        (the line must be owned to modify it). In strict mode the RMW
+        acts on the cached copy, like a plain load and store would.
         """
         outcome = self.access(time, quad_id, effective, 4, is_store=True)
         physical = effective & PHYSICAL_MASK
-        old = self.backing.load_u32(physical)
+        if self.strict:
+            old = self._strict_read(outcome[3], physical, 4)
+        else:
+            old = self.backing.load_u32(physical)
         if op == "add":
             new = (old + operand) & 0xFFFFFFFF
         elif op == "swap":
@@ -487,7 +491,10 @@ class MemorySubsystem:
             new = old | operand
         else:
             raise AddressError(f"unknown atomic op {op!r}")
-        self.backing.store_u32(physical, new)
+        if self.strict:
+            self._strict_write(outcome[3], physical, 4, word=new)
+        else:
+            self.backing.store_u32(physical, new)
         return outcome, old
 
     # ------------------------------------------------------------------

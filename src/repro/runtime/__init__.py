@@ -22,7 +22,6 @@ from repro.runtime.context import ThreadCtx
 from repro.runtime.heap import BumpHeap
 from repro.runtime.kernel import AllocationPolicy, Kernel, SoftwareThread
 from repro.runtime.locks import SpinLock
-from repro.runtime.reductions import TreeReduction
 
 __all__ = [
     "AllocationPolicy",
@@ -33,5 +32,4 @@ __all__ = [
     "SpinLock",
     "ThreadCtx",
     "TreeBarrier",
-    "TreeReduction",
 ]

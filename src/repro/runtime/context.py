@@ -549,18 +549,6 @@ class ThreadCtx:
     # ------------------------------------------------------------------
     # Thread-private operations (plain methods)
     # ------------------------------------------------------------------
-    def int_alu(self, deps: tuple = ()) -> int:
-        """A one-cycle fixed-point/register op on the private ALU."""
-        return self.tu.execute_local(self._earliest(deps), self.lat.other)
-
-    def int_mul(self, deps: tuple = ()) -> int:
-        """Integer multiply on the private ALU."""
-        return self.tu.execute_local(self._earliest(deps), self.lat.int_multiply)
-
-    def int_div(self, deps: tuple = ()) -> int:
-        """Integer divide (non-pipelined, occupies the thread)."""
-        return self.tu.execute_local(self._earliest(deps), self.lat.int_divide)
-
     def branch(self, deps: tuple = ()) -> int:
         """A (conditional) branch: two cycles in the sequencer."""
         return self.tu.execute_local(self._earliest(deps), self.lat.branch)
@@ -570,7 +558,8 @@ class ThreadCtx:
 
         Loop bodies use this for address arithmetic that would be tedious
         to spell out op-by-op; it is exactly equivalent to ``count``
-        chained :meth:`int_alu` calls with no dependences.
+        one-cycle ``execute_local`` ops (latency row ``other``) with no
+        dependences.
         """
         counters = self.tu.counters
         counters.instructions += count

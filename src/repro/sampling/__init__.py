@@ -175,7 +175,6 @@ class SamplingEstimate:
     confidence: float
     exact: bool
     n_units: int
-    unit_cpis: list[float]
     cpi_mean: float
     total_insns: int
     measured_insns: int
@@ -266,7 +265,7 @@ def build_estimate(unit_cpis: list[float], total_insns: int,
         return SamplingEstimate(
             estimated_cycles=detailed_cycles, ci_halfwidth=0.0,
             confidence=config.confidence, exact=True,
-            n_units=len(unit_cpis), unit_cpis=list(unit_cpis),
+            n_units=len(unit_cpis),
             cpi_mean=(sum(unit_cpis) / len(unit_cpis)
                       if unit_cpis else 0.0),
             total_insns=total_insns, measured_insns=measured_insns,
@@ -283,8 +282,7 @@ def build_estimate(unit_cpis: list[float], total_insns: int,
         estimated_cycles=detailed_cycles + int(mean * ff_insns + 0.5),
         ci_halfwidth=half * ff_insns,
         confidence=config.confidence, exact=False,
-        n_units=len(unit_cpis), unit_cpis=list(unit_cpis),
-        cpi_mean=mean, total_insns=total_insns,
+        n_units=len(unit_cpis), cpi_mean=mean, total_insns=total_insns,
         measured_insns=measured_insns, warmup_insns=warmup_insns,
         ff_insns=ff_insns, detailed_cycles=detailed_cycles, config=config,
     )

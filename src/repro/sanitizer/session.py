@@ -46,11 +46,6 @@ def active() -> list:
     return list(_active)
 
 
-def all_findings() -> list:
-    """Every finding from every registered sanitizer, in attach order."""
-    return [finding for san in _active for finding in san.findings]
-
-
 def total_counts() -> dict[str, int]:
     """Finding occurrence counts summed across the session's sanitizers."""
     totals: dict[str, int] = {}

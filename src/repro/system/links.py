@@ -111,8 +111,3 @@ class LinkFabric:
     def total_bytes(self) -> int:
         """Traffic across the whole fabric."""
         return sum(link.bytes_sent for link in self._links.values())
-
-    def peak_chip_io_bytes_per_second(self) -> float:
-        """The paper's 12 GB/s per-chip I/O ceiling."""
-        per_link = (self.config.link_width_bits / 8) * self.config.link_hz
-        return per_link * 12

@@ -94,10 +94,6 @@ class _Mailbox:
                  if from_index is None or m.src_index == from_index]
         return min(times) if times else None
 
-    def drain_order(self) -> list[_Message]:
-        """Every held message in the order receives would take them."""
-        return sorted(self.messages, key=lambda m: m.key)
-
 
 class MultiChipSystem:
     """A mesh/torus of Cyclops cells sharing one simulation clock."""

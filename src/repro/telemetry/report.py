@@ -125,11 +125,6 @@ class RunReport:
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in data.items() if k in known})
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        """Rebuild a report from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
 
 def build_report(chip: Chip, workload: str,
                  params: dict[str, Any] | None = None,

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.errors import WorkloadError
 from repro.memory.address import make_effective
@@ -314,11 +313,10 @@ def _barnes_thread(ctx, me: int, params: BarnesParams, state, barrier,
     section.record_finish(me, ctx.time)
 
 
-def run_barnes(params: BarnesParams, config: ChipConfig | None = None,
-               chip: Chip | None = None) -> BarnesResult:
+def run_barnes(params: BarnesParams, chip: Chip | None = None) -> BarnesResult:
     """Run one Barnes-Hut time step."""
     if chip is None:
-        chip = Chip(config or ChipConfig.paper())
+        chip = Chip()
     kernel = Kernel(chip, params.policy)
     if params.n_threads > kernel.max_software_threads:
         raise WorkloadError("not enough usable hardware threads")

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.errors import WorkloadError
 from repro.memory.address import make_effective
@@ -140,11 +139,10 @@ def _dgemm_thread(ctx, me: int, params: DgemmParams, bases, values,
     section.record_finish(me, ctx.time)
 
 
-def run_dgemm(params: DgemmParams, config: ChipConfig | None = None,
-              chip: Chip | None = None) -> DgemmResult:
+def run_dgemm(params: DgemmParams, chip: Chip | None = None) -> DgemmResult:
     """Run one DGEMM experiment point."""
     if chip is None:
-        chip = Chip(config or ChipConfig.paper())
+        chip = Chip()
     kernel = Kernel(chip, params.policy)
     if params.n_threads > kernel.max_software_threads:
         raise WorkloadError("not enough usable hardware threads")

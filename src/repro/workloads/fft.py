@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.errors import WorkloadError
 from repro.memory.address import make_effective
@@ -84,10 +83,6 @@ class FFTResult:
     stall_cycles: int
     barrier_episodes: int
     verified: bool
-
-    @property
-    def cycles_per_point(self) -> float:
-        return self.total_cycles / self.params.n_points
 
 
 class _Matrix:
@@ -382,12 +377,11 @@ def _fft_thread(ctx, me: int, mats: tuple, roots_m: _RootTable,
     section.record_finish(me, ctx.time)
 
 
-def run_fft(params: FFTParams, config: ChipConfig | None = None,
-            chip: Chip | None = None,
+def run_fft(params: FFTParams, chip: Chip | None = None,
             input_values: np.ndarray | None = None) -> FFTResult:
     """Run one FFT experiment point; returns timing plus verification."""
     if chip is None:
-        chip = Chip(config or ChipConfig.paper())
+        chip = Chip()
     kernel = Kernel(chip, params.policy)
     if params.n_threads > kernel.max_software_threads:
         raise WorkloadError("not enough usable hardware threads")

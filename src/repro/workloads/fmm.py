@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.errors import WorkloadError
 from repro.memory.address import make_effective
@@ -336,11 +335,10 @@ def _fmm_thread(ctx, me: int, params: FMMParams, state, barrier, section):
     section.record_finish(me, ctx.time)
 
 
-def run_fmm(params: FMMParams, config: ChipConfig | None = None,
-            chip: Chip | None = None) -> FMMResult:
+def run_fmm(params: FMMParams, chip: Chip | None = None) -> FMMResult:
     """Run one FMM experiment point."""
     if chip is None:
-        chip = Chip(config or ChipConfig.paper())
+        chip = Chip()
     kernel = Kernel(chip, params.policy)
     if params.n_threads > kernel.max_software_threads:
         raise WorkloadError("not enough usable hardware threads")

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.errors import WorkloadError
 from repro.memory.address import make_effective
@@ -185,11 +184,10 @@ def _lu_thread(ctx, me: int, mat: _SimMatrix, params: LUParams, values,
     section.record_finish(me, ctx.time)
 
 
-def run_lu(params: LUParams, config: ChipConfig | None = None,
-           chip: Chip | None = None) -> LUResult:
+def run_lu(params: LUParams, chip: Chip | None = None) -> LUResult:
     """Run one LU experiment point."""
     if chip is None:
-        chip = Chip(config or ChipConfig.paper())
+        chip = Chip()
     kernel = Kernel(chip, params.policy)
     if params.n_threads > kernel.max_software_threads:
         raise WorkloadError("not enough usable hardware threads")

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.errors import WorkloadError
 from repro.memory.address import make_effective
@@ -56,7 +55,6 @@ class MDResult:
 
     params: MDParams
     cycles: int
-    interactions: int
     verified: bool
 
 
@@ -107,7 +105,6 @@ def _md_thread(ctx, me: int, params: MDParams, state, barrier,
     cut2 = params.cutoff ** 2
     box = params.box
     ig = IG_ALL
-    interactions = 0
 
     def pos_ea(index: int, axis: int) -> int:
         return make_effective(pos_base + 16 * index + 8 * axis, ig)
@@ -147,7 +144,6 @@ def _md_thread(ctx, me: int, params: MDParams, state, barrier,
                     pfx, pfy = _lj_force(dx, dy, r2)
                     fx += pfx
                     fy += pfy
-                    interactions += 1
         forces[i] = (fx, fy)
         yield from ctx.store_f64(force_ea(i, 0), fx)
         yield from ctx.store_f64(force_ea(i, 1), fy)
@@ -163,14 +159,12 @@ def _md_thread(ctx, me: int, params: MDParams, state, barrier,
         yield from ctx.store_f64(pos_ea(i, 0), new[0])
         yield from ctx.store_f64(pos_ea(i, 1), new[1])
     section.record_finish(me, ctx.time)
-    return interactions
 
 
-def run_md(params: MDParams, config: ChipConfig | None = None,
-           chip: Chip | None = None) -> MDResult:
+def run_md(params: MDParams, chip: Chip | None = None) -> MDResult:
     """Run one MD time step."""
     if chip is None:
-        chip = Chip(config or ChipConfig.paper())
+        chip = Chip()
     kernel = Kernel(chip, params.policy)
     if params.n_threads > kernel.max_software_threads:
         raise WorkloadError("not enough usable hardware threads")
@@ -202,11 +196,9 @@ def run_md(params: MDParams, config: ChipConfig | None = None,
     }
     barrier = kernel.hardware_barrier(0, params.n_threads)
     section = TimedSection.empty()
-    threads = [
+    for t in range(params.n_threads):
         kernel.spawn(_md_thread, t, params, state, barrier, section,
                      name=f"md-{t}")
-        for t in range(params.n_threads)
-    ]
     kernel.run()
 
     verified = False
@@ -216,6 +208,5 @@ def run_md(params: MDParams, config: ChipConfig | None = None,
     return MDResult(
         params=params,
         cycles=section.elapsed,
-        interactions=sum(t.result for t in threads),
         verified=verified,
     )

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.errors import WorkloadError
 from repro.memory.address import make_effective
@@ -108,11 +107,10 @@ def _reference_sweeps(initial: np.ndarray, params: OceanParams) -> np.ndarray:
     return grid
 
 
-def run_ocean(params: OceanParams, config: ChipConfig | None = None,
-              chip: Chip | None = None) -> OceanResult:
+def run_ocean(params: OceanParams, chip: Chip | None = None) -> OceanResult:
     """Run one Ocean experiment point."""
     if chip is None:
-        chip = Chip(config or ChipConfig.paper())
+        chip = Chip()
     kernel = Kernel(chip, params.policy)
     if params.n_threads > kernel.max_software_threads:
         raise WorkloadError("not enough usable hardware threads")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.errors import WorkloadError
 from repro.memory.address import make_effective
@@ -131,11 +130,10 @@ def _radix_thread(ctx, me: int, params: RadixParams, state, barrier,
     section.record_finish(me, ctx.time)
 
 
-def run_radix(params: RadixParams, config: ChipConfig | None = None,
-              chip: Chip | None = None) -> RadixResult:
+def run_radix(params: RadixParams, chip: Chip | None = None) -> RadixResult:
     """Run one Radix experiment point."""
     if chip is None:
-        chip = Chip(config or ChipConfig.paper())
+        chip = Chip()
     kernel = Kernel(chip, params.policy)
     if params.n_threads > kernel.max_software_threads:
         raise WorkloadError("not enough usable hardware threads")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.errors import WorkloadError
 from repro.memory.address import make_effective
@@ -175,11 +174,11 @@ def _raytrace_thread(ctx, me: int, params: RayTraceParams, image_base,
     section.record_finish(me, ctx.time)
 
 
-def run_raytrace(params: RayTraceParams, config: ChipConfig | None = None,
+def run_raytrace(params: RayTraceParams,
                  chip: Chip | None = None) -> RayTraceResult:
     """Render the scene once."""
     if chip is None:
-        chip = Chip(config or ChipConfig.paper())
+        chip = Chip()
     kernel = Kernel(chip, params.policy)
     if params.n_threads > kernel.max_software_threads:
         raise WorkloadError("not enough usable hardware threads")

@@ -294,11 +294,10 @@ def _auto_warmup(params: StreamParams, config: ChipConfig) -> bool:
     return working_set <= config.dcache_total_bytes
 
 
-def run_stream(params: StreamParams, config: ChipConfig | None = None,
-               chip: Chip | None = None) -> StreamResult:
+def run_stream(params: StreamParams, chip: Chip | None = None) -> StreamResult:
     """Run one STREAM configuration and return its measured bandwidth."""
     if chip is None:
-        chip = Chip(config or ChipConfig.paper())
+        chip = Chip()
     config = chip.config
     kernel = Kernel(chip, params.policy)
     if params.n_threads > kernel.max_software_threads:

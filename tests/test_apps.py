@@ -55,12 +55,6 @@ class TestMD:
         result = run_md(MDParams(n_particles=64, n_threads=n_threads))
         assert result.verified
 
-    def test_interactions_symmetric_count(self):
-        """Every pair within cutoff is visited from both sides."""
-        result = run_md(MDParams(n_particles=64, n_threads=2))
-        assert result.interactions % 2 == 0
-        assert result.interactions > 0
-
     def test_cutoff_bounds(self):
         with pytest.raises(WorkloadError):
             MDParams(cutoff=0.0)

@@ -15,7 +15,7 @@ from repro.core.thread_unit import ThreadUnit
 from repro.engine.resources import PipelinedUnit
 from repro.errors import BarrierError, ConfigError, MemoryFault
 from repro.memory.address import make_effective
-from repro.memory.interest_groups import IG_ALL, single_cache_group
+from repro.memory.interest_groups import IG_ALL, InterestGroup, Level
 
 CFG = ChipConfig.paper()
 
@@ -265,17 +265,15 @@ class TestCounters:
         assert a.run_cycles == 14
         assert a.stall_cycles == 4
 
-    def test_total_and_idle(self):
+    def test_total_cycles(self):
         c = ThreadCounters(run_cycles=5, stall_cycles=3,
                            start_time=10, finish_time=30)
         assert c.total_cycles == 20
-        assert c.idle_cycles == 12
 
     def test_chip_aggregate(self):
         chip_counters = ChipCounters()
         chip_counters.thread(0).run_cycles = 5
         chip_counters.thread(1).run_cycles = 7
-        assert chip_counters.total_run_cycles == 12
         assert chip_counters.aggregate().run_cycles == 12
 
 
@@ -430,7 +428,7 @@ class TestFaultTolerance:
         # cache, including for the line resolved before the fault.
         chip = Chip()
         memory = chip.memory
-        ig = single_cache_group(3).encode()
+        ig = InterestGroup(Level.ONE, 3).encode()
         before = make_effective(0x4000, ig)
         _, _, _, cache_id = memory.access(0, 0, before, 8, False)
         assert cache_id == 3

@@ -37,7 +37,7 @@ class TestEventQueue:
     def test_peek_time(self):
         q = EventQueue()
         q.push(7, "x")
-        assert q.peek_time() == 7
+        assert q.next_time == 7
         assert len(q) == 1
 
     def test_drain(self):
@@ -54,14 +54,6 @@ class TestWaiter:
         w.park("b")
         assert w.wake_all() == ["a", "b"]
         assert len(w) == 0
-
-    def test_wake_one(self):
-        w = Waiter()
-        assert w.wake_one() is None
-        w.park("x")
-        w.park("y")
-        assert w.wake_one() == "x"
-        assert len(w) == 1
 
 
 class TestTimelineResource:
@@ -246,17 +238,6 @@ class TestScheduler:
 
         s.spawn(spawner())
         s.run()
-
-    def test_live_and_parked_counts(self):
-        s = Scheduler()
-
-        def body():
-            yield 1
-
-        s.spawn(body())
-        assert s.n_live == 1
-        s.run()
-        assert s.n_live == 0
 
 
 class TestTracer:

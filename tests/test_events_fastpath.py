@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.events import EventQueue, Waiter
+from repro.engine.events import NEVER, EventQueue, Waiter
 
 
 class ReferenceQueue:
@@ -67,11 +67,11 @@ def test_tie_group_pops_in_push_order():
     # The tie group pops in FIFO order, with next_time staying on the
     # group until its last event is gone.
     assert queue.pop() == (3, 0)
-    assert queue.peek_time() == 3
+    assert queue.next_time == 3
     assert queue.pop() == (3, 1)
     assert queue.pop() == (3, 2)
     assert queue.pop() == (3, 3)
-    assert queue.peek_time() == 9
+    assert queue.next_time == 9
     assert queue.pop() == (9, "later")
     assert len(queue) == 0
 
@@ -94,32 +94,30 @@ def test_push_earlier_than_head_pops_first():
     queue.push(10, "y")
     assert queue.pop() == (10, "x")  # "y" still queued at 10
     queue.push(4, "early")  # earlier than the current head
-    assert queue.peek_time() == 4
+    assert queue.next_time == 4
     assert queue.pop() == (4, "early")
-    assert queue.peek_time() == 10
+    assert queue.next_time == 10
     assert queue.pop() == (10, "y")
 
 
 def test_len_bool_and_empty_peek():
     queue = EventQueue()
     assert len(queue) == 0 and not queue
-    with pytest.raises(IndexError):
-        queue.peek_time()
+    assert queue.next_time == NEVER
     queue.push(1, "a")
     assert len(queue) == 1 and queue
     queue.pop()
-    with pytest.raises(IndexError):
-        queue.peek_time()
+    assert queue.next_time == NEVER
 
 
 def test_next_time_tracks_earliest_push():
     queue = EventQueue()
     queue.push(8, "a")
-    assert queue.peek_time() == 8
+    assert queue.next_time == 8
     queue.push(3, "b")
-    assert queue.peek_time() == 3
+    assert queue.next_time == 3
     queue.push(5, "c")
-    assert queue.peek_time() == 3
+    assert queue.next_time == 3
     assert [queue.pop() for _ in range(3)] == \
         [(3, "b"), (5, "c"), (8, "a")]
 
@@ -178,7 +176,6 @@ def _check_same(fast, reference):
     assert fast.n == len(reference)
     assert fast.peek_time_or(-1) == reference.peek_time_or(-1)
     if len(reference):
-        assert fast.peek_time() == reference.peek_time()
         assert fast.next_time == reference.peek_time()
 
 
@@ -229,7 +226,5 @@ def test_waiter_fifo():
     for i in range(3):
         waiter.park(i)
     assert len(waiter) == 3
-    assert waiter.wake_one() == 0
-    assert waiter.wake_all() == [1, 2]
-    assert waiter.wake_one() is None
+    assert waiter.wake_all() == [0, 1, 2]
     assert len(waiter) == 0

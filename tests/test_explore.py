@@ -50,7 +50,7 @@ class TestDerivation:
         spec = ChipSpec(tus_per_quad=2, n_quads=8, n_banks=4)
         assert spec.n_threads == 16
         # The bank knob moves bank size, not the paper's 8 MB total.
-        assert spec.memory_kb == MEMORY_KB == 8 * 1024
+        assert MEMORY_KB == 8 * 1024
         assert spec.bank_kb == MEMORY_KB // 4
         assert spec.to_config().memory_bytes == MEMORY_KB * 1024
 

@@ -74,6 +74,37 @@ class TestAllGroupStaysCoherent:
         assert chip.memory.backing.load_f64(0x5000) == 9.0
 
 
+class TestStrictModeAtomics:
+    def test_atomic_acts_on_the_cached_copy(self, chip):
+        """Once a load has buffered the line, the RMW must read and
+        write the cached bytes: a backing-store update would be lost to
+        the next load and overwritten when the dirty line is flushed."""
+        ea = make_effective(0x6000, IG_OWN)
+        _, before = chip.memory.load_u32(0, 0, ea)
+        _, old = chip.memory.atomic_rmw_u32(10, 0, ea, "add", 5)
+        _, after = chip.memory.load_u32(20, 0, ea)
+        assert (before, old, after) == (0, 0, 5)
+        chip.memory.flush_cache(0)
+        assert chip.memory.backing.load_u32(0x6000) == 5
+
+    def test_released_spin_lock_can_be_taken_again(self, chip):
+        from repro.runtime.kernel import Kernel
+        from repro.runtime.locks import SpinLock
+
+        kernel = Kernel(chip)
+        lock = SpinLock(kernel)
+
+        def body(ctx):
+            yield from lock.acquire(ctx)
+            yield from lock.release(ctx)
+            yield from lock.acquire(ctx)
+
+        thread = kernel.spawn(body)
+        kernel.run(until=10_000)
+        assert thread.done
+        assert (lock.acquisitions, lock.contended_spins) == (2, 0)
+
+
 class TestStrictModeIsa:
     def test_interpreter_refuses_strict_chip(self, chip):
         """Compiled blocks bypass the per-line buffers: an ``sd`` through

@@ -9,8 +9,6 @@ from repro.memory.interest_groups import (
     IG_OWN,
     InterestGroup,
     Level,
-    own_group,
-    single_cache_group,
 )
 from repro.memory.scramble import scramble64, scramble_pick
 
@@ -109,12 +107,12 @@ class TestCacheSets:
 
 class TestTargetCache:
     def test_single_member_is_fixed(self):
-        group = single_cache_group(8)
+        group = InterestGroup(Level.ONE, 8)
         for line in range(100):
             assert group.target_cache(line, N_CACHES) == 8
 
     def test_own_follows_requester(self):
-        group = own_group()
+        group = InterestGroup(Level.OWN)
         assert group.target_cache(123, N_CACHES, own_cache=5) == 5
         assert group.target_cache(123, N_CACHES, own_cache=9) == 9
 
@@ -143,11 +141,6 @@ class TestTargetCache:
         expected = n_lines / N_CACHES
         for count in counts:
             assert 0.6 * expected < count < 1.4 * expected
-
-    def test_only_own_may_replicate(self):
-        assert own_group().may_replicate
-        assert not InterestGroup(Level.ALL).may_replicate
-        assert not single_cache_group(0).may_replicate
 
 
 class TestScramble:

@@ -73,27 +73,32 @@ class TestGeneratedKernels:
             stream_kernel_program("copy", unroll=9)
 
 
+#: Every STREAM kernel at unroll 1 and 4; unroll-1 cases keep the bare
+#: kernel name as their id.
+STREAM_CASES = [
+    pytest.param(kernel, unroll,
+                 id=kernel if unroll == 1 else f"{kernel}-unroll{unroll}")
+    for unroll in (1, 4) for kernel in ("copy", "scale", "add", "triad")]
+
+
 class TestLayerCrossValidation:
     """The ISA interpreter and the direct-execution model must agree:
     both charge the same Table 2 machine for the same loop shape."""
 
-    @pytest.mark.parametrize("kernel", ["copy", "triad"])
-    def test_cycles_per_element_agree(self, kernel):
-        _, _, isa_cycles = run_isa_stream(kernel)
-        isa_per_element = isa_cycles / N
-
+    @pytest.mark.parametrize("kernel,unroll", STREAM_CASES)
+    def test_cycles_per_element_agree(self, kernel, unroll):
+        _, _, isa_cycles = run_isa_stream(kernel, unroll)
         direct = run_stream(StreamParams(
-            kernel=kernel, n_elements=N, n_threads=1, warmup=False,
+            kernel=kernel, n_elements=N, n_threads=1, unroll=unroll,
+            warmup=False,
         ))
-        direct_per_element = direct.cycles / N
-        # The models differ in charged loop overhead (the ISA loop has
-        # its literal instruction count); 35% agreement is tight enough
-        # to catch any real divergence in the shared timing machinery.
-        ratio = isa_per_element / direct_per_element
-        assert 0.65 < ratio < 1.35, (isa_per_element, direct_per_element)
+        # The ISA loop charges its literal instructions, a little more
+        # overhead than the direct model's loop (1.1-3.1% at N=256).
+        ratio = isa_cycles / direct.cycles
+        assert 1.0 <= ratio < 1.05, (isa_cycles, direct.cycles)
 
     def test_unrolling_gain_agrees(self):
-        """Both layers must show a similar unrolling speedup."""
+        """Both layers must show the same unrolling speedup."""
         _, _, isa_1 = run_isa_stream("triad", 1)
         _, _, isa_4 = run_isa_stream("triad", 4)
         isa_gain = isa_1 / isa_4
@@ -104,7 +109,7 @@ class TestLayerCrossValidation:
                                            n_threads=1, unroll=4,
                                            warmup=False))
         direct_gain = direct_1.cycles / direct_4.cycles
-        assert abs(isa_gain - direct_gain) / direct_gain < 0.5
+        assert abs(isa_gain - direct_gain) / direct_gain < 0.05
 
 
 class TestFFTKernel:

@@ -229,16 +229,14 @@ class TestThreadCtxOps:
 
     def test_int_ops_do_not_yield(self):
         def body(ctx):
-            t = ctx.int_alu()
-            t = ctx.int_mul(deps=(t,))
-            t = ctx.int_div(deps=(t,))
+            t = ctx.charge_ops(3)
             ctx.branch(deps=(t,))
             return ctx.time
             yield  # pragma: no cover
 
         _, thread = self.run_body(body)
-        # 1 + (1) + 33 + 2 execution; mul latency 5 stalls the divide.
-        assert thread.result == 1 + 1 + 5 + 33 + 2
+        # Three one-cycle ops, then the two-cycle branch.
+        assert thread.result == 3 + 2
 
     def test_atomic_add(self):
         def body(ctx):
@@ -455,7 +453,7 @@ class TestSpinLock:
             for _ in range(10):
                 yield from lock.acquire(ctx)
                 t, v = yield from ctx.load_u32(ctx.ea(counter))
-                t2 = ctx.int_alu(deps=(t,))
+                t2 = ctx.branch(deps=(t,))
                 yield from ctx.store_u32(ctx.ea(counter), v + 1, deps=(t2,))
                 yield from lock.release(ctx)
 

@@ -180,7 +180,7 @@ class TestCleanRuns:
             session.force(False)
         assert sanitized_fft.total_cycles == plain_fft
         assert sanitized_stream.cycles == plain_stream
-        assert session.all_findings() == []
+        assert all(not s.findings for s in session.active())
         # The FFT's barriers really were observed.
         assert any(s.global_epoch > 0 for s in session.active())
 

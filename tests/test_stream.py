@@ -4,6 +4,7 @@ paper's qualitative performance relationships."""
 import pytest
 
 from repro.config import ChipConfig
+from repro.core.chip import Chip
 from repro.errors import AddressError, WorkloadError
 from repro.memory.address import make_effective
 from repro.memory.interest_groups import IG_ALL, InterestGroup, Level
@@ -219,11 +220,11 @@ class TestStoreMissAblation:
         fast = run_stream(StreamParams(kernel="copy",
                                        n_elements=126 * 800,
                                        n_threads=126),
-                          config=base)
+                          chip=Chip(base))
         slow = run_stream(StreamParams(kernel="copy",
                                        n_elements=126 * 800,
                                        n_threads=126),
-                          config=fetch)
+                          chip=Chip(fetch))
         assert fast.bandwidth > slow.bandwidth * 1.1
         # The extra line fetches show up as real bank traffic.
         assert slow.memory_traffic_bytes > fast.memory_traffic_bytes * 1.3

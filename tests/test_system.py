@@ -81,10 +81,6 @@ class TestLinkFabric:
         with pytest.raises(ConfigError):
             fabric.link((0, 0, 0), "-x")
 
-    def test_peak_io_is_papers_12_gb_s(self):
-        fabric = self.make()
-        assert fabric.peak_chip_io_bytes_per_second() == pytest.approx(12e9)
-
     def test_traffic_counter(self):
         fabric = self.make()
         fabric.send(0, (0, 0, 0), (1, 0, 0), 100)

@@ -327,7 +327,7 @@ class TestRunReport:
         report = build_report(chip, "stream", params={"threads": 8},
                               registry=inst.registry,
                               results={"cycles": result.cycles})
-        clone = RunReport.from_json(report.to_json())
+        clone = RunReport.from_dict(json.loads(report.to_json()))
         assert clone.to_dict() == report.to_dict()
 
     def test_aggregate_matches_chip_counters(self):
