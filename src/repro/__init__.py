@@ -37,7 +37,7 @@ Layers:
 """
 
 from repro.config import ChipConfig, LatencyTable
-from repro.configio import load_config, save_config
+from repro.configio import load_config
 from repro.core.chip import Chip
 from repro.core.faults import FaultController
 from repro.errors import CyclopsError
@@ -64,5 +64,4 @@ __all__ = [
     "__version__",
     "load_config",
     "run_stream",
-    "save_config",
 ]

@@ -56,11 +56,6 @@ def config_from_dict(data: dict[str, Any]) -> ChipConfig:
     return ChipConfig(**kwargs)
 
 
-def config_to_json(config: ChipConfig, indent: int = 2) -> str:
-    """Serialize to a JSON string."""
-    return json.dumps(config_to_dict(config), indent=indent, sort_keys=True)
-
-
 def config_from_json(text: str) -> ChipConfig:
     """Parse a JSON string back into a validated ChipConfig."""
     try:
@@ -70,12 +65,6 @@ def config_from_json(text: str) -> ChipConfig:
     if not isinstance(data, dict):
         raise ConfigError("config JSON must be an object")
     return config_from_dict(data)
-
-
-def save_config(config: ChipConfig, path: str) -> None:
-    """Write the configuration to a file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(config_to_json(config))
 
 
 def load_config(path: str) -> ChipConfig:

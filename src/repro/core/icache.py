@@ -26,7 +26,11 @@ from repro.memory.bank import MemoryBank
 
 
 class PrefetchBuffer:
-    """One thread's PIB: the 16-instruction window currently buffered."""
+    """One thread's PIB: the 16-instruction window currently buffered.
+
+    The ISA dispatch loops refill it by storing the aligned start of
+    the window they fetched in ``_window_start``.
+    """
 
     def __init__(self, config: ChipConfig) -> None:
         self.window_bytes = config.pib_entries * config.word_bytes
@@ -37,10 +41,6 @@ class PrefetchBuffer:
         if self._window_start is None:
             return False
         return self._window_start <= address < self._window_start + self.window_bytes
-
-    def refill(self, address: int) -> None:
-        """Load the aligned window containing *address*."""
-        self._window_start = address - (address % self.window_bytes)
 
     def clear(self) -> None:
         """Invalidate the buffer."""

@@ -22,7 +22,7 @@ from repro.isa.assembler import assemble
 from repro.isa.builder import Builder
 from repro.isa.encoding import decode_instruction, encode_instruction
 from repro.isa.instruction import Instruction
-from repro.isa.interpreter import Interpreter, ThreadExit
+from repro.isa.interpreter import Interpreter
 from repro.isa.opcodes import OPCODES, Opcode, UnitClass
 from repro.isa.program import Program
 from repro.isa.registers import (
@@ -45,7 +45,6 @@ __all__ = [
     "REG_STACK",
     "REG_ZERO",
     "RegisterFile",
-    "ThreadExit",
     "UnitClass",
     "assemble",
     "decode_instruction",

@@ -46,11 +46,21 @@ blocks alone. Faults the register file raises at run time (a double
 pair at an odd register) are emitted as the register-file call itself,
 so every block fuses.
 
+**One register model.** The register file is one buffer seen as 64
+u32 registers (``_R``) and 32 doubles (``_D``). A block caches each
+pair it touches in one view at a time: u32 locals (``r12``, ``r13``)
+or a float local (``d12``). Materializing either view writes back and
+drops the other, so a double moves between memory, the FPU and the
+register file without ever being split into words. An aligned timed
+``ld``/``sd`` reads or writes the backing store's ``f64`` memoryview
+directly; a misaligned one calls the checked ``BackingStore`` method,
+which raises the alignment fault.
+
 **Functional code.** :class:`_FunctionalEmitter` overrides only the
 timing hooks (scoreboard, yields, unit issue, memory access vs cache
-warming) and caches double pairs as float locals; the data movement is
-the timed emitter's. :func:`compile_functional` builds the timing-free
-table that :mod:`repro.sampling` fast-forwards with.
+warming); the data movement and the register model are the timed
+emitter's. :func:`compile_functional` builds the timing-free table that
+:mod:`repro.sampling` fast-forwards with.
 """
 
 from __future__ import annotations
@@ -69,8 +79,6 @@ _U32 = 0xFFFFFFFF
 # ---------------------------------------------------------------------------
 # Shared runtime namespace for the generated code
 # ---------------------------------------------------------------------------
-_STRUCT_II = struct.Struct("<II")
-_STRUCT_D = struct.Struct("<d")
 _STRUCT_H = struct.Struct("<H")
 
 
@@ -84,13 +92,11 @@ def _fdiv_zero(tu) -> ExecutionError:
 
 #: Read-only helpers every generated block module can reach.
 _NAMESPACE = {
-    "_pk_II": _STRUCT_II.pack,
-    "_up_II": _STRUCT_II.unpack,
-    "_pk_d": _STRUCT_D.pack,
-    "_up_d": _STRUCT_D.unpack,
     "_pk_H": _STRUCT_H.pack,
     "_ifb": int.from_bytes,
     "_fmod": math.fmod,
+    "_sqrt": math.sqrt,
+    "_nan": math.nan,
     "_div_zero": _div_zero,
     "_fdiv_zero": _fdiv_zero,
 }
@@ -146,7 +152,8 @@ _FPU_VALUE_EXPR = {
     "fsub": "_a - _b",
     "fmul": "_a * _b",
     "fdiv": "_a / _b",
-    "fsqrt": "_a ** 0.5",
+    # IEEE 754: sqrt keeps -0.0, +inf and NaN; below zero is NaN.
+    "fsqrt": "_nan if _a < 0.0 else _sqrt(_a)",
     "fmadd": "_d + _a * _b",
     "fmsub": "_d - _a * _b",
     "fneg": "-_a",
@@ -234,6 +241,10 @@ class _BlockEmitter:
     overrides.
     """
 
+    #: Aligned doubles skip the backing store's bound check: ``access``
+    #: checked max-memory, which never exceeds the backing store.
+    direct_f64 = True
+
     def __init__(self, program: Program, lat, start: int, end: int) -> None:
         self.program = program
         self.lat = lat
@@ -243,8 +254,11 @@ class _BlockEmitter:
         #: Registers / scoreboard slots currently mirrored in locals.
         self.local_r: set[int] = set()
         self.local_t: set[int] = set()
+        #: Even registers whose pair is mirrored in a float local.
+        self.local_d: set[int] = set()
         #: Locals that must be stored back on flush (r0 never is).
         self.dirty_r: set[int] = set()
+        self.dirty_d: set[int] = set()
         self.dirty_t: set[int] = set()
         #: Compile-time counter deltas (already-flushed prefix excluded).
         self.ni = 0      # instructions
@@ -261,10 +275,31 @@ class _BlockEmitter:
     def emit(self, line: str) -> None:
         self.lines.append("    " + line)
 
+    # -- the register model ----------------------------------------------
+    # A pair lives in at most one view at a time: u32 locals or a float
+    # local. Materializing either view writes back and drops the other,
+    # so mixed int/double access of the same registers stays exact.
+    def _spill_pair(self, pair: int) -> None:
+        """Retire a pair's float local before an integer access."""
+        if pair in self.local_d:
+            if pair in self.dirty_d:
+                self.emit(f"_D[{pair >> 1}] = d{pair}")
+                self.dirty_d.discard(pair)
+            self.local_d.discard(pair)
+
+    def _drop_int_view(self, pair: int) -> None:
+        """Retire a pair's u32 locals before its float local takes over."""
+        for reg in (pair, pair + 1):
+            if reg in self.dirty_r:
+                self.emit(f"_R[{reg}] = r{reg}")
+                self.dirty_r.discard(reg)
+            self.local_r.discard(reg)
+
     def rv(self, reg: int) -> str:
         """u32 value expression for *reg* (loads a local on first use)."""
         if reg == 0:
             return "0"
+        self._spill_pair(reg & ~1)
         if reg not in self.local_r:
             self.emit(f"r{reg} = _R[{reg}]")
             self.local_r.add(reg)
@@ -274,6 +309,7 @@ class _BlockEmitter:
         """Write *expr* (already masked) into *reg*'s local (r0 drops)."""
         if reg == 0:
             return
+        self._spill_pair(reg & ~1)
         self.emit(f"r{reg} = {expr}")
         self.local_r.add(reg)
         self.dirty_r.add(reg)
@@ -286,9 +322,11 @@ class _BlockEmitter:
         """
         if reg % 2:
             return f"state.regs.read_double({reg})"
-        lo = self.rv(reg)
-        hi = self.rv(reg + 1)
-        return f"_up_d(_pk_II({lo}, {hi}))[0]"
+        if reg not in self.local_d:
+            self._drop_int_view(reg)
+            self.emit(f"d{reg} = _D[{reg >> 1}]")
+            self.local_d.add(reg)
+        return f"d{reg}"
 
     def write_double(self, reg: int, expr: str) -> None:
         if reg % 2:
@@ -299,9 +337,10 @@ class _BlockEmitter:
             # Pair-0 writes are discarded whole, like the register file's
             # write_double.
             return
-        self.emit(f"r{reg}, r{reg + 1} = _up_II(_pk_d({expr}))")
-        self.local_r.update((reg, reg + 1))
-        self.dirty_r.update((reg, reg + 1))
+        self._drop_int_view(reg)
+        self.emit(f"d{reg} = {expr}")
+        self.local_d.add(reg)
+        self.dirty_d.add(reg)
 
     # -- timing hooks ---------------------------------------------------
     def tv(self, reg: int) -> str:
@@ -403,9 +442,12 @@ class _BlockEmitter:
     def flush_registers(self) -> None:
         for reg in sorted(self.dirty_r):
             self.emit(f"_R[{reg}] = r{reg}")
+        for reg in sorted(self.dirty_d):
+            self.emit(f"_D[{reg >> 1}] = d{reg}")
         for reg in sorted(self.dirty_t):
             self.emit(f"_T[{reg}] = t{reg}")
         self.dirty_r.clear()
+        self.dirty_d.clear()
         self.dirty_t.clear()
 
     def prologue(self, fn_name: str) -> list[str]:
@@ -414,6 +456,8 @@ class _BlockEmitter:
             f"def {fn_name}(state):",
             "    tu = state.tu",
             "    _R = state.regs._regs",
+            "    _D = state.regs._dbl",
+            "    _MF = state.backing._mv_f64",
             "    _T = state.ready",
             "    it = tu.issue_time",
             "    nst = 0",
@@ -520,9 +564,12 @@ class _BlockEmitter:
         if is_store:
             self.ns += 1
             if name == "sd":
-                self.emit(
-                    f"state.backing.store_f64(_ph, {self.read_double(rd)})"
-                )
+                value = self.read_double(rd)
+                store = f"state.backing.store_f64(_ph, {value})"
+                if self.direct_f64:
+                    self.emit(f"if _ph & 7: {store}")
+                    store = f"else: _MF[_ph >> 3] = {value}"
+                self.emit(store)
             elif name == "sw":
                 self.emit(f"state.backing.store_u32(_ph, {self.rv(rd)})")
             else:
@@ -541,7 +588,10 @@ class _BlockEmitter:
         else:
             self.nl += 1
             if name == "ld":
-                self.write_double(rd, "state.backing.load_f64(_ph)")
+                load = "state.backing.load_f64(_ph)"
+                if self.direct_f64:
+                    load = f"_MF[_ph >> 3] if not _ph & 7 else {load}"
+                self.write_double(rd, load)
                 self.write_t(rd, "_oc")
                 self.write_t(rd + 1 if rd + 1 < 64 else rd, f"t{rd}")
             else:
@@ -712,71 +762,11 @@ class _FunctionalEmitter(_BlockEmitter):
     because only the timing hooks are overridden: every clock,
     scoreboard, cache, FPU-pipe and scheduler interaction is dropped,
     memory accesses warm the caches instead, and the closures are
-    plain calls with no yields.
-
-    Double pairs are additionally cached as *float* locals (``d12``) so
-    hot FP loops never round-trip through the packed u32 representation.
-    A pair has at most one authoritative view at a time: materializing
-    either view writes back and drops the other, so mixed int/double
-    access of the same registers stays exact.
+    plain calls with no yields. Doubles move through the checked
+    ``BackingStore`` calls: warming checks no bound.
     """
 
-    def __init__(self, program: Program, start: int, end: int) -> None:
-        super().__init__(program, _FUNCTIONAL_LAT, start, end)
-        self.local_d: set[int] = set()
-        self.dirty_d: set[int] = set()
-
-    # -- the pair cache -------------------------------------------------
-    def _spill_pair(self, pair: int) -> None:
-        """Re-materialize a pair's u32 view before an integer access."""
-        if pair in self.local_d:
-            self.emit(f"r{pair}, r{pair + 1} = _up_II(_pk_d(d{pair}))")
-            self.local_r.update((pair, pair + 1))
-            if pair in self.dirty_d:
-                self.dirty_r.update((pair, pair + 1))
-                self.dirty_d.discard(pair)
-            self.local_d.discard(pair)
-
-    def _drop_int_view(self, pair: int) -> None:
-        """Retire a pair's u32 locals before its float local takes over."""
-        for reg in (pair, pair + 1):
-            if reg in self.dirty_r:
-                self.emit(f"_R[{reg}] = r{reg}")
-                self.dirty_r.discard(reg)
-            self.local_r.discard(reg)
-
-    def rv(self, reg: int) -> str:
-        self._spill_pair(reg & ~1)
-        return super().rv(reg)
-
-    def write_r(self, reg: int, expr: str) -> None:
-        self._spill_pair(reg & ~1)
-        super().write_r(reg, expr)
-
-    def read_double(self, reg: int) -> str:
-        if reg % 2 or reg == 0:
-            return super().read_double(reg)
-        if reg not in self.local_d:
-            lo, hi = self.rv(reg), self.rv(reg + 1)
-            self.emit(f"d{reg} = _up_d(_pk_II({lo}, {hi}))[0]")
-            self.local_d.add(reg)
-            self._drop_int_view(reg)
-        return f"d{reg}"
-
-    def write_double(self, reg: int, expr: str) -> None:
-        if reg % 2 or reg == 0:
-            super().write_double(reg, expr)
-            return
-        self._drop_int_view(reg)
-        self.emit(f"d{reg} = {expr}")
-        self.local_d.add(reg)
-        self.dirty_d.add(reg)
-
-    def flush_registers(self) -> None:
-        super().flush_registers()
-        for reg in sorted(self.dirty_d):
-            self.emit(f"_R[{reg}], _R[{reg + 1}] = _up_II(_pk_d(d{reg}))")
-        self.dirty_d.clear()
+    direct_f64 = False
 
     # -- timing hooks, dropped ------------------------------------------
     def write_t(self, reg: int, expr: str) -> None:
@@ -833,6 +823,7 @@ class _FunctionalEmitter(_BlockEmitter):
             f"def {fn_name}(state):",
             "    tu = state.tu",
             "    _R = state.regs._regs",
+            "    _D = state.regs._dbl",
             "    _warm = state.warm_fn",
             "    _wm = state.warm_memo",
             "    _wmg = _wm.get",
@@ -1008,8 +999,8 @@ def compile_functional(program: Program) -> BlockTable:
         return cached
     table = _build_table(
         program, block_spans(program, _FUNCTIONAL_WINDOW),
-        _single_compiler(program, _FunctionalEmitter), "functional",
-        _FunctionalEmitter,
+        _single_compiler(program, _FunctionalEmitter, _FUNCTIONAL_LAT),
+        "functional", _FunctionalEmitter, _FUNCTIONAL_LAT,
     )
     program._functional = table
     return table

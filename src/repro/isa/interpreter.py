@@ -44,10 +44,6 @@ from repro.isa.program import Program
 from repro.isa.registers import RegisterFile
 
 
-class ThreadExit(Exception):
-    """Raised internally when a thread executes ``halt``."""
-
-
 class _ThreadState:
     """Interpreter-side state of one hardware thread.
 
@@ -257,13 +253,25 @@ class Interpreter:
         self._block_tables[id(table)] = table
         return table.entries, len(table.entries)
 
+    def _fetch_path(self, state: _ThreadState, n: int):
+        """``(starts, icache, banks, address_map)`` for a dispatch loop;
+        the PIB holds instruction *pc* iff ``starts[pc]``, its aligned
+        window, equals ``pib._window_start``."""
+        size = state.pib.window_bytes
+        base = state.program.base
+        starts = [a - a % size for a in range(base, base + 4 * n, 4)]
+        memory = self.chip.memory
+        return (starts, self.chip.icache_of(state.tu.tid), memory.banks,
+                memory.address_map)
+
     def _thread_proc(self, state: _ThreadState):
         tu = state.tu
-        program = state.program
+        counters = tu.counters
         entries, n = self._dispatch_table(state)
+        starts, icache, banks, address_map = self._fetch_path(state, n)
         model_fetch = self.model_fetch
         pib = state.pib
-        base = program.base
+        base = state.program.base
         dispatched = 0
         while not state.halted:
             pc = state.pc
@@ -271,17 +279,16 @@ class Interpreter:
                 raise ExecutionError(
                     f"thread {tu.tid}: pc {pc} outside program"
                 )
-            if model_fetch:
-                address = base + 4 * pc
-                if not pib.holds(address):
-                    now = yield tu.issue_time
-                    icache = self.chip.icache_of(tu.tid)
-                    ready, _ = icache.fetch(
-                        now, address, self.chip.memory.banks,
-                        self.chip.memory.address_map,
-                    )
-                    tu.issue_at(ready)
-                    pib.refill(address)
+            if model_fetch and starts[pc] != pib._window_start:
+                now = yield tu.issue_time
+                ready, _ = icache.fetch(now, base + 4 * pc, banks,
+                                        address_map)
+                # Inline tu.issue_at(ready).
+                if ready > tu.issue_time:
+                    counters.stall_cycles += ready - tu.issue_time
+                    counters.stall_events += 1
+                    tu.issue_time = ready
+                pib._window_start = starts[pc]
             dispatched += 1
             is_gen, block = entries[pc]
             if is_gen:
@@ -310,6 +317,7 @@ class Interpreter:
         tu = state.tu
         counters = tu.counters
         start_insns = counters.instructions
+        starts, icache, banks, address_map = self._fetch_path(state, n)
         model_fetch = self.model_fetch
         pib = state.pib
         base = state.program.base
@@ -325,17 +333,16 @@ class Interpreter:
                 raise ExecutionError(
                     f"thread {tu.tid}: pc {pc} outside program"
                 )
-            if model_fetch:
-                address = base + 4 * pc
-                if not pib.holds(address):
-                    now = yield tu.issue_time
-                    icache = self.chip.icache_of(tu.tid)
-                    ready, _ = icache.fetch(
-                        now, address, self.chip.memory.banks,
-                        self.chip.memory.address_map,
-                    )
-                    tu.issue_at(ready)
-                    pib.refill(address)
+            if model_fetch and starts[pc] != pib._window_start:
+                now = yield tu.issue_time
+                ready, _ = icache.fetch(now, base + 4 * pc, banks,
+                                        address_map)
+                # Inline tu.issue_at(ready).
+                if ready > tu.issue_time:
+                    counters.stall_cycles += ready - tu.issue_time
+                    counters.stall_events += 1
+                    tu.issue_time = ready
+                pib._window_start = starts[pc]
             dispatched += 1
             is_gen, block = entries[pc]
             if is_gen:

@@ -10,11 +10,14 @@ paired for double precision operations" (paper, Section 2). Convention
 * ``r2`` is the link register target used by ``jal``;
 * double-precision values occupy an even/odd register pair addressed by
   the even register.
+
+The file is one 256-byte buffer seen as ``_regs`` (64 x u32) and
+``_dbl`` (32 x f64): a pair's double is ``_dbl[reg >> 1]``, unpacked.
 """
 
 from __future__ import annotations
 
-import struct
+import sys
 
 from repro.errors import ExecutionError
 
@@ -29,10 +32,16 @@ _U32 = 0xFFFFFFFF
 class RegisterFile:
     """64 x 32-bit registers with pairing for doubles."""
 
-    __slots__ = ("_regs",)
+    __slots__ = ("_regs", "_dbl")
 
     def __init__(self) -> None:
-        self._regs = [0] * N_REGISTERS
+        # Native byte order, like the backing store's casts: the even
+        # register is its pair's low word on a little-endian host only.
+        assert sys.byteorder == "little", (
+            "register pairs need a little-endian host")
+        buffer = bytearray(4 * N_REGISTERS)
+        self._regs = memoryview(buffer).cast("I")
+        self._dbl = memoryview(buffer).cast("d")
 
     # ------------------------------------------------------------------
     def _check(self, reg: int) -> None:
@@ -61,20 +70,15 @@ class RegisterFile:
                 f"double-precision pair must start at an even register, "
                 f"got r{reg}"
             )
-        if reg == REG_ZERO:
-            return
 
     def read_double(self, reg: int) -> float:
         """Read the even/odd pair ``(reg, reg+1)`` as a double."""
         self._check_pair(reg)
-        raw = struct.pack("<II", self._regs[reg], self._regs[reg + 1])
-        return struct.unpack("<d", raw)[0]
+        return self._dbl[reg >> 1]
 
     def write_double(self, reg: int, value: float) -> None:
         """Write a double into the even/odd pair starting at *reg*."""
         self._check_pair(reg)
         if reg == REG_ZERO:
             return
-        low, high = struct.unpack("<II", struct.pack("<d", value))
-        self._regs[reg] = low
-        self._regs[reg + 1] = high
+        self._dbl[reg >> 1] = value

@@ -7,14 +7,18 @@ survive alternating latency tables, sanitized chips on blocks,
 mid-block entry through ``jr``, and the telemetry counters.
 """
 
+import math
+import re
+
 import pytest
 
 from repro.config import ChipConfig
 from repro.core.chip import Chip
-from repro.errors import ExecutionError
+from repro.errors import AddressError, ExecutionError
 from repro.isa.assembler import assemble
 from repro.isa.blocks import block_spans, compile_blocks
 from repro.isa.interpreter import Interpreter, compile_program
+from repro.isa.kernels import stream_kernel_program
 from repro.telemetry import ChipInstrumentation
 
 _WINDOW = 64  # pib_entries (16) * word_bytes (4)
@@ -138,6 +142,70 @@ def test_odd_pair_faults(inst, odd, placement):
         "double-precision pair must start at an even register, "
         f"got r{odd}"
     )
+
+
+# ---------------------------------------------------------------------------
+# Doubles: one register model, direct backing-store moves
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("placement", sorted(_PLACEMENTS))
+@pytest.mark.parametrize("inst", ["ld r12, 4(r4)", "sd r12, 4(r4)"])
+def test_misaligned_double_faults(inst, placement):
+    # Only an aligned double takes the direct memoryview path; a
+    # misaligned one raises the backing store's own alignment fault,
+    # on the timed table (both fetch modes) and the functional one.
+    program = assemble(_PLACEMENTS[placement].format(inst))
+    message = "address 0x804 not aligned for 8-byte access"
+    for model_fetch in (False, True):
+        interp = Interpreter(Chip(sanitize=False), model_fetch=model_fetch)
+        interp.add_thread(0, program, init_regs={4: 0x800})
+        with pytest.raises(AddressError) as info:
+            interp.run()
+        assert type(info.value) is AddressError
+        assert str(info.value) == message
+    interp = Interpreter(Chip(sanitize=False), model_fetch=False)
+    state = interp.add_thread(0, program, init_regs={4: 0x800})
+    with pytest.raises(AddressError) as info:
+        interp._run_functional(state, 100)
+    assert str(info.value) == message
+
+
+def test_triad_block_moves_doubles_without_packing():
+    # The unrolled triad block keeps every double in a float local from
+    # load through FMA to store: nothing is packed into u32 words, and
+    # the backing store is only called on the misaligned fallbacks.
+    program = stream_kernel_program("triad", 4)
+    source = _table(program).source
+    assert "_pk_" not in source and "_up_" not in source
+    fallbacks = re.compile(
+        r" if not _ph & 7 else state\.backing\.load_f64\(_ph\)"
+        r"|if _ph & 7: state\.backing\.store_f64\(_ph, d\d+\)")
+    assert len(fallbacks.findall(source)) == 8 + 4
+    assert not re.search(r"state\.backing\.\w+\(", fallbacks.sub("", source))
+
+
+@pytest.mark.parametrize("value,expected", [
+    (4.0, 2.0), (-4.0, math.nan), (-0.0, -0.0), (math.inf, math.inf),
+    (math.nan, math.nan),
+], ids=["4", "-4", "-0", "inf", "nan"])
+def test_fsqrt_is_ieee(value, expected):
+    # math.sqrt for operands not below zero (keeps -0.0, +inf, NaN);
+    # NaN below zero. Timing is the same for every operand.
+    program = assemble("fsqrt r12, r10\nhalt\n")
+
+    def same(result):
+        if math.isnan(expected):
+            return math.isnan(result)
+        return result == expected and (math.copysign(1.0, result)
+                                       == math.copysign(1.0, expected))
+
+    interp = Interpreter(Chip(sanitize=False), model_fetch=False)
+    state = interp.add_thread(0, program, init_doubles={10: value})
+    assert interp.run() == 57
+    assert same(state.regs.read_double(12))
+    interp = Interpreter(Chip(sanitize=False), model_fetch=False)
+    state = interp.add_thread(0, program, init_doubles={10: value})
+    interp._run_functional(state, 100)
+    assert state.halted and same(state.regs.read_double(12))
 
 
 # ---------------------------------------------------------------------------

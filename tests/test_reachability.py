@@ -16,11 +16,13 @@ exempt: Python calls them) and every field of a ``@dataclass``. A name
 is used when its identifier occurs outside its own definition, in live
 code: a name, an attribute, an import, or a word of a string constant
 (which covers ``getattr``, report fields and task strings; docstrings
-do not count). A field is used only when something reads it: setting
-it by keyword is not a read, nor is a generic loop over
-``dataclasses.fields``. Live code is module-level code of the reached
-modules and entry scripts plus the bodies of used names, so a name used
-only inside dead names is dead too; the check iterates to a fixpoint.
+do not count). A package ``__init__``'s imports and ``__all__`` only
+re-export names, so they do not count either. A field is used only
+when something reads it: setting it by keyword is not a read, nor is
+a generic loop over ``dataclasses.fields``. Live code is module-level
+code of the reached modules and entry scripts plus the bodies of used
+names, so a name used only inside dead names is dead too; the check
+iterates to a fixpoint.
 
 Matching is by identifier, not by call graph: a dead method that shares
 its name with a live one (``run``, ``reset``) passes. The check finds
@@ -156,6 +158,10 @@ ALLOWED_NAMES = {
         "documented API", "docs/memory-model.md"),
     "repro.runtime.context.ThreadCtx.invalidate_line": (
         "documented API", "docs/memory-model.md"),
+    "repro.system.collectives.broadcast": (
+        "documented API", "docs/workloads.md"),
+    "repro.system.collectives.all_reduce_sum": (
+        "documented API", "docs/workloads.md"),
 }
 
 #: The reasons a name may stay without a live use.
@@ -171,6 +177,16 @@ Key = tuple[str, str]
 
 def is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
+
+
+def is_reexport(stmt: ast.stmt) -> bool:
+    """Whether a module-level statement is an import or sets
+    ``__all__``: in a package ``__init__``, a re-export."""
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return True
+    targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+    return any(isinstance(target, ast.Name) and target.id == "__all__"
+               for target in targets)
 
 
 def is_dataclass(node: ast.ClassDef) -> bool:
@@ -202,9 +218,10 @@ class NameGraph:
                            | set(allowed_modules)):
             if name not in modules:
                 continue
-            tree = ast.parse(modules[name].read_text(), str(modules[name]))
+            path = modules[name]
+            tree = ast.parse(path.read_text(), str(path))
             if name.split(".")[0] == package and name not in allowed_modules:
-                self.scan_module(tree, name)
+                self.scan_module(tree, name, path.name == "__init__.py")
             else:
                 self.scan([tree], None)
         for path in entry_files(root, package, registries):
@@ -243,7 +260,8 @@ class NameGraph:
                     for word in WORD.findall(sub.value):
                         self.add(word, owner, True)
 
-    def scan_module(self, tree: ast.Module, module: str) -> None:
+    def scan_module(self, tree: ast.Module, module: str,
+                    is_package: bool = False) -> None:
         for stmt in tree.body:
             if isinstance(stmt, ast.FunctionDef):
                 key = (module, stmt.name)
@@ -251,7 +269,7 @@ class NameGraph:
                 self.scan([stmt], key)
             elif isinstance(stmt, ast.ClassDef):
                 self.scan_class(stmt, module)
-            else:
+            elif not (is_package and is_reexport(stmt)):
                 self.scan([stmt], None)
 
     def scan_class(self, node: ast.ClassDef, module: str) -> None:
@@ -422,3 +440,20 @@ def test_names_flags_dead_methods_properties_chains_and_fields(tmp_path):
     assert names.unused(["pkg.core.oracle"]) == dead
     assert names.unused() == sorted(
         dead + ["pkg.core.callee", "pkg.core.oracle"])
+
+
+def test_names_does_not_count_package_reexports(tmp_path):
+    write_tree(tmp_path, {
+        "src/pkg/__init__.py": (
+            "from .core import called, exported, used\n"
+            "__all__ = ['exported', 'used']\n"
+            "SETUP = called()\n"
+        ),
+        "src/pkg/__main__.py": "from pkg import used\nused()\n",
+        "src/pkg/core.py": (
+            "def called():\n    return 1\n"
+            "def exported():\n    return 2\n"
+            "def used():\n    return 3\n"
+        ),
+    })
+    assert NameGraph(tmp_path, "pkg").unused() == ["pkg.core.exported"]
