@@ -51,16 +51,17 @@ u32 registers (``_R``) and 32 doubles (``_D``). A block caches each
 pair it touches in one view at a time: u32 locals (``r12``, ``r13``)
 or a float local (``d12``). Materializing either view writes back and
 drops the other, so a double moves between memory, the FPU and the
-register file without ever being split into words. An aligned timed
+register file without ever being split into words. An aligned
 ``ld``/``sd`` reads or writes the backing store's ``f64`` memoryview
 directly; a misaligned one calls the checked ``BackingStore`` method,
 which raises the alignment fault.
 
 **Functional code.** :class:`_FunctionalEmitter` overrides only the
-timing hooks (scoreboard, yields, unit issue, memory access vs cache
-warming); the data movement and the register model are the timed
-emitter's. :func:`compile_functional` builds the timing-free table that
-:mod:`repro.sampling` fast-forwards with.
+timing hooks (scoreboard, yields, unit issue, memory access vs a
+max-memory check and cache warming); the data movement and the
+register model are the timed emitter's. :func:`compile_functional`
+builds the timing-free table that :mod:`repro.sampling` fast-forwards
+with.
 """
 
 from __future__ import annotations
@@ -161,6 +162,9 @@ _FPU_VALUE_EXPR = {
     "fmov": "_a",
 }
 
+#: Arithmetic FP ops with one source operand: their ``rb`` is unused.
+_FPU_UNARY = frozenset(("fsqrt", "fneg", "fabs", "fmov"))
+
 #: FPU sub-unit method and flop count per arithmetic mnemonic.
 _FPU_UNIT = {
     "fadd": ("add", 1), "fsub": ("add", 1), "fmul": ("multiply", 1),
@@ -240,10 +244,6 @@ class _BlockEmitter:
     scoreboard writes and :meth:`flush`) that the functional subclass
     overrides.
     """
-
-    #: Aligned doubles skip the backing store's bound check: ``access``
-    #: checked max-memory, which never exceeds the backing store.
-    direct_f64 = True
 
     def __init__(self, program: Program, lat, start: int, end: int) -> None:
         self.program = program
@@ -350,14 +350,27 @@ class _BlockEmitter:
         return f"t{reg}"
 
     def write_t(self, reg: int, expr: str) -> None:
+        """Set *reg*'s ready time. r0's value is discarded, so it never
+        gets one: its scoreboard entry stays 0 and nothing waits on it."""
+        if reg == 0:
+            return
         self.emit(f"t{reg} = {expr}")
         self.local_t.add(reg)
         self.dirty_t.add(reg)
 
+    def write_double_t(self, reg: int, expr: str) -> None:
+        """Set both ready times of the pair at *reg*; a pair-0 write is
+        discarded whole, so it sets neither."""
+        if reg == 0:
+            return
+        self.write_t(reg, expr)
+        self.write_t(reg + 1 if reg + 1 < 64 else reg, f"t{reg}")
+
     def wait_deps(self, deps: tuple[int, ...]) -> None:
-        """``e = max(it, ready[deps...])`` with locals, dupes skipped."""
+        """``e = max(it, ready[deps...])`` with locals; dupes and r0
+        (never scoreboarded, see :meth:`write_t`) skipped."""
         self.emit("e = it")
-        seen = set()
+        seen = {0}
         for reg in deps:
             if reg in seen:
                 continue
@@ -564,12 +577,13 @@ class _BlockEmitter:
         if is_store:
             self.ns += 1
             if name == "sd":
+                # Aligned doubles skip the backing store's bound check:
+                # ``access`` checked max-memory, which never exceeds the
+                # backing store. A misaligned one raises its fault there.
                 value = self.read_double(rd)
-                store = f"state.backing.store_f64(_ph, {value})"
-                if self.direct_f64:
-                    self.emit(f"if _ph & 7: {store}")
-                    store = f"else: _MF[_ph >> 3] = {value}"
-                self.emit(store)
+                self.emit(f"if _ph & 7: "
+                          f"state.backing.store_f64(_ph, {value})")
+                self.emit(f"else: _MF[_ph >> 3] = {value}")
             elif name == "sw":
                 self.emit(f"state.backing.store_u32(_ph, {self.rv(rd)})")
             else:
@@ -588,12 +602,9 @@ class _BlockEmitter:
         else:
             self.nl += 1
             if name == "ld":
-                load = "state.backing.load_f64(_ph)"
-                if self.direct_f64:
-                    load = f"_MF[_ph >> 3] if not _ph & 7 else {load}"
-                self.write_double(rd, load)
-                self.write_t(rd, "_oc")
-                self.write_t(rd + 1 if rd + 1 < 64 else rd, f"t{rd}")
+                self.write_double(rd, "_MF[_ph >> 3] if not _ph & 7 "
+                                      "else state.backing.load_f64(_ph)")
+                self.write_double_t(rd, "_oc")
             else:
                 if name == "lw":
                     self.write_r(rd, "state.backing.load_u32(_ph)")
@@ -637,8 +648,8 @@ class _BlockEmitter:
                 value = f"int({self.read_double(ra)}) & 4294967295"
         else:
             self.emit(f"_a = {self.read_double(ra)}")
-            b_expr = self.read_double(rb) if rb % 2 == 0 else "0.0"
-            self.emit(f"_b = {b_expr}")
+            if name not in _FPU_UNARY:
+                self.emit(f"_b = {self.read_double(rb)}")
             if name in ("fcmplt", "fcmpeq"):
                 unit_attr, flops, execution = "add", 1, 1
                 to_double = False
@@ -661,8 +672,7 @@ class _BlockEmitter:
         self.nf += flops
         if to_double:
             self.write_double(rd, value)
-            self.write_t(rd, "_rt")
-            self.write_t(rd + 1 if rd + 1 < 64 else rd, "_rt")
+            self.write_double_t(rd, "_rt")
         else:
             self.write_r(rd, value)
             self.write_t(rd, "_rt")
@@ -761,12 +771,9 @@ class _FunctionalEmitter(_BlockEmitter):
     values, memory data, instruction/load/store/flop counters, faults —
     because only the timing hooks are overridden: every clock,
     scoreboard, cache, FPU-pipe and scheduler interaction is dropped,
-    memory accesses warm the caches instead, and the closures are
-    plain calls with no yields. Doubles move through the checked
-    ``BackingStore`` calls: warming checks no bound.
+    memory accesses check max-memory and warm the caches instead, and
+    the closures are plain calls with no yields.
     """
-
-    direct_f64 = False
 
     # -- timing hooks, dropped ------------------------------------------
     def write_t(self, reg: int, expr: str) -> None:
@@ -795,6 +802,7 @@ class _FunctionalEmitter(_BlockEmitter):
 
     def access(self, index: int, ea: str, access_mask: int,
                access_size: int, is_store: bool) -> None:
+        self.check_bound(f"(_ph & {access_mask & 16777215})", access_size)
         # Functional warming: same aligned line-classified address the
         # timed path would access, minus all timing (see
         # MemorySubsystem.warm_access). Memoized per static op on the
@@ -806,6 +814,12 @@ class _FunctionalEmitter(_BlockEmitter):
         self.emit(f"if _wmg({index}) != _k:")
         self.emit(f"    _wm[{index}] = _k")
         self.emit(f"    _warm(_qid, {ea} & {access_mask}, {is_store})")
+
+    def check_bound(self, physical: str, size: int) -> None:
+        """Raise the timed access's max-memory fault: the same guarded
+        test as ``MemorySubsystem.access``, on the same address."""
+        self.emit(f"if {physical} + {size} > _mm:")
+        self.emit(f"    state.memory.address_map.check({physical}, {size})")
 
     def flush(self) -> None:
         self.emit("c = tu.counters")
@@ -824,6 +838,8 @@ class _FunctionalEmitter(_BlockEmitter):
             "    tu = state.tu",
             "    _R = state.regs._regs",
             "    _D = state.regs._dbl",
+            "    _MF = state.backing._mv_f64",
+            "    _mm = state.memory.address_map._max_memory",
             "    _warm = state.warm_fn",
             "    _wm = state.warm_memo",
             "    _wmg = _wm.get",
@@ -834,6 +850,7 @@ class _FunctionalEmitter(_BlockEmitter):
         op = _AMO_OPS[inst.opcode.name]
         a, b = self.rv(inst.ra), self.rv(inst.rb)
         self.emit(f"_ph = {a} & 16777215")
+        self.check_bound("_ph", 4)
         self.emit(f"_warm(_qid, {a} & 4294967292, True)")
         self.emit("_old = state.backing.load_u32(_ph)")
         if op == "add":

@@ -84,8 +84,9 @@ class Instruction:
             return self._expand_pairs((self.ra, self.rb))
         if name in ("fmadd", "fmsub"):
             return self._expand_pairs((self.ra, self.rb, self.rd))
-        # fixed-point ALU forms (immediate forms keep the rb slot — it
-        # encodes as r0, and r0's scoreboard entry is a real dependence)
+        # fixed-point ALU forms (immediate forms keep the rb slot, which
+        # encodes as r0; the emitter never waits on r0, which has no
+        # ready time)
         return (self.ra, self.rb)
 
     @staticmethod

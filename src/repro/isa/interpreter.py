@@ -43,6 +43,9 @@ from repro.isa.blocks import (
 from repro.isa.program import Program
 from repro.isa.registers import RegisterFile
 
+#: An instruction count no run reaches: the exact run's window bounds.
+_UNBOUNDED = 1 << 62
+
 
 class _ThreadState:
     """Interpreter-side state of one hardware thread.
@@ -141,12 +144,15 @@ class Interpreter:
         :mod:`repro.sampling` and ``docs/sampled-sim.md``): pass a
         ``SamplingConfig``, or ``True`` for defaults; ``None`` and
         ``False`` run exact. A sampled run returns the *estimated*
-        cycle count (the full estimate with error bars lands on
-        ``self.sampling``); the default path is untouched — not even an
-        import.
+        cycle count and leaves the full estimate with error bars on
+        ``self.sampling``. It replaces this interpreter's scheduler
+        (the exact-mode thread processes are discarded unstarted), so
+        an interpreter runs either exact or sampled, not both. The
+        default path is untouched — not even an import.
         """
         if sampled is not None and sampled is not False:
             from repro.sampling import resolve_config
+            from repro.sampling.run import sample_run
 
             config = resolve_config(sampled)
             if until is not None:
@@ -155,35 +161,20 @@ class Interpreter:
                     "cannot stop at an exact 'until' time; run "
                     "exact instead"
                 )
-            return self.run_sampled(config).estimated_cycles
+            if self.chip.memory.sanitizer is not None:
+                raise ConfigError(
+                    "sampled simulation cannot run under the coherence "
+                    "sanitizer: functional fast-forward moves data "
+                    "through the backing store directly, bypassing the "
+                    "timed memory system the sanitizer observes"
+                )
+            estimate = self.sampling = sample_run(self, config)
+            self._publish_block_metrics()
+            self._publish_sampling_metrics(estimate)
+            return estimate.estimated_cycles
         final = self.scheduler.run(until)
         self._publish_block_metrics()
         return final
-
-    def run_sampled(self, config=None):
-        """Run under sampled simulation; returns a ``SamplingEstimate``.
-
-        Replaces this interpreter's scheduler (the exact-mode thread
-        processes are discarded unstarted), so an interpreter runs
-        either exact or sampled, not both.
-        """
-        from repro.sampling import SamplingConfig
-        from repro.sampling.run import sample_run
-
-        if config is None:
-            config = SamplingConfig()
-        if self.chip.memory.sanitizer is not None:
-            raise ConfigError(
-                "sampled simulation cannot run under the coherence "
-                "sanitizer: functional fast-forward moves data through "
-                "the backing store directly, bypassing the timed memory "
-                "system the sanitizer observes"
-            )
-        estimate = sample_run(self, config)
-        self.sampling = estimate
-        self._publish_block_metrics()
-        self._publish_sampling_metrics(estimate)
-        return estimate
 
     def _publish_sampling_metrics(self, estimate) -> None:
         """Cold-path ``sampling.*`` harvest into the chip's telemetry."""
@@ -236,15 +227,11 @@ class Interpreter:
     # The per-thread process
     # ------------------------------------------------------------------
     def _dispatch_table(self, state: _ThreadState) -> tuple[list, int]:
-        """``(entries, n)`` block table for *state*'s program.
-
-        Shared by the exact thread process and the sampled bounded
-        windows.
-        """
+        """``(entries, n)`` block table for *state*'s program."""
         program = state.program
         lat = self.chip.config.latency
         # Blocks never span a PIB window (a formation rule), so the
-        # per-iteration fetch check in the dispatch loops stays exact:
+        # per-iteration fetch check in the dispatch loop stays exact:
         # entering a fused block can fetch at most once, at its first
         # address.
         window = state.tu.config.pib_entries * state.tu.config.word_bytes
@@ -253,114 +240,74 @@ class Interpreter:
         self._block_tables[id(table)] = table
         return table.entries, len(table.entries)
 
-    def _fetch_path(self, state: _ThreadState, n: int):
-        """``(starts, icache, banks, address_map)`` for a dispatch loop;
-        the PIB holds instruction *pc* iff ``starts[pc]``, its aligned
-        window, equals ``pib._window_start``."""
-        size = state.pib.window_bytes
-        base = state.program.base
-        starts = [a - a % size for a in range(base, base + 4 * n, 4)]
-        memory = self.chip.memory
-        return (starts, self.chip.icache_of(state.tu.tid), memory.banks,
-                memory.address_map)
+    def _thread_proc(self, state: _ThreadState,
+                     warm_target: int = _UNBOUNDED,
+                     stop_target: int = _UNBOUNDED, unit=None):
+        """The dispatch loop: run *state* until it halts or its
+        instruction counter reaches *stop_target*.
 
-    def _thread_proc(self, state: _ThreadState):
-        tu = state.tu
-        counters = tu.counters
-        entries, n = self._dispatch_table(state)
-        starts, icache, banks, address_map = self._fetch_path(state, n)
-        model_fetch = self.model_fetch
-        pib = state.pib
-        base = state.program.base
-        dispatched = 0
-        while not state.halted:
-            pc = state.pc
-            if pc < 0 or pc >= n:
-                raise ExecutionError(
-                    f"thread {tu.tid}: pc {pc} outside program"
-                )
-            if model_fetch and starts[pc] != pib._window_start:
-                now = yield tu.issue_time
-                ready, _ = icache.fetch(now, base + 4 * pc, banks,
-                                        address_map)
-                # Inline tu.issue_at(ready).
-                if ready > tu.issue_time:
-                    counters.stall_cycles += ready - tu.issue_time
-                    counters.stall_events += 1
-                    tu.issue_time = ready
-                pib._window_start = starts[pc]
-            dispatched += 1
-            is_gen, block = entries[pc]
-            if is_gen:
-                yield from block(state)
-            else:
-                block(state)
-        self._dispatches += dispatched
-        # Sync the process clock to the architectural finish time, so
-        # run() reports real cycles even for programs that never touch
-        # shared resources (pure ALU work advances only the local clock).
-        yield tu.issue_time
-
-    # ------------------------------------------------------------------
-    # Sampled-simulation primitives (see repro.sampling)
-    # ------------------------------------------------------------------
-    def _sampled_detail_proc(self, state: _ThreadState, entries: list,
-                             n: int, warm_target: int, stop_target: int,
-                             unit):
-        """One bounded detailed window of *state*: the exact dispatch
-        loop of :meth:`_thread_proc`, stopping once the thread's
-        instruction counter reaches *stop_target* (block closures may
-        overshoot by one block; the overshoot is counted, not lost).
-        Crossing *warm_target* snapshots the warm-up boundary; the
-        window's measurements land in *unit*.
+        Exact runs take the defaults, which never bind. A sampled
+        detailed window (:func:`repro.sampling.run.sample_run`) runs
+        this same loop with its bounds: the first pass stops at
+        *warm_target* to mark the end of warm-up, the second at
+        *stop_target*, and the window's measurements land in *unit*.
+        Block closures may overshoot a bound by one block; the
+        overshoot is counted, not lost.
         """
         tu = state.tu
         counters = tu.counters
-        start_insns = counters.instructions
-        starts, icache, banks, address_map = self._fetch_path(state, n)
-        model_fetch = self.model_fetch
+        entries, n = self._dispatch_table(state)
+        # The PIB holds instruction pc iff starts[pc], its aligned
+        # window, equals pib._window_start.
         pib = state.pib
+        size = pib.window_bytes
         base = state.program.base
+        starts = [a - a % size for a in range(base, base + 4 * n, 4)]
+        icache = self.chip.icache_of(tu.tid)
+        banks = self.chip.memory.banks
+        address_map = self.chip.memory.address_map
+        model_fetch = self.model_fetch
+        start_insns = counters.instructions
+        warm = None
         dispatched = 0
-        warm_clock: int | None = None
-        warm_insns = 0
-        while not state.halted and counters.instructions < stop_target:
-            if warm_clock is None and counters.instructions >= warm_target:
-                warm_clock = tu.issue_time
-                warm_insns = counters.instructions
-            pc = state.pc
-            if pc < 0 or pc >= n:
-                raise ExecutionError(
-                    f"thread {tu.tid}: pc {pc} outside program"
-                )
-            if model_fetch and starts[pc] != pib._window_start:
-                now = yield tu.issue_time
-                ready, _ = icache.fetch(now, base + 4 * pc, banks,
-                                        address_map)
-                # Inline tu.issue_at(ready).
-                if ready > tu.issue_time:
-                    counters.stall_cycles += ready - tu.issue_time
-                    counters.stall_events += 1
-                    tu.issue_time = ready
-                pib._window_start = starts[pc]
-            dispatched += 1
-            is_gen, block = entries[pc]
-            if is_gen:
-                yield from block(state)
-            else:
-                block(state)
+        for target in (warm_target, stop_target):
+            while not state.halted and counters.instructions < target:
+                pc = state.pc
+                if pc < 0 or pc >= n:
+                    raise ExecutionError(
+                        f"thread {tu.tid}: pc {pc} outside program"
+                    )
+                if model_fetch and starts[pc] != pib._window_start:
+                    now = yield tu.issue_time
+                    ready, _ = icache.fetch(now, base + 4 * pc, banks,
+                                            address_map)
+                    # Inline tu.issue_at(ready).
+                    if ready > tu.issue_time:
+                        counters.stall_cycles += ready - tu.issue_time
+                        counters.stall_events += 1
+                        tu.issue_time = ready
+                    pib._window_start = starts[pc]
+                dispatched += 1
+                is_gen, block = entries[pc]
+                if is_gen:
+                    yield from block(state)
+                else:
+                    block(state)
+            if warm is None:
+                # Warm-up ends where the thread first reaches
+                # warm_target, or halts: then the whole window is
+                # warm-up and records no measured instructions.
+                warm = (counters.instructions, tu.issue_time)
         self._dispatches += dispatched
-        # Sync the process clock to the architectural one (same reason
-        # as _thread_proc) *before* recording, so the unit's end clock
-        # and the scheduler's window end agree.
+        # Sync the process clock to the architectural finish time, so
+        # run() reports real cycles even for programs that never touch
+        # shared resources (pure ALU work advances only the local
+        # clock), and a window's recorded end clock agrees with its
+        # scheduler's.
         yield tu.issue_time
-        if warm_clock is None:
-            # The thread halted inside warm-up: the whole window is
-            # warm-up and the unit records zero measured instructions.
-            warm_clock = tu.issue_time
-            warm_insns = counters.instructions
-        unit.record(start_insns, warm_insns, warm_clock,
-                    counters.instructions, tu.issue_time)
+        if unit is not None:
+            unit.record(start_insns, *warm, counters.instructions,
+                        tu.issue_time)
 
     def _run_functional(self, state: _ThreadState, budget: int) -> None:
         """Fast-forward *state* by about *budget* instructions.

@@ -192,7 +192,8 @@ def validate_workload(workload: str,
 
     t0 = time.perf_counter()
     sampled = builder(**kwargs)
-    estimate = sampled.interp.run_sampled(cfg)
+    sampled.interp.run(sampled=cfg)
+    estimate = sampled.interp.sampling
     sampled_seconds = time.perf_counter() - t0
 
     state_matches = all(

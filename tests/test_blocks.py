@@ -112,6 +112,7 @@ def test_lone_plain_instruction_keeps_handler():
 #: (instruction, odd register it names as a pair, test id).
 _ODD_PAIR_OPS = [
     ("fadd r10, r11, r12", 11, "fadd_src"),
+    ("fadd r10, r12, r13", 13, "fadd_src2"),
     ("fadd r11, r10, r12", 11, "fadd_dst"),
     ("ld r13, 0(r4)", 13, "ld"),
     ("sd r13, 0(r4)", 13, "sd"),
@@ -132,16 +133,43 @@ _PLACEMENTS = {
                          ids=[op[2] for op in _ODD_PAIR_OPS])
 def test_odd_pair_faults(inst, odd, placement):
     # A double operand at an odd register fuses like any other block
-    # and raises the register file's own fault when it executes.
+    # and raises the register file's own fault when it executes, on
+    # the timed table and the functional one.
+    program = assemble(_PLACEMENTS[placement].format(inst))
+    message = ("double-precision pair must start at an even register, "
+               f"got r{odd}")
     interp = Interpreter(Chip(sanitize=False), model_fetch=False)
-    interp.add_thread(0, assemble(_PLACEMENTS[placement].format(inst)),
-                      init_regs={4: 0x800})
+    interp.add_thread(0, program, init_regs={4: 0x800},
+                      init_doubles={12: 2.5})
     with pytest.raises(ExecutionError) as info:
         interp.run()
-    assert str(info.value) == (
-        "double-precision pair must start at an even register, "
-        f"got r{odd}"
-    )
+    assert str(info.value) == message
+    interp = Interpreter(Chip(sanitize=False), model_fetch=False)
+    state = interp.add_thread(0, program, init_regs={4: 0x800},
+                              init_doubles={12: 2.5})
+    with pytest.raises(ExecutionError) as info:
+        interp._run_functional(state, 100)
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# r0 and the scoreboard
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("load", ["lw r0, 0(r4)", "lw r7, 0(r4)",
+                                  "ld r0, 0(r4)"],
+                         ids=["lw_r0", "lw_r7", "ld_r0"])
+def test_discarded_writes_leave_no_ready_time(load):
+    # r0 (and a pair-0 double) drops its value, so a load into it sets
+    # no ready time, and the immediate form's unused rb = r0 is no
+    # dependence: the addi issues right behind the load, as it does
+    # behind a load into a live register.
+    interp = Interpreter(Chip(sanitize=False), model_fetch=False)
+    state = interp.add_thread(
+        0, assemble(f"{load}\naddi r5, r6, 1\nhalt\n"),
+        init_regs={4: 0x800})
+    assert interp.run() == 3
+    assert state.tu.counters.stall_cycles == 0
+    assert state.ready[0] == state.ready[1] == 0
 
 
 # ---------------------------------------------------------------------------

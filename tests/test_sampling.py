@@ -10,14 +10,17 @@ package nor change cycle counts (see ``docs/sampled-sim.md``).
 import pytest
 
 from repro.core.chip import Chip
-from repro.errors import ConfigError
+from repro.core.faults import FaultController
+from repro.errors import ConfigError, MemoryFault
 from repro.isa import Interpreter
+from repro.isa.assembler import assemble
 from repro.isa.kernels import stream_kernel_program, stream_register_setup
 from repro.memory.address import make_effective
 from repro.memory.interest_groups import IG_ALL
 from repro.sampling import (SamplingConfig, build_estimate, mean_ci,
                             resolve_config)
-from repro.sampling.validate import validate_workload
+from repro.sampling.validate import (_build_fft, _build_stream,
+                                     validate_workload)
 
 #: Small enough to keep the suite fast, large enough to span several
 #: sampling units under TINY below (~5.4k insns per thread).
@@ -181,7 +184,8 @@ class TestSampledRun:
                           for s in exact_interp.states.values())
 
         _, interp, _ = _stream_interp()
-        estimate = interp.run_sampled(TINY)
+        interp.run(sampled=TINY)
+        estimate = interp.sampling
         assert estimate.total_insns == exact_insns
         assert estimate.total_insns == (estimate.measured_insns
                                         + estimate.warmup_insns
@@ -193,6 +197,17 @@ class TestSampledRun:
                                 jitter_insns=0, horizon_insns=0)
         result = validate_workload("stream", config, params=TINY_PARAMS)
         assert result.state_matches
+
+    def test_horizon_inside_the_budget_spread_still_exact_state(self):
+        # Drift spreads TINY's fast-forward budgets over 192..576, so a
+        # 384-instruction horizon gives some threads a far span and
+        # others none; each fast-forwards its own share.
+        config = SamplingConfig(warmup_insns=64, measure_insns=64,
+                                period_insns=512, chunk_insns=256,
+                                horizon_insns=384)
+        result = validate_workload("stream", config, params=TINY_PARAMS)
+        assert result.state_matches
+        assert abs(result.error) < 0.10
 
     def test_run_returns_estimate_and_sets_sampling(self):
         _, interp, _ = _stream_interp()
@@ -211,7 +226,7 @@ class TestSampledRun:
         _, golden, _ = _stream_interp()
         golden_cycles = golden.run()
         _, sampled, _ = _stream_interp()
-        sampled.run_sampled(TINY)
+        sampled.run(sampled=TINY)
         _, again, _ = _stream_interp()
         assert again.run() == golden_cycles
 
@@ -235,12 +250,56 @@ class TestSampledRun:
         _, interp, _ = _stream_interp()
         interp.chip.memory.sanitizer = object()
         with pytest.raises(ConfigError, match="sanitizer"):
-            interp.run_sampled(TINY)
+            interp.run(sampled=TINY)
 
     def test_run_without_threads_rejected(self):
         interp = Interpreter(Chip(), model_fetch=False)
         with pytest.raises(ConfigError, match="add_thread"):
-            interp.run_sampled(TINY)
+            interp.run(sampled=TINY)
+
+    @pytest.mark.parametrize("build,kwargs", [
+        (_build_stream, {"n_threads": 4, "n_per_thread": 64}),
+        (_build_fft, {"n_threads": 4, "n": 64}),
+    ], ids=["stream", "fft"])
+    def test_one_window_covering_the_run_matches_exact(self, build, kwargs):
+        # Detailed windows run the exact dispatch loop itself: a first
+        # window that spans the whole program leaves exactly the exact
+        # run's clocks, counters, registers and memory.
+        whole = SamplingConfig(warmup_insns=10**7, measure_insns=10**7,
+                               period_insns=3 * 10**7)
+        exact, sampled = build(**kwargs), build(**kwargs)
+        assert sampled.interp.run(sampled=whole) == exact.interp.run()
+        assert sampled.interp.sampling.exact
+        for tid, state in exact.interp.states.items():
+            other = sampled.interp.states[tid]
+            assert other.tu.issue_time == state.tu.issue_time
+            assert vars(other.tu.counters) == vars(state.tu.counters)
+            assert bytes(other.regs._regs) == bytes(state.regs._regs)
+        assert bytes(sampled.chip.memory.backing._bytes) \
+            == bytes(exact.chip.memory.backing._bytes)
+
+    def test_fast_forward_faults_past_max_memory_like_exact(self):
+        # A failed bank lowers max-memory to 0x780000; the load past it
+        # comes after 3,000 loop iterations, deep in a fast-forward span.
+        program = assemble(
+            "addi r3, r0, 3000\n"
+            "loop:\n"
+            "addi r3, r3, -1\n"
+            "bne r3, r0, loop\n"
+            "ld r12, 0(r4)\n"
+            "halt\n")
+        config = SamplingConfig(warmup_insns=16, measure_insns=16,
+                                period_insns=4096)
+        faults = []
+        for sampled in (False, config):
+            chip = Chip()
+            assert FaultController(chip).fail_bank(0) == 0x780000
+            interp = Interpreter(chip, model_fetch=False)
+            interp.add_thread(0, program, init_regs={4: 0x780040})
+            with pytest.raises(MemoryFault) as info:
+                interp.run(sampled=sampled)
+            faults.append((type(info.value), str(info.value)))
+        assert faults[0] == faults[1]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +318,7 @@ class TestWarming:
         assert all(not s.warm_memo for s in exact.states.values())
 
         _, sampled, _ = _stream_interp()
-        sampled.run_sampled(TINY)
+        sampled.run(sampled=TINY)
         assert any(s.warm_memo for s in sampled.states.values())
 
     def test_warm_access_counts_as_untimed_touch(self):

@@ -572,7 +572,8 @@ class TestSampledChipReport:
             interp.add_thread(t, program, regs, doubles)
         config = SamplingConfig(warmup_insns=64, measure_insns=64,
                                 period_insns=512, chunk_insns=256)
-        return chip, interp, interp.run_sampled(config)
+        interp.run(sampled=config)
+        return chip, interp, interp.sampling
 
     def test_build_report_records_estimate_and_measured_error(self):
         from repro.telemetry.report import build_report
