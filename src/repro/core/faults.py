@@ -72,9 +72,10 @@ class FaultController:
     def _install_cache_remap(self) -> None:
         """Point the memory subsystem's placement away from disabled caches.
 
-        ``remap_caches`` also drops both placement memos (per line and
-        per single-cache group byte): entries resolved before the fault
-        may name the cache that is now disabled.
+        ``remap_caches`` also drops every kept placement (the scrambled
+        groups' per-line tables and the single-cache groups' targets):
+        targets resolved before the fault may name the cache that is now
+        disabled.
         """
         memory = self.chip.memory
         disabled = self._disabled_caches

@@ -17,8 +17,6 @@ one cycle on a hit, a memory-bank burst on a miss.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.config import ChipConfig
 from repro.errors import CacheConfigError
 from repro.memory.address import AddressMap
@@ -60,8 +58,10 @@ class InstructionCache:
             raise CacheConfigError(
                 f"I-cache set count {self.n_sets} must be a power of two"
             )
-        self._sets: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(self.n_sets)
+        #: One insertion-ordered dict per set, least recently used line
+        #: first (the data caches' layout, see CacheUnit).
+        self._sets: list[dict[int, None]] = [
+            {} for _ in range(self.n_sets)
         ]
         self.hits = 0
         self.misses = 0
@@ -80,12 +80,13 @@ class InstructionCache:
         index = self._set_index(line)
         lines = self._sets[index]
         if line in lines:
-            lines.move_to_end(line)
+            del lines[line]
+            lines[line] = None
             self.hits += 1
             return time + 1, True
         self.misses += 1
         if len(lines) >= self.ways:
-            lines.popitem(last=False)
+            del lines[next(iter(lines))]
         lines[line] = None
         bank = banks[address_map.bank_of(line % address_map.max_memory)]
         done = bank.read_burst(time)

@@ -71,7 +71,9 @@ import struct
 
 from repro.errors import ExecutionError
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import ALU_UNITS, FPU_UNITS, MEM_SIZES, UnitClass
+from repro.isa.opcodes import (
+    ALU_UNITS, FPU_UNARY, FPU_UNITS, MEM_SIZES, UnitClass,
+)
 from repro.isa.program import Program
 from repro.isa.registers import REG_LINK
 
@@ -161,9 +163,6 @@ _FPU_VALUE_EXPR = {
     "fabs": "abs(_a)",
     "fmov": "_a",
 }
-
-#: Arithmetic FP ops with one source operand: their ``rb`` is unused.
-_FPU_UNARY = frozenset(("fsqrt", "fneg", "fabs", "fmov"))
 
 #: FPU sub-unit method and flop count per arithmetic mnemonic.
 _FPU_UNIT = {
@@ -602,18 +601,22 @@ class _BlockEmitter:
         else:
             self.nl += 1
             if name == "ld":
-                self.write_double(rd, "_MF[_ph >> 3] if not _ph & 7 "
-                                      "else state.backing.load_f64(_ph)")
+                value = ("_MF[_ph >> 3] if not _ph & 7 "
+                         "else state.backing.load_f64(_ph)")
+            elif name == "lw":
+                value = "state.backing.load_u32(_ph)"
+            else:  # lhu / lbu
+                value = (f"_ifb(state.backing.read_block(_ph, {size}), "
+                         "'little')")
+            if rd == 0:
+                # r0 and pair 0 drop the value, not the load: its
+                # alignment fault still raises.
+                self.emit(value)
+            elif name == "ld":
+                self.write_double(rd, value)
                 self.write_double_t(rd, "_oc")
             else:
-                if name == "lw":
-                    self.write_r(rd, "state.backing.load_u32(_ph)")
-                else:  # lhu / lbu
-                    self.write_r(
-                        rd,
-                        "_ifb(state.backing.read_block("
-                        f"_ph, {size}), 'little')",
-                    )
+                self.write_r(rd, value)
                 self.write_t(rd, "_oc")
 
     def emit_atomic(self, index: int, inst: Instruction) -> None:
@@ -648,7 +651,7 @@ class _BlockEmitter:
                 value = f"int({self.read_double(ra)}) & 4294967295"
         else:
             self.emit(f"_a = {self.read_double(ra)}")
-            if name not in _FPU_UNARY:
+            if name not in FPU_UNARY:
                 self.emit(f"_b = {self.read_double(rb)}")
             if name in ("fcmplt", "fcmpeq"):
                 unit_attr, flops, execution = "add", 1, 1

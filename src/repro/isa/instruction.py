@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import IsaError
-from repro.isa.opcodes import Format, MEM_SIZES, Opcode, UnitClass
+from repro.isa.opcodes import FPU_UNARY, Format, MEM_SIZES, Opcode, UnitClass
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,9 @@ class Instruction:
             return (self.ra,)
         if name == "cvtfi":
             return self._expand_pairs((self.ra,))
-        if name in ("fadd", "fsub", "fmul", "fdiv", "fsqrt", "fneg",
-                    "fabs", "fmov", "fcmplt", "fcmpeq"):
+        if name in FPU_UNARY:
+            return self._expand_pairs((self.ra,))
+        if name in ("fadd", "fsub", "fmul", "fdiv", "fcmplt", "fcmpeq"):
             return self._expand_pairs((self.ra, self.rb))
         if name in ("fmadd", "fmsub"):
             return self._expand_pairs((self.ra, self.rb, self.rd))

@@ -164,6 +164,10 @@ MEM_SIZES: dict[str, int] = {
     "ld": 8, "sd": 8,
 }
 
+#: Arithmetic FP mnemonics with one source operand: their ``rb`` is
+#: unused, so they neither read nor wait on it.
+FPU_UNARY = frozenset(("fsqrt", "fneg", "fabs", "fmov"))
+
 
 def opcode(name: str) -> Opcode:
     """Look up an opcode by mnemonic."""

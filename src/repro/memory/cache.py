@@ -23,7 +23,6 @@ Two features beyond a plain cache are modeled:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,8 +75,11 @@ class CacheUnit:
         self.scratchpad_ways = 0
         #: strict-incoherence mode: lines buffer their own bytes.
         self.buffer_data = buffer_data
-        self._sets: list[OrderedDict[int, LineState]] = [
-            OrderedDict() for _ in range(self.n_sets)
+        #: One insertion-ordered dict per set, least recently used line
+        #: first: a hit re-inserts its line (``pop`` + store, one C call)
+        #: and a full set evicts its first key.
+        self._sets: list[dict[int, LineState]] = [
+            {} for _ in range(self.n_sets)
         ]
         # Set selection is shift + mask: ChipConfig rejects any line
         # size or set count that is not a power of two.
@@ -159,7 +161,7 @@ class CacheUnit:
         """The resident line's state, or ``None``."""
         return self._sets[self._set_index(line_addr)].get(line_addr)
 
-    def miss(self, lines: OrderedDict[int, LineState], line_addr: int,
+    def miss(self, lines: dict[int, LineState], line_addr: int,
              is_store: bool) -> AccessResult:
         """Count a miss on *line_addr* in its set *lines*; allocate it.
 
@@ -179,7 +181,8 @@ class CacheUnit:
         if len(lines) < effective_ways:
             lines[line_addr] = LineState(is_store, data)
             return _MISS_NO_VICTIM
-        victim_line, victim_state = lines.popitem(last=False)
+        victim_line = next(iter(lines))
+        victim_state = lines.pop(victim_line)
         victim_dirty = victim_state.dirty
         victim_data = None
         self.evictions += 1

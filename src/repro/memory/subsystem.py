@@ -27,9 +27,12 @@ write buffer), so writeback traffic correctly competes for bandwidth.
 from __future__ import annotations
 
 import struct
+from array import array
 from enum import Enum
 
-from repro.config import ChipConfig
+import numpy as np
+
+from repro.config import PHYSICAL_ADDRESS_BITS, ChipConfig
 from repro.engine.tracing import NULL_TRACER, Tracer
 from repro.errors import AddressError
 from repro.memory.address import (
@@ -76,6 +79,13 @@ _REMOTE_MISS = AccessKind.REMOTE_MISS
 AccessTiming = tuple[int, int, AccessKind, int]
 
 
+#: Placement table of a group byte that has none yet: -1 (unresolved) at
+#: every line of the 24-bit space, so the first access resolves through
+#: :meth:`MemorySubsystem.target_cache`. A zero-stride view: it takes no
+#: memory, and reading it is a C subscript like a real table's.
+_NO_TABLE = np.broadcast_to(np.int8(-1), (1 << PHYSICAL_ADDRESS_BITS,))
+
+
 class MemorySubsystem:
     """Banks + caches + switches + interest-group placement."""
 
@@ -100,21 +110,23 @@ class MemorySubsystem:
         self._ig_cache: dict[int, InterestGroup] = {}
         self._line_shift = config.dcache_line_bytes.bit_length() - 1
         self._line_mask = ~(config.dcache_line_bytes - 1)
-        #: Memoized target-cache resolution, keyed by
-        #: ``(ig_byte << 24) | line``. The scrambling function is a pure
-        #: function of the line address and the group, so the answer
-        #: never changes. Bounded: when the memo reaches
-        #: ``_TARGET_MEMO_MAX`` entries it is cleared and rebuilt, so the
-        #: worst case is a bounded steady-state dict plus occasional
-        #: recomputation (the keyspace — 256 groups x 256 K lines — is
-        #: too large to leave unbounded).
-        self._target_memo: dict[int, int] = {}
         #: Target caches of the single-cache (``ONE``) groups, indexed by
         #: interest-group byte, ``None`` until first resolved. A ONE
         #: group's set has one member whatever the line or requester, so
-        #: the byte alone decides the target and the per-line memo is
-        #: never consulted for it. OWN and scrambled groups stay ``None``.
+        #: the byte alone decides the target and no placement table is
+        #: consulted for it. OWN and scrambled groups stay ``None``.
         self._ig_target: list[int | None] = [None] * 256
+        #: Placement tables of the scrambled (multi-cache) groups, indexed
+        #: by interest-group byte. The scrambling function is a pure
+        #: function of the line address and the group, so each line's
+        #: target is resolved once and kept in the group's flat table:
+        #: one signed entry per line of ``memory_bytes``, -1 (the byte
+        #: 0xFF) until resolved. An entry is one byte, or two on a chip
+        #: with more than 128 caches. Signed entries let one test,
+        #: ``< 0``, serve both widths. Bytes without a table hold
+        #: ``_NO_TABLE``, which reads -1 at every line.
+        self._n_lines = config.memory_bytes >> self._line_shift
+        self._placement: list = [_NO_TABLE] * 256
         #: Placement around disabled caches (fault tolerance): ``None``
         #: on a healthy chip, else a list mapping each cache id to the
         #: cache that takes its lines. See :meth:`remap_caches`.
@@ -163,9 +175,6 @@ class MemorySubsystem:
         self._n_remote_hit = self._n_remote_miss = 0
         self._n_scratchpad = 0
 
-    #: The target-cache memo's size bound (entries) — cleared when full.
-    _TARGET_MEMO_MAX = 1 << 16
-
     @property
     def kind_counts(self) -> dict[AccessKind, int]:
         """Access counts by timing classification (Table 2 rows)."""
@@ -191,10 +200,12 @@ class MemorySubsystem:
 
         Interest group zero (OWN) is the requester's own cache; every
         other group maps a line to one fixed cache independent of the
-        requester, so the answer is memoized: per group byte for the
-        single-cache groups (``_ig_target``), per ``(group, line)`` for
-        the scrambled ones (``_target_memo``, bounded). Disabled caches
-        are remapped before anything is memoized.
+        requester, so the answer is kept: per group byte for the
+        single-cache groups (``_ig_target``), per line in the group's
+        placement table for the scrambled ones (``_placement``). A line
+        at or beyond ``memory_bytes`` has no table entry: it is resolved
+        every time and not stored. Disabled caches are remapped before
+        anything is kept.
         """
         remap = self._cache_remap
         if ig_byte == 0:  # OWN: the requester's own quad cache
@@ -202,35 +213,37 @@ class MemorySubsystem:
         target = self._ig_target[ig_byte]
         if target is not None:
             return target
-        line = physical & self._line_mask
-        key = (ig_byte << IG_SHIFT) | line
-        memo = self._target_memo
-        target = memo.get(key)
-        if target is None:
-            group = self.decode_group(ig_byte)
-            target = group.target_cache(
-                physical >> self._line_shift, self.config.n_dcaches, quad_id
-            )
-            if remap is not None:
-                target = remap[target]
-            if group.level is Level.ONE:
-                self._ig_target[ig_byte] = target
+        index = physical >> self._line_shift
+        table = self._placement[ig_byte]
+        stored = index < self._n_lines
+        if stored:
+            target = table[index]
+            if target >= 0:
                 return target
-            if len(memo) >= self._TARGET_MEMO_MAX:
-                memo.clear()
-            memo[key] = target
+        group = self.decode_group(ig_byte)
+        target = group.target_cache(index, self.config.n_dcaches, quad_id)
+        if remap is not None:
+            target = remap[target]
+        if group.level is Level.ONE:
+            self._ig_target[ig_byte] = target
+        elif stored:
+            if table is _NO_TABLE:
+                code = "b" if self.config.n_dcaches <= 128 else "h"
+                table = self._placement[ig_byte] = \
+                    array(code, [-1]) * self._n_lines
+            table[index] = target
         return target
 
     def remap_caches(self, remap: list[int]) -> None:
         """Place every line whose home is cache *c* in ``remap[c]``.
 
         The fault controller calls this when a quad's cache is withdrawn.
-        Both placement memos are dropped: entries resolved before the
+        Every kept placement is dropped: targets resolved before the
         remap may name a cache that is now disabled.
         """
         self._cache_remap = list(remap)
-        self._target_memo.clear()
         self._ig_target = [None] * 256
+        self._placement = [_NO_TABLE] * 256
 
     # ------------------------------------------------------------------
     # The main timed access path
@@ -242,8 +255,8 @@ class MemorySubsystem:
         This is the simulator's hottest function: the dominant hit path
         allocates nothing beyond the returned plain tuple
         (:data:`AccessTiming`) — the address split is inlined, the target
-        cache comes from the memo, the tag probe and the port reservation
-        are inlined, and a hit returns from inside the probe.
+        cache comes from the kept placement, the tag probe and the port
+        reservation are inlined, and a hit returns from inside the probe.
         """
         if effective >> 32:
             raise AddressError(
@@ -261,12 +274,13 @@ class MemorySubsystem:
             target = quad_id
             local = True
         else:
-            # Inlined memo probes of target_cache(); the method runs only
-            # to fill (or refresh) the memos.
+            # Inlined placement probes of target_cache(); the method runs
+            # only to resolve a group or line for the first time. The
+            # bounds test above keeps the line inside the table.
             target = self._ig_target[ig_byte]
             if target is None:
-                target = self._target_memo.get((ig_byte << IG_SHIFT) | line)
-                if target is None:
+                target = self._placement[ig_byte][line >> self._line_shift]
+                if target < 0:
                     target = self.target_cache(ig_byte, physical, quad_id)
             local = target == quad_id
 
@@ -294,15 +308,16 @@ class MemorySubsystem:
         else:
             issue_end = self._transfer(target, time, size) + 1
 
-        # Tag probe, inlined: a hit — the dominant outcome — touches the
-        # OrderedDict set and two counters, allocates nothing, and
-        # returns from here; only a miss pays for CacheUnit.miss.
+        # Tag probe, inlined: a hit — the dominant outcome — re-inserts
+        # its line at the set's most recently used end (one ``pop``),
+        # bumps two counters, allocates nothing, and returns from here;
+        # only a miss pays for CacheUnit.miss.
         lines = self._cache_sets[target][
             (line >> self._cset_shift) & self._cset_mask
         ]
-        state = lines.get(line)
+        state = lines.pop(line, None)
         if state is not None:
-            lines.move_to_end(line)
+            lines[line] = state
             if is_store:
                 state.dirty = True
                 self.caches[target].store_hits += 1
@@ -383,7 +398,9 @@ class MemorySubsystem:
         counters, which under sampling therefore cover *all*
         instructions — moving without reserving ports or banks or
         setting fill times. Dirty victims just drop: outside strict mode
-        the data already lives in the backing store.
+        the data already lives in the backing store. Callers check the
+        address against max-memory first (the functional emitter's
+        bound test), so the line lies inside every placement table.
         """
         ig_byte = effective >> IG_SHIFT
         physical = effective & PHYSICAL_MASK
@@ -393,17 +410,17 @@ class MemorySubsystem:
         else:
             target = self._ig_target[ig_byte]
             if target is None:
-                target = self._target_memo.get((ig_byte << IG_SHIFT) | line)
-                if target is None:
+                target = self._placement[ig_byte][line >> self._line_shift]
+                if target < 0:
                     target = self.target_cache(ig_byte, physical, quad_id)
         lines = self._cache_sets[target][
             (line >> self._cset_shift) & self._cset_mask
         ]
-        state = lines.get(line)
+        state = lines.pop(line, None)
         if state is None:
             self.caches[target].miss(lines, line, is_store)
         else:
-            lines.move_to_end(line)
+            lines[line] = state
             if is_store:
                 state.dirty = True
                 self.caches[target].store_hits += 1

@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.errors import WorkloadError
@@ -387,7 +385,12 @@ def run_stream(params: StreamParams, chip: Chip | None = None) -> StreamResult:
 
 
 def _verify(params: StreamParams, backing, bases, n: int) -> bool:
-    """Check the kernel's arithmetic actually happened in memory."""
+    """Check the kernel's arithmetic actually happened in memory.
+
+    The expected values (1, 9, 3, 11) are exact in binary64 and every
+    kernel is idempotent under warm-up, so the check is exact equality:
+    one bool vector, no float temporaries at the run's memory peak.
+    """
     expected = {
         "copy": ("c", INIT_A),
         "scale": ("b", SCALAR * INIT_C),
@@ -398,6 +401,6 @@ def _verify(params: StreamParams, backing, bases, n: int) -> bool:
     slot = {"a": 0, "b": 1, "c": 2}[which]
     for base_tuple in dict.fromkeys(bases):
         view = backing.f64_view(base_tuple[slot], n)
-        if not np.allclose(view, value):
+        if not bool((view == value).all()):
             return False
     return True

@@ -172,6 +172,43 @@ def test_discarded_writes_leave_no_ready_time(load):
     assert state.ready[0] == state.ready[1] == 0
 
 
+@pytest.mark.parametrize("load,message", [
+    ("lw r7, 2(r4)", "address 0x802 not aligned for 4-byte access"),
+    ("lw r0, 2(r4)", "address 0x802 not aligned for 4-byte access"),
+    ("ld r0, 4(r4)", "address 0x804 not aligned for 8-byte access"),
+], ids=["lw_r7", "lw_r0", "ld_r0"])
+def test_discarded_loads_keep_alignment_fault(load, message):
+    # r0 and pair 0 drop a load's value, not the load: a misaligned one
+    # raises as it does into a live register, timed and functional.
+    program = assemble(f"{load}\nhalt\n")
+    interp = Interpreter(Chip(sanitize=False), model_fetch=False)
+    interp.add_thread(0, program, init_regs={4: 0x800})
+    with pytest.raises(AddressError, match=f"^{message}$"):
+        interp.run()
+    interp = Interpreter(Chip(sanitize=False), model_fetch=False)
+    state = interp.add_thread(0, program, init_regs={4: 0x800})
+    with pytest.raises(AddressError, match=f"^{message}$"):
+        interp._run_functional(state, 100)
+
+
+@pytest.mark.parametrize("op", ["fsqrt", "fneg", "fabs", "fmov"])
+def test_unary_fp_ops_wait_only_on_their_operand(op):
+    # A unary FP op's rb field encodes r1 but is unused: a load into r1
+    # in flight must not hold it, so it issues as behind a load into an
+    # unrelated register.
+    cycles = []
+    for load in ("lw r1, 0(r4)", "lw r7, 0(r4)"):
+        interp = Interpreter(Chip(sanitize=False), model_fetch=False)
+        state = interp.add_thread(
+            0, assemble(f"{load}\n{op} r12, r10\nhalt\n"),
+            init_regs={4: 0x800})
+        cycles.append(interp.run())
+        assert state.tu.counters.stall_cycles == 0
+    assert cycles[0] == cycles[1]
+    if op == "fsqrt":
+        assert cycles[0] == 58
+
+
 # ---------------------------------------------------------------------------
 # Doubles: one register model, direct backing-store moves
 # ---------------------------------------------------------------------------

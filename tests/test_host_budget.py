@@ -10,7 +10,9 @@ resume counts as a call) and every call of a builtin function or method
 (``c_call`` events: ``max``, ``len``, ``tuple.__new__``, a dict's
 ``get``) inside the run loop, and checks each count per simulated unit
 against a budget. Opcodes alone miss the C calls: one ``max()`` is a
-single opcode but costs several times a comparison.
+single opcode but costs several times a comparison. One more row prices
+host memory: the Python heap (``tracemalloc``) one chip holds after the
+stream row's run, where the data caches' tag sets dominate.
 
 A change that makes the hot paths do more work fails here even when a
 noisy host hides it in wall time. A change that makes them cheaper should
@@ -23,7 +25,9 @@ cycles, so a speed change cannot pass by simulating something else.
 
 from __future__ import annotations
 
+import gc
 import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,30 +78,34 @@ class Budget:
 BUDGETS = {
     # STREAM triad, 32 threads x 256 elements, Figure 6 placement
     # (4-way unrolled, local caches, balanced); per element.
-    "stream": Budget("element", ops=1333.1, calls=20.69, c_calls=22.75,
+    "stream": Budget("element", ops=1330.9, calls=20.69, c_calls=20.12,
                      cycles=4028),
     # 256-point FFT, 16 threads, hardware barrier; per memory access.
-    "fft": Budget("access", ops=511.6, calls=7.87, c_calls=9.93,
+    "fft": Budget("access", ops=511.6, calls=7.87, c_calls=7.92,
                   cycles=7747),
     # The triad as assembly through block dispatch, stream's shape and
     # placement; per element.
-    "isa_triad": Budget("element", ops=1496.6, calls=15.46, c_calls=25.33,
+    "isa_triad": Budget("element", ops=1494.9, calls=15.46, c_calls=22.20,
                         cycles=4381),
     # The constant-geometry FFT program sampling validation runs (integer
     # pointers, FP add/sub-heavy), 8 threads x 256 points, exact; per
     # instruction. Integer registers are memoryview subscripts, dearer
     # than list ones: this row prices that against the double pairs.
-    "isa_fft": Budget("instruction", ops=262.2, calls=2.54, c_calls=4.69,
+    "isa_fft": Budget("instruction", ops=262.2, calls=2.54, c_calls=3.86,
                       cycles=70835),
     # Radix sort, 512 keys, 4 threads (test_radix_golden's shape); per
     # memory access.
-    "radix": Budget("access", ops=556.1, calls=11.72, c_calls=7.81,
+    "radix": Budget("access", ops=556.1, calls=11.72, c_calls=5.80,
                     cycles=16831),
     # Blocked LU, n=16, block 8, 4 threads: the generator-form context
     # ops the other Splash kernels use; per memory access.
-    "lu": Budget("access", ops=551.3, calls=12.14, c_calls=5.32,
+    "lu": Budget("access", ops=551.3, calls=12.14, c_calls=3.31,
                  cycles=30049),
 }
+
+#: Bytes of Python heap one chip holds after the stream row's run
+#: (``measure_stream_heap``); the same slack applies.
+STREAM_CHIP_HEAP = 897_734
 
 
 def _counted(run):
@@ -157,19 +165,42 @@ class _CountedKernelRun:
         Kernel.run = self._original
 
 
-def measure_stream(threads: int = 32, per_thread: int = 256):
-    """``(ops, calls, c_calls, cycles)`` of the STREAM triad, per element."""
-    params = StreamParams(
+def _stream_params(threads: int, per_thread: int) -> StreamParams:
+    return StreamParams(
         kernel="triad", n_elements=threads * per_thread, n_threads=threads,
         partition="block", local_caches=True, unroll=4,
         policy=AllocationPolicy.BALANCED, warmup=False,
     )
+
+
+def measure_stream(threads: int = 32, per_thread: int = 256):
+    """``(ops, calls, c_calls, cycles)`` of the STREAM triad, per element."""
+    params = _stream_params(threads, per_thread)
     with _CountedKernelRun() as counter:
         result = run_stream(params, chip=Chip())
     assert result.verified
     n = params.n_elements
     return (counter.ops / n, counter.calls / n, counter.c_calls / n,
             result.cycles)
+
+
+def measure_stream_heap(threads: int = 32, per_thread: int = 256) -> int:
+    """Bytes of Python heap a chip holds after the stream row's run.
+
+    A first, untraced run does the one-time work (imports, compiled
+    kernels) so that only the traced run's chip remains on the heap.
+    """
+    params = _stream_params(threads, per_thread)
+    run_stream(params, chip=Chip())
+    tracemalloc.start()
+    try:
+        chip = Chip()
+        assert run_stream(params, chip=chip).verified
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return held
 
 
 def measure_fft(points: int = 256, threads: int = 16):
@@ -270,9 +301,17 @@ def test_host_work_within_budget(workload):
         f"budget {budget.c_calls} (+{SLACK - 1:.0%})")
 
 
+def test_stream_chip_heap_within_budget():
+    held = measure_stream_heap()
+    assert held <= STREAM_CHIP_HEAP * SLACK, (
+        f"a chip holds {held} bytes of Python heap after the stream run, "
+        f"over the budget {STREAM_CHIP_HEAP} (+{SLACK - 1:.0%})")
+
+
 if __name__ == "__main__":
     for name in sorted(MEASURE):
         ops, calls, c_calls, cycles = MEASURE[name]()
         print(f'"{name}": ops={ops:.1f}, calls={calls:.2f}, '
               f'c_calls={c_calls:.2f}, cycles={cycles}  '
               f'(per {BUDGETS[name].unit})')
+    print(f"STREAM_CHIP_HEAP = {measure_stream_heap():_}")

@@ -103,3 +103,62 @@ def test_every_decodable_group_places_in_range(byte):
         return
     target = memory.target_cache(byte, 0x1234 * 64, 5)
     assert 0 <= target < CFG.n_dcaches
+
+
+def _scrambled_bytes(config):
+    """Every interest-group byte whose group has several caches."""
+    from repro.errors import InterestGroupError
+    scrambled = []
+    for byte in range(1, 256):
+        try:
+            group = InterestGroup.decode(byte)
+            members = group.cache_set(config.n_dcaches)
+        except InterestGroupError:
+            continue
+        if len(members) > 1:
+            scrambled.append(byte)
+    return scrambled
+
+
+#: Chips at the widths' edge: 128 caches still fit one signed byte per
+#: line, 256 take two.
+_WIDE_CFGS = {n: ChipConfig(n_threads=4 * n, threads_per_quad=4)
+              for n in (128, 256)}
+
+
+@pytest.mark.parametrize("config", [CFG, *_WIDE_CFGS.values()],
+                         ids=["paper", *map(str, _WIDE_CFGS)])
+@settings(max_examples=15, deadline=None)
+@given(physicals=st.lists(st.integers(0, (1 << 24) - 1), min_size=1,
+                          max_size=8),
+       quad=st.integers(0, 31), shift=st.integers(1, 31))
+def test_placement_table_matches_scrambling_function(config, physicals,
+                                                     quad, shift):
+    """Each scrambled group's placement table answers as the group's own
+    scrambling function, on first resolution and when read back, before
+    and after a cache remap, and for lines at or beyond ``memory_bytes``
+    (resolved but not kept)."""
+    memory = MemorySubsystem(config)
+    n = config.n_dcaches
+    physicals = physicals + [config.memory_bytes, (1 << 24) - 1]
+    line_shift = config.dcache_line_bytes.bit_length() - 1
+
+    def check(remap):
+        for byte in _scrambled_bytes(config):
+            group = InterestGroup.decode(byte)
+            for physical in physicals:
+                expected = remap[group.target_cache(physical >> line_shift,
+                                                    n)]
+                for _ in range(2):  # resolved, then read back
+                    assert memory.target_cache(byte, physical, quad) \
+                        == expected
+                if physical + 8 <= config.memory_bytes:
+                    assert memory.access(
+                        0, quad, make_effective(physical & ~7, byte), 8,
+                        False)[3] == expected
+
+    check(list(range(n)))
+    # Fold the caches onto every other one: the kept tables must go.
+    remap = [(cache + shift) % n // 2 * 2 for cache in range(n)]
+    memory.remap_caches(remap)
+    check(remap)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import ChipConfig
 from repro.core.chip import Chip
+from repro.core.icache import InstructionCache
 from repro.memory.address import make_effective
 from repro.memory.interest_groups import IG_ALL
 from repro.memory.subsystem import AccessKind, MemorySubsystem
@@ -112,37 +113,90 @@ class TestAccounting:
 # Cache behaviour vs a reference model
 # ---------------------------------------------------------------------------
 class _ReferenceCache:
-    """An obviously-correct LRU set-associative model."""
+    """An obviously-correct LRU set-associative model with dirty bits."""
 
     def __init__(self, n_sets: int, ways: int, line: int) -> None:
         self.n_sets, self.ways, self.line = n_sets, ways, line
+        #: Each set's lines, least recently used first.
         self.sets = [[] for _ in range(n_sets)]
+        self.dirty: set[int] = set()
+        self.writebacks = 0
 
-    def access(self, line_addr: int) -> bool:
-        index = (line_addr // self.line) % self.n_sets
-        entries = self.sets[index]
-        if line_addr in entries:
+    def access(self, line_addr: int, is_store: bool = False) -> bool:
+        entries = self.sets[(line_addr // self.line) % self.n_sets]
+        hit = line_addr in entries
+        if hit:
             entries.remove(line_addr)
-            entries.append(line_addr)
-            return True
         entries.append(line_addr)
         if len(entries) > self.ways:
-            entries.pop(0)
-        return False
+            victim = entries.pop(0)
+            if victim in self.dirty:
+                self.dirty.remove(victim)
+                self.writebacks += 1
+        if is_store:
+            self.dirty.add(line_addr)
+        return hit
+
+    def invalidate(self, line_addr: int) -> bool | None:
+        """Drop a line; its dirty bit, or ``None`` if it was absent."""
+        entries = self.sets[(line_addr // self.line) % self.n_sets]
+        if line_addr not in entries:
+            return None
+        entries.remove(line_addr)
+        dirty = line_addr in self.dirty
+        self.dirty.discard(line_addr)
+        return dirty
+
+
+_CACHE_OPS = ("load", "store", "warm_load", "warm_store", "invalidate")
+
+#: A line as ``(set, tag)``: two sets at 12 tags each, more than the 8
+#: ways, and lists long enough that sets fill and evict.
+_LINES = st.tuples(st.integers(0, 1), st.integers(0, 11))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, 200), min_size=1, max_size=300))
-def test_cache_matches_reference_model(line_numbers):
+@given(st.lists(st.tuples(st.sampled_from(_CACHE_OPS), _LINES),
+                min_size=30, max_size=300),
+       st.lists(_LINES, min_size=30, max_size=300))
+def test_cache_matches_reference_model(ops, fetches):
+    # Data accesses use interest group zero (OWN) from quad 0, so cache
+    # 0 holds every line.
     memory = MemorySubsystem(CFG)
     cache = memory.caches[0]
+    icache = InstructionCache(0, CFG)
     reference = _ReferenceCache(cache.n_sets, cache.total_ways,
                                 cache.line_bytes)
-    for time, number in enumerate(line_numbers):
-        # Interest group zero (OWN) from quad 0: cache 0 holds the line.
-        addr = number * CFG.dcache_line_bytes
-        kind = memory.access(time, 0, addr, 8, is_store=False)[2]
-        assert (kind is AccessKind.LOCAL_HIT) == reference.access(addr)
+    ireference = _ReferenceCache(icache.n_sets, icache.ways,
+                                 icache.line_bytes)
+    for time, (set_index, tag) in enumerate(fetches):
+        addr = (tag * icache.n_sets + set_index) * icache.line_bytes
+        _, hit = icache.fetch(time, addr, memory.banks, memory.address_map)
+        assert hit == ireference.access(addr)
+    for time, (op, (set_index, tag)) in enumerate(ops):
+        addr = (tag * cache.n_sets + set_index) * cache.line_bytes
+        if op == "invalidate":
+            state = cache.invalidate(addr)
+            dirty = reference.invalidate(addr)
+            assert (state is None) == (dirty is None)
+            assert state is None or state.dirty == dirty
+            continue
+        is_store = op.endswith("store")
+        if op.startswith("warm"):
+            hits = cache.hits + cache.store_hits
+            memory.warm_access(0, addr, is_store)
+            hit = cache.hits + cache.store_hits > hits
+        else:
+            kind = memory.access(time, 0, addr, 8, is_store=is_store)[2]
+            hit = kind is AccessKind.LOCAL_HIT
+        assert hit == reference.access(addr, is_store)
+        assert cache.writebacks == reference.writebacks
+    # The whole LRU order and every dirty bit, not only the hit flags.
+    assert [list(lines) for lines in cache._sets] == reference.sets
+    assert {addr for lines in cache._sets
+            for addr, state in lines.items() if state.dirty} \
+        == reference.dirty
+    assert [list(lines) for lines in icache._sets] == ireference.sets
 
 
 # ---------------------------------------------------------------------------
