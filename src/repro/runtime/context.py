@@ -83,13 +83,6 @@ class ThreadCtx:
         """The thread's current issue clock."""
         return self.tu.issue_time
 
-    def _earliest(self, deps: tuple) -> int:
-        earliest = self.tu.issue_time
-        for dep in deps:
-            if dep > earliest:
-                earliest = dep
-        return earliest
-
     # ------------------------------------------------------------------
     # Memory operations (shared: generators, plus a split-phase form)
     #
@@ -274,7 +267,7 @@ class ThreadCtx:
     def atomic_rmw_u32(self, effective: int, op: str, operand: int,
                        deps: tuple = ()):
         """Atomic read-modify-write; returns ``(ready_time, old_value)``."""
-        earliest = yield self._earliest(deps)
+        earliest = yield self.op_begin(deps)
         (issue_end, complete, _, _), old = self.memory.atomic_rmw_u32(
             earliest, self.quad_id, effective, op, operand
         )
@@ -294,7 +287,7 @@ class ThreadCtx:
         """
         import struct
 
-        earliest = yield self._earliest(deps)
+        earliest = yield self.op_begin(deps)
         issue_end, complete, _, _ = self.memory.scratchpad_access(
             earliest, self.quad_id, cache_id, 8
         )
@@ -474,10 +467,6 @@ class ThreadCtx:
         counters.flops += 2
         return ready
 
-    def fp_convert(self, deps: tuple = ()):
-        """Int/float conversion."""
-        return self._fpu_pipelined(self.fpu.convert, deps, 1, 0)
-
     def fp_div(self, deps: tuple = ()):
         """Double-precision divide (non-pipelined)."""
         exec_cycles = self.lat.fp_divide[0]
@@ -494,7 +483,7 @@ class ThreadCtx:
         The writer-side software-coherence primitive for OWN-group data;
         returns the completion time (dirty lines burst onto their bank).
         """
-        earliest = yield self._earliest(deps)
+        earliest = yield self.op_begin(deps)
         issue_end, complete, _, _ = self.memory.flush_line(
             earliest, self.quad_id, effective
         )
@@ -508,7 +497,7 @@ class ThreadCtx:
 
         The reader-side primitive: the next load re-fetches from memory.
         """
-        earliest = yield self._earliest(deps)
+        earliest = yield self.op_begin(deps)
         issue_end, complete, _, _ = self.memory.invalidate_line(
             earliest, self.quad_id, effective
         )
@@ -527,8 +516,8 @@ class ThreadCtx:
         ready time. ``op`` is ``"fma"``, ``"add"``, or ``"mul"``.
         """
         if count <= 0:
-            return self._earliest(deps)
-        earliest = yield self._earliest(deps)
+            return self.op_begin(deps)
+        earliest = yield self.op_begin(deps)
         if op == "fma":
             issue_fn, flops = self.fpu.fma, 2
         elif op == "add":
@@ -540,7 +529,10 @@ class ThreadCtx:
         tu = self.tu
         ready = earliest
         for _ in range(count):
-            issue_end, ready = issue_fn(max(earliest, tu.issue_time))
+            issue = tu.issue_time
+            if earliest > issue:
+                issue = earliest
+            issue_end, ready = issue_fn(issue)
             tu.issue_at(issue_end - 1)
             tu.retire(1)
             tu.counters.flops += flops
@@ -551,7 +543,7 @@ class ThreadCtx:
     # ------------------------------------------------------------------
     def branch(self, deps: tuple = ()) -> int:
         """A (conditional) branch: two cycles in the sequencer."""
-        return self.tu.execute_local(self._earliest(deps), self.lat.branch)
+        return self.tu.execute_local(self.op_begin(deps), self.lat.branch)
 
     def charge_ops(self, count: int) -> int:
         """Charge *count* independent one-cycle private ops in bulk.
@@ -603,10 +595,3 @@ class ThreadCtx:
             self.branch(deps=(ready,))
             ready, value = yield from self.load_u32(effective)
         return ready, value
-
-    # ------------------------------------------------------------------
-    # Barriers (delegates; shared: generators)
-    # ------------------------------------------------------------------
-    def barrier(self, barrier_obj):
-        """Wait on a hardware or software barrier object."""
-        return barrier_obj.wait(self)

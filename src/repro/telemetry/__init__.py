@@ -18,9 +18,10 @@ front door:
 * :mod:`repro.telemetry.hostprof` — wall-clock profiling of the
   *simulator itself* (simulated cycles/sec, events/sec);
 * :mod:`repro.telemetry.report` — a :class:`RunReport` merging chip
-  counters, metrics snapshots, and utilization into one JSON artifact;
-* ``python -m repro.telemetry`` — run any workload with instrumentation
-  on and write the report plus an optional Chrome trace.
+  counters, metrics snapshots, and utilization into one JSON artifact.
+
+``python -m repro.workloads <name> --report PATH --trace PATH`` runs any
+workload with instrumentation on and writes both.
 """
 
 from repro.telemetry.hostprof import HostProfiler

@@ -3,8 +3,8 @@
 A :class:`RunReport` merges everything the other telemetry pieces know —
 chip counters (the Figure 7 run/stall decomposition), a metrics registry
 snapshot, the utilization breakdown, and host-side profiling — into one
-dataclass that round-trips through JSON. Experiments, the telemetry CLI,
-and CI smoke checks all emit and consume this shape.
+dataclass that round-trips through JSON. Experiments, the workload CLI's
+``--report``, and CI smoke checks all emit and consume this shape.
 """
 
 from __future__ import annotations

@@ -375,6 +375,6 @@ def run_barnes(params: BarnesParams, chip: Chip | None = None) -> BarnesResult:
             direct[i] = contrib.sum()
         scale = np.abs(direct).mean()
         err = np.abs(state["accels"] - direct).mean() / scale
-        verified = verified and err < 0.05
+        verified = verified and bool(err < 0.05)
     return BarnesResult(params=params, cycles=section.elapsed,
                         verified=verified)

@@ -1,34 +1,133 @@
 """Command-line workload runner: ``python -m repro.workloads``.
 
 Runs any single workload with chosen parameters and prints its result
-plus a chip-utilization breakdown — the quickest way to poke at the
-simulator without writing a script::
+line — the quickest way to poke at the simulator without writing a
+script. Every workload offers the same views of its run: the chip
+utilization breakdown, the coherence sanitizer, and a JSON run report
+plus a Chrome trace (docs/observability.md)::
 
     python -m repro.workloads stream --kernel triad --threads 126 \
         --elements 126000 --local-caches --unroll 4
     python -m repro.workloads fft --points 1024 --threads 16 --barrier sw
-    python -m repro.workloads md --particles 256 --threads 32
+    python -m repro.workloads md --particles 256 --threads 32 \
+        --report md.report.json --trace md.trace.json
+
+One table, :data:`WORKLOADS`, holds everything that differs between
+workloads. The runner builds the chip itself and passes it to the
+driver, so every option works the same for all of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import pathlib
+import string
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.analysis.utilization import chip_elapsed, utilization
-from repro.config import ChipConfig
 from repro.core.chip import Chip
+from repro.engine.tracing import NULL_TRACER, Tracer
+from repro.errors import CyclopsError
 from repro.runtime.kernel import AllocationPolicy
+from repro.telemetry.chrome_trace import write_chrome_trace
+from repro.telemetry.hostprof import HostProfiler
+from repro.telemetry.instrument import instrument
+from repro.telemetry.report import build_report
+from repro.workloads.barnes import BarnesParams, run_barnes
+from repro.workloads.dgemm import DgemmParams, run_dgemm
+from repro.workloads.fft import FFTParams, run_fft
+from repro.workloads.fmm import FMMParams, run_fmm
+from repro.workloads.lu import LUParams, run_lu
+from repro.workloads.md import MDParams, run_md
+from repro.workloads.ocean import OceanParams, run_ocean
+from repro.workloads.radix import RadixParams, run_radix
+from repro.workloads.raytrace import RayTraceParams, run_raytrace
+from repro.workloads.stream import StreamParams, run_stream
 
 
-def _policy(name: str) -> AllocationPolicy:
-    return AllocationPolicy.BALANCED if name == "balanced" \
-        else AllocationPolicy.SEQUENTIAL
+def _opt(flag: str, field: str | None = None, **kwargs) -> tuple[str, dict]:
+    """A subcommand option that sets the ``*Params`` field *field*
+    (default: the flag's own name)."""
+    kwargs["dest"] = field or flag[2:].replace("-", "_")
+    return flag, kwargs
+
+
+@dataclass(frozen=True)
+class Workload:
+    """One subcommand: its options, its driver and its result line."""
+
+    help: str
+    params: type
+    run: Callable
+    #: ``(flag, argparse keywords)`` pairs; each ``dest`` is a Params field.
+    options: tuple[tuple[str, dict], ...]
+    #: The printed result line, formatted with the driver's result as
+    #: ``r``. The result fields it names are also the run report's
+    #: ``results`` block.
+    summary: str = "{r.cycles} cycles, verified={r.verified}"
+
+    def result_fields(self) -> list[str]:
+        return [name.split(".", 1)[1]
+                for _, name, _, _ in string.Formatter().parse(self.summary)
+                if name]
+
+
+WORKLOADS = {
+    "stream": Workload(
+        "STREAM kernel", StreamParams, run_stream,
+        (_opt("--kernel", default="triad",
+              choices=["copy", "scale", "add", "triad"]),
+         _opt("--elements", "n_elements", type=int, default=32 * 400),
+         _opt("--partition", choices=["block", "cyclic"], default="block"),
+         _opt("--local-caches", action="store_true"),
+         _opt("--unroll", type=int, default=1)),
+        "{r.bandwidth_gb_s:.2f} GB/s aggregate, "
+        "{r.mean_thread_bandwidth_mb_s:.1f} MB/s/thread, "
+        "{r.cycles} cycles, verified={r.verified}"),
+    "fft": Workload(
+        "Splash-2 FFT", FFTParams, run_fft,
+        (_opt("--points", "n_points", type=int, default=1024),
+         _opt("--barrier", choices=["hw", "sw"], default="hw")),
+        "{r.total_cycles} cycles (run {r.run_cycles}, "
+        "stall {r.stall_cycles}), verified={r.verified}"),
+    "lu": Workload(
+        "blocked LU", LUParams, run_lu,
+        (_opt("--n", type=int, default=48),
+         _opt("--block", type=int, default=8))),
+    "radix": Workload(
+        "radix sort", RadixParams, run_radix,
+        (_opt("--keys", "n_keys", type=int, default=4096),)),
+    "ocean": Workload(
+        "red-black SOR", OceanParams, run_ocean,
+        (_opt("--grid", type=int, default=66),
+         _opt("--iterations", type=int, default=2))),
+    "barnes": Workload(
+        "Barnes-Hut N-body", BarnesParams, run_barnes,
+        (_opt("--bodies", "n_bodies", type=int, default=256),)),
+    "fmm": Workload(
+        "fast multipole method", FMMParams, run_fmm,
+        (_opt("--bodies", "n_bodies", type=int, default=256),
+         _opt("--levels", type=int, default=3))),
+    "md": Workload(
+        "Lennard-Jones molecular dynamics", MDParams, run_md,
+        (_opt("--particles", "n_particles", type=int, default=256),)),
+    "raytrace": Workload(
+        "Whitted raytracer", RayTraceParams, run_raytrace,
+        (_opt("--width", type=int, default=32),
+         _opt("--height", type=int, default=24))),
+    "dgemm": Workload(
+        "blocked matrix multiply", DgemmParams, run_dgemm,
+        (_opt("--n", type=int, default=32),
+         _opt("--block", type=int, default=8),
+         _opt("--no-scratchpad", "use_scratchpad", action="store_false"))),
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=16)
-    parser.add_argument("--policy", choices=["sequential", "balanced"],
+    parser.add_argument("--policy", choices=[p.value for p in AllocationPolicy],
                         default="sequential")
     parser.add_argument("--utilization", action="store_true",
                         help="print the chip utilization breakdown")
@@ -39,6 +138,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sanitize-report", default=None, metavar="PATH",
                         help="with --sanitize: also write the findings "
                              "as JSON to PATH")
+    parser.add_argument("--report", default=None, metavar="PATH",
+                        help="write the instrumented run's RunReport JSON "
+                             "to PATH")
+    parser.add_argument("--trace", default=None, metavar="PATH",
+                        help="write a Chrome Trace Event JSON to PATH")
+    parser.add_argument("--trace-capacity", type=int, default=200_000,
+                        help="max retained tracer records (deque bound)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,146 +153,65 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run one Cyclops workload.",
     )
     sub = parser.add_subparsers(dest="workload", required=True)
-
-    p = sub.add_parser("stream", help="STREAM kernel")
-    p.add_argument("--kernel", default="triad",
-                   choices=["copy", "scale", "add", "triad"])
-    p.add_argument("--elements", type=int, default=32 * 400)
-    p.add_argument("--partition", choices=["block", "cyclic"],
-                   default="block")
-    p.add_argument("--local-caches", action="store_true")
-    p.add_argument("--unroll", type=int, default=1)
-    _add_common(p)
-
-    p = sub.add_parser("fft", help="Splash-2 FFT")
-    p.add_argument("--points", type=int, default=1024)
-    p.add_argument("--barrier", choices=["hw", "sw"], default="hw")
-    _add_common(p)
-
-    p = sub.add_parser("lu", help="blocked LU")
-    p.add_argument("--n", type=int, default=48)
-    p.add_argument("--block", type=int, default=8)
-    _add_common(p)
-
-    p = sub.add_parser("radix", help="radix sort")
-    p.add_argument("--keys", type=int, default=4096)
-    _add_common(p)
-
-    p = sub.add_parser("ocean", help="red-black SOR")
-    p.add_argument("--grid", type=int, default=66)
-    p.add_argument("--iterations", type=int, default=2)
-    _add_common(p)
-
-    p = sub.add_parser("barnes", help="Barnes-Hut N-body")
-    p.add_argument("--bodies", type=int, default=256)
-    _add_common(p)
-
-    p = sub.add_parser("fmm", help="fast multipole method")
-    p.add_argument("--bodies", type=int, default=256)
-    p.add_argument("--levels", type=int, default=3)
-    _add_common(p)
-
-    p = sub.add_parser("md", help="Lennard-Jones molecular dynamics")
-    p.add_argument("--particles", type=int, default=256)
-    _add_common(p)
-
-    p = sub.add_parser("raytrace", help="Whitted raytracer")
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--height", type=int, default=24)
-    _add_common(p)
-
-    p = sub.add_parser("dgemm", help="blocked matrix multiply")
-    p.add_argument("--n", type=int, default=32)
-    p.add_argument("--block", type=int, default=8)
-    p.add_argument("--no-scratchpad", action="store_true")
-    _add_common(p)
+    for name, workload in WORKLOADS.items():
+        p = sub.add_parser(name, help=workload.help)
+        for flag, kwargs in workload.options:
+            p.add_argument(flag, **kwargs)
+        _add_common(p)
     return parser
 
 
-def _run(args) -> tuple[object, Chip | None]:
-    policy = _policy(args.policy)
-    if args.workload == "stream":
-        from repro.workloads.stream import StreamParams, run_stream
-        chip = Chip(ChipConfig.paper())
-        result = run_stream(StreamParams(
-            kernel=args.kernel, n_elements=args.elements,
-            n_threads=args.threads, partition=args.partition,
-            local_caches=args.local_caches, unroll=args.unroll,
-            policy=policy,
-        ), chip=chip)
-        print(f"{result.bandwidth_gb_s:.2f} GB/s aggregate, "
-              f"{result.mean_thread_bandwidth_mb_s:.1f} MB/s/thread, "
-              f"{result.cycles} cycles, verified={result.verified}")
-        return result, chip
-    if args.workload == "fft":
-        from repro.workloads.fft import FFTParams, run_fft
-        result = run_fft(FFTParams(n_points=args.points,
-                                   n_threads=args.threads,
-                                   barrier=args.barrier, policy=policy))
-        print(f"{result.total_cycles} cycles (run {result.run_cycles}, "
-              f"stall {result.stall_cycles}), verified={result.verified}")
-        return result, None
-    if args.workload == "lu":
-        from repro.workloads.lu import LUParams, run_lu
-        result = run_lu(LUParams(n=args.n, block=args.block,
-                                 n_threads=args.threads, policy=policy))
-    elif args.workload == "radix":
-        from repro.workloads.radix import RadixParams, run_radix
-        result = run_radix(RadixParams(n_keys=args.keys,
-                                       n_threads=args.threads,
-                                       policy=policy))
-    elif args.workload == "ocean":
-        from repro.workloads.ocean import OceanParams, run_ocean
-        result = run_ocean(OceanParams(grid=args.grid,
-                                       iterations=args.iterations,
-                                       n_threads=args.threads,
-                                       policy=policy))
-    elif args.workload == "barnes":
-        from repro.workloads.barnes import BarnesParams, run_barnes
-        result = run_barnes(BarnesParams(n_bodies=args.bodies,
-                                         n_threads=args.threads,
-                                         policy=policy))
-    elif args.workload == "fmm":
-        from repro.workloads.fmm import FMMParams, run_fmm
-        result = run_fmm(FMMParams(n_bodies=args.bodies,
-                                   levels=args.levels,
-                                   n_threads=args.threads, policy=policy))
-    elif args.workload == "md":
-        from repro.workloads.md import MDParams, run_md
-        result = run_md(MDParams(n_particles=args.particles,
-                                 n_threads=args.threads, policy=policy))
-    elif args.workload == "raytrace":
-        from repro.workloads.raytrace import RayTraceParams, run_raytrace
-        result = run_raytrace(RayTraceParams(width=args.width,
-                                             height=args.height,
-                                             n_threads=args.threads,
-                                             policy=policy))
-    else:  # dgemm
-        from repro.workloads.dgemm import DgemmParams, run_dgemm
-        result = run_dgemm(DgemmParams(n=args.n, block=args.block,
-                                       n_threads=args.threads,
-                                       use_scratchpad=not args.no_scratchpad,
-                                       policy=policy))
-    print(f"{result.cycles} cycles, verified={result.verified}")
-    return result, None
-
-
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
+    workload = WORKLOADS[args.workload]
+    fields = {kwargs["dest"]: getattr(args, kwargs["dest"])
+              for _, kwargs in workload.options}
+    profiler = HostProfiler()
     if args.sanitize:
-        # Chips are built inside the workload drivers, so the switch is
-        # session-global; the session roster collects every sanitizer.
         from repro.sanitizer import session
         session.reset()
-        session.force(True)
+
+    with profiler.phase("setup"):
+        tracer = Tracer(capacity=args.trace_capacity) if args.trace \
+            else NULL_TRACER
+        chip = Chip(tracer=tracer, sanitize=args.sanitize)
+        inst = instrument(chip) if args.report or args.trace else None
     try:
-        result, chip = _run(args)
-    finally:
-        if args.sanitize:
-            from repro.sanitizer import session
-            session.force(False)
-    if args.utilization and chip is not None:
+        with profiler.phase("simulate"):
+            result = workload.run(workload.params(
+                n_threads=args.threads, policy=AllocationPolicy(args.policy),
+                **fields), chip=chip)
+    except CyclopsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(workload.summary.format(r=result))
+
+    if inst is not None:
+        scheduler = inst.kernel.scheduler
+        profiler.set_work("simulate", cycles=scheduler.now,
+                          events=scheduler.steps)
+        inst.harvest(elapsed=chip_elapsed(chip))
+        for out in (args.report, args.trace):
+            if out:
+                pathlib.Path(out).parent.mkdir(parents=True, exist_ok=True)
+        if args.report:
+            build_report(
+                chip, args.workload, registry=inst.registry,
+                params={**fields, "n_threads": args.threads,
+                        "policy": args.policy},
+                profiler=profiler,
+                results={name: getattr(result, name)
+                         for name in workload.result_fields()},
+            ).write(args.report)
+            print(f"wrote report to {args.report}", file=sys.stderr)
+        if args.trace:
+            n_events = write_chrome_trace(
+                args.trace, chip=chip, tracer=tracer,
+                metadata={"workload": args.workload})
+            print(f"wrote {n_events} trace events to {args.trace}",
+                  file=sys.stderr)
+    if args.utilization:
         print()
         print(utilization(chip, chip_elapsed(chip)).render())
     if args.sanitize:

@@ -2,8 +2,9 @@
 
 Covers registry semantics, histogram percentiles, Chrome-trace JSON
 validity, RunReport round-tripping, live probes (scheduler, barriers),
-host profiling, the CLI, and the zero-overhead guarantee of the
-disabled path.
+host profiling, and the zero-overhead guarantee of the disabled
+path. The CLI that writes reports and traces is tested in
+``tests/test_workload_cli.py``.
 """
 
 import json
@@ -416,50 +417,6 @@ class TestTracerCapacity:
             tracer.emit(i, "s", "e")
         assert len(tracer.records) == 100
         assert tracer.records[0].time == 0
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-class TestCli:
-    def test_stream_with_trace_and_report(self, tmp_path):
-        from repro.telemetry.__main__ import main
-
-        trace = tmp_path / "out.trace.json"
-        report = tmp_path / "out.report.json"
-        code = main(["--workload", "stream", "--threads", "8",
-                     "--size", "512", "--trace", str(trace),
-                     "--report", str(report)])
-        assert code == 0
-        trace_doc = json.loads(trace.read_text())
-        spans = [e for e in trace_doc["traceEvents"]
-                 if e.get("pid") == CHIP_PID and e.get("ph") == "X"]
-        assert len(spans) == 8
-        report_doc = json.loads(report.read_text())
-        assert report_doc["aggregate"]["run_cycles"] > 0
-        assert report_doc["metrics"]["gauges"]["chip.run_cycles"] \
-            == report_doc["aggregate"]["run_cycles"]
-        assert "simulate" in report_doc["host"]
-
-    def test_no_metrics_flag(self, tmp_path, capsys):
-        from repro.telemetry.__main__ import main
-
-        code = main(["--workload", "stream", "--threads", "4",
-                     "--size", "256", "--no-metrics"])
-        assert code == 0
-        out = capsys.readouterr().out
-        doc = json.loads(out)
-        assert doc["metrics"] == {}
-
-    def test_fft_workload(self, capsys):
-        from repro.telemetry.__main__ import main
-
-        code = main(["--workload", "fft", "--threads", "4",
-                     "--size", "64"])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["results"]["verified"] is True
-        assert doc["workload"] == "fft"
 
 
 # ---------------------------------------------------------------------------
