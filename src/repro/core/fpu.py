@@ -19,45 +19,93 @@ counts it: one FMA = 2 flops).
 from __future__ import annotations
 
 from repro.config import ChipConfig
-from repro.engine.resources import NonPipelinedUnit, PipelinedUnit
+from repro.engine.resources import NonPipelinedUnit
+
+
+class FPUPipe:
+    """The adder or multiplier pipe of one FPU: one issue per cycle.
+
+    The pipe keeps only its timeline: ``next_free``, and the request
+    order test (``_last_request``, ``reorderings``) that adds need,
+    because an add can arrive behind an FMA granted past its time. Its
+    ``busy_cycles`` and ``n_requests`` are derived from the owning FPU's
+    per-kind counts (see :class:`FPU`), so an issue counts once.
+    """
+
+    __slots__ = ("name", "next_free", "reorderings", "_last_request",
+                 "_fpu", "_is_adder")
+
+    def __init__(self, name: str, fpu: "FPU", is_adder: bool) -> None:
+        self.name = name
+        self.next_free = 0
+        #: Requests that arrived timestamped before a previous request.
+        self.reorderings = 0
+        self._last_request = 0
+        self._fpu = fpu
+        self._is_adder = is_adder
+
+    def _own_issues(self) -> int:
+        """One-cycle issues of this pipe alone (not FMAs)."""
+        fpu = self._fpu
+        return fpu.n_add + fpu.n_convert if self._is_adder else fpu.n_mul
+
+    @property
+    def n_requests(self) -> int:
+        """Issues granted on this pipe (an FMA takes one on each)."""
+        return self._own_issues() + self._fpu.n_fma
+
+    @property
+    def busy_cycles(self) -> int:
+        """Issue cycles this pipe was held (an FMA holds both pipes)."""
+        fpu = self._fpu
+        return self._own_issues() + fpu.n_fma * fpu._fma_execution
+
+    def utilization(self, elapsed: int) -> float:
+        """Fraction of *elapsed* cycles the pipe was busy."""
+        if elapsed <= 0:
+            return 0.0
+        return self.busy_cycles / elapsed
 
 
 class FPU:
-    """One quad's floating-point unit: adder + multiplier + div/sqrt."""
+    """One quad's floating-point unit: adder + multiplier + div/sqrt.
+
+    Count once: an add, multiply, convert or FMA increments only its own
+    kind's count (``n_add``, ``n_mul``, ``n_convert``, ``n_fma``).
+    ``operations`` and each pipe's ``busy_cycles`` and ``n_requests``
+    are derived from those counts; divides and square roots are the
+    divider's requests.
+    """
 
     def __init__(self, fpu_id: int, config: ChipConfig) -> None:
         self.fpu_id = fpu_id
         self.config = config
-        self.adder = PipelinedUnit(f"fpu{fpu_id}.add")
-        self.multiplier = PipelinedUnit(f"fpu{fpu_id}.mul")
+        self.adder = FPUPipe(f"fpu{fpu_id}.add", self, True)
+        self.multiplier = FPUPipe(f"fpu{fpu_id}.mul", self, False)
         self.divider = NonPipelinedUnit(f"fpu{fpu_id}.div")
-        self.operations = 0
+        self.n_add = self.n_mul = self.n_convert = self.n_fma = 0
         #: Cycles requests waited for a busy sub-unit (quad contention).
         self.contention_cycles = 0
         self.failed = False
-        # Add, multiply and FMA timing hoisted from the (frozen) config.
+        # Add, multiply, convert and FMA timing hoisted from the (frozen)
+        # config.
         latency = config.latency
         self._add_execution, self._add_latency = latency.fp_add
         self._mul_execution, self._mul_latency = latency.fp_multiply
+        self._cvt_execution, self._cvt_latency = latency.fp_convert
         self._fma_execution, self._fma_latency = latency.fp_multiply_add
 
-    # ------------------------------------------------------------------
-    def _issue_pipelined(self, unit: PipelinedUnit, time: int,
-                         latency_row: tuple[int, int]) -> tuple[int, int]:
-        """Issue on a pipelined sub-unit: returns (issue_end, result_ready)."""
-        execution, latency = latency_row
-        grant = unit.issue(time)
-        self.operations += 1
-        if grant != time:
-            self.contention_cycles += grant - time
-        return grant + execution, grant + execution + latency
+    @property
+    def operations(self) -> int:
+        """Operations issued on this FPU, of every kind."""
+        return (self.n_add + self.n_mul + self.n_convert + self.n_fma
+                + self.divider.n_requests)
 
+    # ------------------------------------------------------------------
     def add(self, time: int) -> tuple[int, int]:
         """Floating-point add/subtract/compare through the adder pipe."""
-        # PipelinedUnit.issue(time) -> TimelineResource.reserve(time, 1),
-        # inlined (two frames per add); every counter reserve keeps is
-        # kept. Unlike an FMA's, an add's request can be out of order:
-        # it may arrive behind an FMA granted past its time.
+        # Unlike an FMA's, an add's request can be out of order: it may
+        # arrive behind an FMA granted past its time.
         adder = self.adder
         if time < adder._last_request:
             adder.reorderings += 1
@@ -69,9 +117,7 @@ class FPU:
         else:
             self.contention_cycles += grant - time
         adder.next_free = grant + 1
-        adder.busy_cycles += 1
-        adder.n_requests += 1
-        self.operations += 1
+        self.n_add += 1
         issue_end = grant + self._add_execution
         return issue_end, issue_end + self._add_latency
 
@@ -89,17 +135,27 @@ class FPU:
         else:
             self.contention_cycles += grant - time
         multiplier.next_free = grant + 1
-        multiplier.busy_cycles += 1
-        multiplier.n_requests += 1
-        self.operations += 1
+        self.n_mul += 1
         issue_end = grant + self._mul_execution
         return issue_end, issue_end + self._mul_latency
 
     def convert(self, time: int) -> tuple[int, int]:
         """Int/float conversion (same cost class as add in Table 2)."""
-        return self._issue_pipelined(
-            self.adder, time, self.config.latency.fp_convert
-        )
+        # Issues on the adder pipe, like ``add``.
+        adder = self.adder
+        if time < adder._last_request:
+            adder.reorderings += 1
+        else:
+            adder._last_request = time
+        grant = adder.next_free
+        if time >= grant:
+            grant = time
+        else:
+            self.contention_cycles += grant - time
+        adder.next_free = grant + 1
+        self.n_convert += 1
+        issue_end = grant + self._cvt_execution
+        return issue_end, issue_end + self._cvt_latency
 
     def fma(self, time: int) -> tuple[int, int]:
         """Fused multiply-add: one issue slot of *both* pipes.
@@ -114,22 +170,16 @@ class FPU:
             grant = adder.next_free
         if multiplier.next_free > grant:
             grant = multiplier.next_free
-        # TimelineResource.reserve(grant, execution) on both pipes,
-        # inlined (two frames per FMA): both are free at *grant*, so each
-        # grants exactly *grant*; every counter reserve keeps is kept. A
-        # pipe's last request never passes its next free cycle, so
-        # *grant* is never out of order (``reorderings`` cannot move).
-        execution = self._fma_execution
-        issue_end = grant + execution
+        # Both pipes are free at *grant*, so each grants exactly *grant*
+        # for the FMA's execution cycles. A pipe's last request never
+        # passes its next free cycle, so *grant* is never out of order
+        # (``reorderings`` cannot move).
+        issue_end = grant + self._fma_execution
         adder._last_request = grant
         adder.next_free = issue_end
-        adder.busy_cycles += execution
-        adder.n_requests += 1
         multiplier._last_request = grant
         multiplier.next_free = issue_end
-        multiplier.busy_cycles += execution
-        multiplier.n_requests += 1
-        self.operations += 1
+        self.n_fma += 1
         if grant != time:
             self.contention_cycles += grant - time
         return issue_end, issue_end + self._fma_latency
@@ -138,7 +188,6 @@ class FPU:
         """Double-precision divide: occupies the div/sqrt unit fully."""
         execution, latency = self.config.latency.fp_divide
         grant = self.divider.execute(time, execution)
-        self.operations += 1
         if grant != time:
             self.contention_cycles += grant - time
         return grant + execution, grant + execution + latency
@@ -147,7 +196,6 @@ class FPU:
         """Double-precision square root: occupies the div/sqrt unit fully."""
         execution, latency = self.config.latency.fp_sqrt
         grant = self.divider.execute(time, execution)
-        self.operations += 1
         if grant != time:
             self.contention_cycles += grant - time
         return grant + execution, grant + execution + latency

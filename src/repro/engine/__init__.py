@@ -15,7 +15,6 @@ the paper's round-robin winner selection.
 from repro.engine.events import EventQueue, Waiter
 from repro.engine.resources import (
     NonPipelinedUnit,
-    PipelinedUnit,
     TimelineResource,
 )
 from repro.engine.scheduler import BLOCK, Process, Scheduler
@@ -24,7 +23,6 @@ __all__ = [
     "BLOCK",
     "EventQueue",
     "NonPipelinedUnit",
-    "PipelinedUnit",
     "Process",
     "Scheduler",
     "TimelineResource",

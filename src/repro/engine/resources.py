@@ -8,11 +8,12 @@ nondecreasing simulated time, so each resource only needs a busy timeline:
 
 * :class:`TimelineResource` — a single server; a request at time *t* for
   *busy* cycles is granted at ``max(t, next_free)``.
-* :class:`PipelinedUnit` — issue-limited pipeline (e.g. the FPU adder can
-  accept one operation per cycle; results appear after a fixed latency
-  without occupying the unit).
 * :class:`NonPipelinedUnit` — occupies the unit for the full execution
   time (integer divide, FP divide, square root).
+
+The FPU's adder and multiplier pipes and the cache switch's ports keep
+leaner timelines of their own (:class:`repro.core.fpu.FPUPipe`,
+:class:`repro.memory.switch.SwitchPort`) that count each request once.
 
 Contenders are served FIFO in simulated time, which is starvation-free
 and aggregate-equivalent to the hardware's per-cycle round-robin.
@@ -73,18 +74,6 @@ class TimelineResource:
         if elapsed <= 0:
             return 0.0
         return self.busy_cycles / elapsed
-
-
-class PipelinedUnit(TimelineResource):
-    """A fully pipelined unit: accepts one issue per cycle.
-
-    ``issue(t)`` grants an issue slot (1 busy cycle); the caller adds the
-    result latency itself, because latency does not occupy the pipeline.
-    """
-
-    def issue(self, time: int) -> int:
-        """Grant the next free issue slot at or after *time*."""
-        return self.reserve(time, 1)
 
 
 class NonPipelinedUnit(TimelineResource):

@@ -50,7 +50,9 @@ class Process:
         #: Resume with a granted time: ``gen.send``, bound once, after a
         #: first call that starts the generator (see :meth:`_first_send`).
         self.send: Callable[[int], Any] = self._first_send
-        #: The process's local clock: last known simulated time.
+        #: The process's local clock: its start or wake time while queued,
+        #: its final time once parked or done (the scheduler's resume
+        #: loop writes it only then).
         self.time = 0
         self.done = False
         self.blocked = False
@@ -101,7 +103,9 @@ class Scheduler:
         #: event. Used by the parallel-DES layer to end a domain window
         #: at a gated mailbox poll without disturbing time order —
         #: everything already run stays run, everything queued stays
-        #: queued. Always cleared when :meth:`run` returns.
+        #: queued, so the parked processes are no deadlock. The run loop
+        #: tests it only where a process parks. Always cleared when
+        #: :meth:`run` returns.
         self.stop = False
 
     # ------------------------------------------------------------------
@@ -171,10 +175,18 @@ class Scheduler:
         # millions-of-events scale (see docs/performance.md). The head
         # cycle's slot is drained in place, so a tie group costs one
         # heap pop in all.
+        #
+        # ``queue.n`` keeps counting a popped process while it runs: a
+        # re-queue would add it back, so neither the pop nor the push
+        # touches the count, and only a process that leaves for good
+        # (parks, finishes or raises) takes itself off. Likewise
+        # ``process.time`` is written only when the process parks or
+        # finishes, the only states in which anything reads it; a queued
+        # or running process's clock is its queue time. ``stop`` is
+        # tested where a process parks: a process ends the window by
+        # setting it and then parking.
         try:
             while queue.n:
-                if self.stop:
-                    break
                 time = queue.next_time
                 if until is not None and time > until:
                     self.now = until
@@ -187,7 +199,6 @@ class Scheduler:
                 slot = slots[time]
                 while True:
                     process = slot.popleft()
-                    queue.n -= 1
                     if not slot:
                         # The cycle's last event: retire its slot now, so
                         # the queue is consistent while the process runs
@@ -195,19 +206,20 @@ class Scheduler:
                         del slots[time]
                         heappop(times)
                         queue.next_time = times[0] if times else NEVER
-                    # process.time is already *time*: every push, wake
-                    # and spawn sets it before queueing the process.
                     while True:
                         try:
                             request = process.send(time)
                         except StopIteration:
                             request = _FINISHED
+                        except BaseException:
+                            queue.n -= 1
+                            raise
                         steps += 1
                         if probe is not None:
-                            probe(queue.n, time)
+                            # The running process is not queued.
+                            probe(queue.n - 1, time)
                         try:
                             if request >= time:
-                                process.time = request
                                 # Fast path: the process rescheduled
                                 # itself at a time strictly before every
                                 # queued event (it would pop next anyway;
@@ -220,16 +232,15 @@ class Scheduler:
                                 if request >= queue.next_time or (
                                         until is not None
                                         and request > until):
-                                    # EventQueue.push, inlined.
-                                    later = slots.get(request)
-                                    if later is None:
+                                    # EventQueue.push, inlined (the count
+                                    # already includes the process).
+                                    if request in slots:
+                                        slots[request].append(process)
+                                    else:
                                         slots[request] = deque((process,))
                                         heappush(times, request)
                                         if request < queue.next_time:
                                             queue.next_time = request
-                                    else:
-                                        later.append(process)
-                                    queue.n += 1
                                     break
                                 if request != time:
                                     time = request
@@ -237,14 +248,22 @@ class Scheduler:
                                 continue
                         except TypeError:
                             # Not comparable with an int: not a time.
+                            queue.n -= 1
                             raise SimulationError(
                                 f"{process.name} yielded {request!r}; "
                                 f"expected int time or BLOCK"
                             ) from None
+                        queue.n -= 1
+                        process.time = time
                         if request == BLOCK:
                             process.blocked = True
                             self._n_parked += 1
                             self._parked_processes.add(process)
+                            if self.stop:
+                                # End the window: everything already run
+                                # stays run, everything queued stays
+                                # queued (so this is no deadlock).
+                                return self.now
                             break
                         if request == _FINISHED:
                             self._n_live -= 1
@@ -255,9 +274,8 @@ class Scheduler:
                             f"({request} < {time})"
                         )
                     # Next event of the same cycle, unless the slot is
-                    # spent (a fast-path resume always spends it) or a
-                    # process asked the window to stop.
-                    if not slot or self.stop:
+                    # spent (a fast-path resume always spends it).
+                    if not slot:
                         break
         finally:
             self.stop = False

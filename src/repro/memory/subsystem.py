@@ -285,16 +285,10 @@ class MemorySubsystem:
             local = target == quad_id
 
         # Single-beat switch traversal, inlined (CrossbarSwitch.transfer
-        # + TimelineResource.reserve are two frames per access; every
-        # counter they maintain is updated identically here, and the
-        # switch's transfer count is derived from its ports). *time* is
-        # a scheduler grant, so the reserve validation can't fire.
+        # is a frame per access; a port's busy cycles and the switch's
+        # transfer count are derived from its request count).
         if size <= self._switch_bpc:
             port = self._switch_ports[target]
-            if time < port._last_request:
-                port.reorderings += 1
-            else:
-                port._last_request = time
             next_free = port.next_free
             switch = self.cache_switch
             if time >= next_free:
@@ -302,7 +296,6 @@ class MemorySubsystem:
             else:
                 port.next_free = issue_end = next_free + 1
                 switch.contention_cycles += next_free - time
-            port.busy_cycles += 1
             port.n_requests += 1
             switch.bytes_moved += size
         else:

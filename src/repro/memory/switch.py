@@ -18,7 +18,37 @@ latency constants derived from Table 2.
 from __future__ import annotations
 
 from repro.config import ChipConfig
-from repro.engine.resources import TimelineResource
+
+
+class SwitchPort:
+    """One output port of a crossbar: a busy timeline, one beat per cycle.
+
+    Ports are reserved only at scheduler grant times, which never
+    decrease, so a port keeps no request order test (a
+    :class:`~repro.engine.resources.TimelineResource`'s
+    ``reorderings``). It counts each transfer once (``n_requests``);
+    ``busy_cycles`` is derived: one cycle per transfer plus the extra
+    beats of the multi-beat ones (``extra_beats``).
+    """
+
+    __slots__ = ("name", "next_free", "n_requests", "extra_beats")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.next_free = 0
+        self.n_requests = 0
+        self.extra_beats = 0
+
+    @property
+    def busy_cycles(self) -> int:
+        """Total cycles this port spent busy."""
+        return self.n_requests + self.extra_beats
+
+    def utilization(self, elapsed: int) -> float:
+        """Fraction of *elapsed* cycles the port was busy."""
+        if elapsed <= 0:
+            return 0.0
+        return self.busy_cycles / elapsed
 
 
 class CrossbarSwitch:
@@ -27,26 +57,27 @@ class CrossbarSwitch:
     def __init__(self, name: str, n_ports: int, bytes_per_cycle: int) -> None:
         self.name = name
         self.bytes_per_cycle = bytes_per_cycle
-        self.ports = [
-            TimelineResource(f"{name}.port{i}") for i in range(n_ports)
-        ]
-        # Bound reserve methods, indexed by port — one lookup on the
-        # transfer fast path (ports are never replaced, only reset).
-        self._reserve = [port.reserve for port in self.ports]
+        self.ports = [SwitchPort(f"{name}.port{i}") for i in range(n_ports)]
         self.bytes_moved = 0
         #: Cycles transfers waited for a busy output port.
         self.contention_cycles = 0
 
     def transfer(self, port: int, time: int, n_bytes: int) -> int:
         """Occupy *port* long enough to move *n_bytes*; returns grant time."""
+        timeline = self.ports[port]
+        grant = timeline.next_free
+        if time >= grant:
+            grant = time
+        else:
+            self.contention_cycles += grant - time
         if n_bytes <= self.bytes_per_cycle:  # single-word fast path
-            cycles = 1
+            timeline.next_free = grant + 1
         else:
             cycles = -(-n_bytes // self.bytes_per_cycle)  # ceil division
-        grant = self._reserve[port](time, cycles)
+            timeline.next_free = grant + cycles
+            timeline.extra_beats += cycles - 1
+        timeline.n_requests += 1
         self.bytes_moved += n_bytes
-        if grant != time:
-            self.contention_cycles += grant - time
         return grant
 
     @property

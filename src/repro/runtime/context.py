@@ -24,8 +24,13 @@ Conventions:
 
 from __future__ import annotations
 
-from repro.memory.address import PHYSICAL_MASK, make_effective
+from repro.memory.address import IG_SHIFT, PHYSICAL_MASK, make_effective
 from repro.memory.interest_groups import IG_ALL
+
+#: Effective-address bits that send a double past the finishers' own hit
+#: path to ``MemorySubsystem.access``: any above the 32-bit effective
+#: address, or any below 8-byte alignment.
+_MISFIT = -(1 << 32) | 7
 
 
 class ThreadCtx:
@@ -34,12 +39,15 @@ class ThreadCtx:
     __slots__ = ("kernel", "chip", "memory", "tu", "tid", "quad_id",
                  "fpu", "lat", "process", "software_index",
                  "_strict", "_access", "_backing", "_branch_cycles",
-                 "_mv_f64", "_bload_u32", "_bstore_u32")
+                 "_mv_f64", "_bload_u32", "_bstore_u32",
+                 "_fused", "_line_mask", "_line_shift", "_set_mask",
+                 "_cache_sets", "_caches", "_ports", "_switch",
+                 "_local_hit_extra", "_remote_hit_extra")
 
     def __init__(self, kernel, tu) -> None:
         self.kernel = kernel
         self.chip = kernel.chip
-        memory = kernel.chip.memory
+        memory = chip_memory = kernel.chip.memory
         # With a coherence sanitizer attached, this thread's accesses
         # flow through a per-thread observing facade; the swap happens
         # here, once, so the per-operation paths below stay identical.
@@ -70,6 +78,29 @@ class ThreadCtx:
         self._bload_u32 = backing.load_u32
         self._bstore_u32 = backing.store_u32
         self._branch_cycles = self.lat.branch[0]
+        # The double finishers make a hit themselves (see
+        # ``load_f64_finish``) on a chip whose every access is plain:
+        # not strict, not sanitized, not memory-traced, and one port
+        # beat per double. Banks of whole doubles keep max-memory a
+        # multiple of 8, so an aligned double is in range iff it starts
+        # below max-memory. The caches, their tag sets and the switch
+        # ports are created once per chip and never replaced; the
+        # placement (``_ig_target``, ``_placement``) is replaced by
+        # ``remap_caches``, so the finishers read it through the
+        # subsystem on every access.
+        self._fused = (sanitizer is None and not chip_memory.strict
+                       and not chip_memory.tracer.enabled
+                       and chip_memory._switch_bpc >= 8
+                       and chip_memory.config.bank_bytes % 8 == 0)
+        self._line_mask = chip_memory._line_mask
+        self._line_shift = chip_memory._line_shift  # = the set index shift
+        self._set_mask = chip_memory._cset_mask
+        self._cache_sets = chip_memory._cache_sets
+        self._caches = chip_memory.caches
+        self._ports = chip_memory._switch_ports
+        self._switch = chip_memory.cache_switch
+        self._local_hit_extra = chip_memory._local_hit_extra
+        self._remote_hit_extra = chip_memory._remote_hit_extra
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -111,10 +142,65 @@ class ThreadCtx:
                 earliest = dep
         return earliest
 
+    # The double finishers make the access themselves when they can: an
+    # aligned in-range double on a plain chip (``_fused``) that hits in
+    # its target cache. This is ``MemorySubsystem.access``'s hit path,
+    # inlined: address split, target lookup, tag probe, port grant and
+    # hit counting, one frame per op instead of two. A hit re-inserts its
+    # line at the set's most recently used end, as ``access`` does. A
+    # miss goes to ``access`` itself, which redoes the lookup (a failed
+    # ``pop`` changes nothing); so does anything unusual (misaligned, out
+    # of range, wider than 32 bits, or a strict, sanitized or traced
+    # chip), which therefore raises the same error after the same state
+    # change.
     def load_f64_finish(self, now: int, effective: int):
         """Phase 2 of a double load; returns ``(ready_time, value)``."""
-        if self._strict:
-            (issue_end, complete, _, _), value = self.memory.load_f64(
+        physical = effective & PHYSICAL_MASK
+        memory = self.memory
+        if (self._fused and not effective & _MISFIT
+                and physical < memory.address_map._max_memory):
+            quad = self.quad_id
+            line = physical & self._line_mask
+            ig_byte = effective >> IG_SHIFT
+            if ig_byte:
+                target = memory._ig_target[ig_byte]
+                if target is None:
+                    target = memory._placement[ig_byte][
+                        line >> self._line_shift]
+                    if target < 0:
+                        target = memory.target_cache(ig_byte, physical, quad)
+            else:
+                target = quad
+            lines = self._cache_sets[target][
+                (line >> self._line_shift) & self._set_mask]
+            state = lines.pop(line, None)
+            if state is not None:
+                lines[line] = state
+                self._caches[target].hits += 1
+                port = self._ports[target]
+                next_free = port.next_free
+                if now >= next_free:
+                    port.next_free = issue_end = now + 1
+                else:
+                    port.next_free = issue_end = next_free + 1
+                    self._switch.contention_cycles += next_free - now
+                port.n_requests += 1
+                self._switch.bytes_moved += 8
+                complete = state.ready
+                if complete < issue_end:
+                    complete = issue_end
+                if target == quad:
+                    memory._n_local_hit += 1
+                    complete += self._local_hit_extra
+                else:
+                    memory._n_remote_hit += 1
+                    complete += self._remote_hit_extra
+            else:
+                issue_end, complete, _, _ = self._access(
+                    now, quad, effective, 8, False)
+            value = self._mv_f64[physical >> 3]
+        elif self._strict:
+            (issue_end, complete, _, _), value = memory.load_f64(
                 now, self.quad_id, effective
             )
         else:
@@ -124,7 +210,6 @@ class ThreadCtx:
             # ``access`` has already raised unless the double lies below
             # the max-memory register, which never exceeds the backing
             # store; only the alignment half of its guard is left.
-            physical = effective & PHYSICAL_MASK
             if physical & 7:
                 self._backing._check(physical, 8)  # raises
             value = self._mv_f64[physical >> 3]
@@ -144,19 +229,63 @@ class ThreadCtx:
 
     def store_f64_finish(self, now: int, effective: int, value: float) -> int:
         """Phase 2 of a double store; returns the completion time."""
-        if self._strict:
-            issue_end, complete, _, _ = self.memory.store_f64(
+        physical = effective & PHYSICAL_MASK
+        memory = self.memory
+        if (self._fused and not effective & _MISFIT
+                and physical < memory.address_map._max_memory):
+            quad = self.quad_id
+            line = physical & self._line_mask
+            ig_byte = effective >> IG_SHIFT
+            if ig_byte:
+                target = memory._ig_target[ig_byte]
+                if target is None:
+                    target = memory._placement[ig_byte][
+                        line >> self._line_shift]
+                    if target < 0:
+                        target = memory.target_cache(ig_byte, physical, quad)
+            else:
+                target = quad
+            lines = self._cache_sets[target][
+                (line >> self._line_shift) & self._set_mask]
+            state = lines.pop(line, None)
+            if state is not None:
+                lines[line] = state
+                state.dirty = True
+                self._caches[target].store_hits += 1
+                port = self._ports[target]
+                next_free = port.next_free
+                if now >= next_free:
+                    port.next_free = issue_end = now + 1
+                else:
+                    port.next_free = issue_end = next_free + 1
+                    self._switch.contention_cycles += next_free - now
+                port.n_requests += 1
+                self._switch.bytes_moved += 8
+                complete = state.ready
+                if complete < issue_end:
+                    complete = issue_end
+                if target == quad:
+                    memory._n_local_hit += 1
+                    complete += self._local_hit_extra
+                else:
+                    memory._n_remote_hit += 1
+                    complete += self._remote_hit_extra
+            else:
+                issue_end, complete, _, _ = self._access(
+                    now, quad, effective, 8, True)
+            # memoryview stores are strict about type; float() is a no-op
+            # for exact floats and converts ints/numpy scalars.
+            self._mv_f64[physical >> 3] = float(value)
+        elif self._strict:
+            issue_end, complete, _, _ = memory.store_f64(
                 now, self.quad_id, effective, value
             )
         else:
             issue_end, complete, _, _ = self._access(
                 now, self.quad_id, effective, 8, True
             )
-            physical = effective & PHYSICAL_MASK
             if physical & 7:
                 self._backing._check(physical, 8)  # raises
-            # memoryview stores are strict about type; float() is a no-op
-            # for exact floats and converts ints/numpy scalars.
             self._mv_f64[physical >> 3] = float(value)
         tu = self.tu
         issue = issue_end - 1
@@ -330,9 +459,10 @@ class ThreadCtx:
         return ready
 
     # The single-issue FPU finishers inline the pipe reservation of
-    # ``FPU.add``, ``FPU.multiply`` and ``FPU.fma`` (keeping every counter
-    # those keep), then ThreadUnit.issue_at(issue_end - 1) and the
-    # issue-clock half of retire(1): one frame per op instead of two.
+    # ``FPU.add``, ``FPU.multiply`` and ``FPU.fma`` (each counts its own
+    # kind once, as those do), then ThreadUnit.issue_at(issue_end - 1)
+    # and the issue-clock half of retire(1): one frame per op instead of
+    # two.
     def fp_add_finish(self, now: int) -> int:
         """Phase 2 of an FP add (pairs with ``op_begin``)."""
         fpu = self.fpu
@@ -347,9 +477,7 @@ class ThreadCtx:
         else:
             fpu.contention_cycles += grant - now
         adder.next_free = grant + 1
-        adder.busy_cycles += 1
-        adder.n_requests += 1
-        fpu.operations += 1
+        fpu.n_add += 1
         issue_end = grant + fpu._add_execution
         tu = self.tu
         issue = issue_end - 1
@@ -376,9 +504,7 @@ class ThreadCtx:
         else:
             fpu.contention_cycles += grant - now
         multiplier.next_free = grant + 1
-        multiplier.busy_cycles += 1
-        multiplier.n_requests += 1
-        fpu.operations += 1
+        fpu.n_mul += 1
         issue_end = grant + fpu._mul_execution
         tu = self.tu
         issue = issue_end - 1
@@ -401,17 +527,12 @@ class ThreadCtx:
             grant = adder.next_free
         if multiplier.next_free > grant:
             grant = multiplier.next_free
-        execution = fpu._fma_execution
-        issue_end = grant + execution
+        issue_end = grant + fpu._fma_execution
         adder._last_request = grant
         adder.next_free = issue_end
-        adder.busy_cycles += execution
-        adder.n_requests += 1
         multiplier._last_request = grant
         multiplier.next_free = issue_end
-        multiplier.busy_cycles += execution
-        multiplier.n_requests += 1
-        fpu.operations += 1
+        fpu.n_fma += 1
         if grant != now:
             fpu.contention_cycles += grant - now
         tu = self.tu

@@ -12,7 +12,7 @@ from repro.core.fpu import FPU
 from repro.core.icache import InstructionCache, PrefetchBuffer
 from repro.core.spr import BarrierSPRFile
 from repro.core.thread_unit import ThreadUnit
-from repro.engine.resources import PipelinedUnit
+from repro.engine.resources import TimelineResource
 from repro.errors import BarrierError, ConfigError, MemoryFault
 from repro.memory.address import make_effective
 from repro.memory.interest_groups import IG_ALL, InterestGroup, Level
@@ -72,18 +72,18 @@ class TestFPU:
 
 class _ReferenceFPU:
     """The adder/multiplier/FMA timing spelled out through
-    ``PipelinedUnit.issue`` and ``TimelineResource.reserve``."""
+    ``TimelineResource.reserve``: one cycle per add or multiply issue."""
 
     def __init__(self, config: ChipConfig) -> None:
-        self.adder = PipelinedUnit("ref.add")
-        self.multiplier = PipelinedUnit("ref.mul")
+        self.adder = TimelineResource("ref.add")
+        self.multiplier = TimelineResource("ref.mul")
         self.lat = config.latency
         self.operations = 0
         self.contention_cycles = 0
 
     def _issue(self, unit, time, row):
         execution, latency = row
-        grant = unit.issue(time)
+        grant = unit.reserve(time, 1)
         self.operations += 1
         self.contention_cycles += grant - time
         return grant + execution, grant + execution + latency

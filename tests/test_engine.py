@@ -5,7 +5,6 @@ import pytest
 from repro.engine.events import EventQueue, Waiter
 from repro.engine.resources import (
     NonPipelinedUnit,
-    PipelinedUnit,
     TimelineResource,
 )
 from repro.engine.scheduler import BLOCK, Scheduler
@@ -88,12 +87,6 @@ class TestTimelineResource:
 
 
 class TestUnits:
-    def test_pipelined_one_issue_per_cycle(self):
-        p = PipelinedUnit("p")
-        assert p.issue(0) == 0
-        assert p.issue(0) == 1
-        assert p.issue(0) == 2
-
     def test_non_pipelined_occupies_fully(self):
         d = NonPipelinedUnit("d")
         assert d.execute(0, 30) == 0

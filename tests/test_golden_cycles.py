@@ -171,7 +171,7 @@ def test_split_phase_context_matches_generator_ops():
     # The FPU ops: ``fp_add``/``fp_mul``/``fp_fma`` against
     # ``op_begin`` + their finishers, eight threads on two quads' FPUs.
     # The final cycle and the pipe states were captured while the adder
-    # and multiplier still reserved through ``PipelinedUnit.issue``.
+    # and multiplier still reserved through ``TimelineResource.reserve``.
     generator = _fpu_chains(split=False)
     assert _fpu_chains(split=True) == generator
     pipes = (96, 22, (147, 64, 64, 1, 146), (147, 64, 64, 0, 146))

@@ -78,28 +78,28 @@ class Budget:
 BUDGETS = {
     # STREAM triad, 32 threads x 256 elements, Figure 6 placement
     # (4-way unrolled, local caches, balanced); per element.
-    "stream": Budget("element", ops=1330.9, calls=20.69, c_calls=20.12,
+    "stream": Budget("element", ops=1078.9, calls=18.06, c_calls=16.50,
                      cycles=4028),
     # 256-point FFT, 16 threads, hardware barrier; per memory access.
-    "fft": Budget("access", ops=511.6, calls=7.87, c_calls=7.92,
+    "fft": Budget("access", ops=410.1, calls=6.88, c_calls=6.33,
                   cycles=7747),
     # The triad as assembly through block dispatch, stream's shape and
     # placement; per element.
-    "isa_triad": Budget("element", ops=1494.9, calls=15.46, c_calls=22.20,
+    "isa_triad": Budget("element", ops=1323.7, calls=15.46, c_calls=17.71,
                         cycles=4381),
     # The constant-geometry FFT program sampling validation runs (integer
     # pointers, FP add/sub-heavy), 8 threads x 256 points, exact; per
     # instruction. Integer registers are memoryview subscripts, dearer
     # than list ones: this row prices that against the double pairs.
-    "isa_fft": Budget("instruction", ops=262.2, calls=2.54, c_calls=3.86,
+    "isa_fft": Budget("instruction", ops=232.6, calls=2.54, c_calls=3.08,
                       cycles=70835),
     # Radix sort, 512 keys, 4 threads (test_radix_golden's shape); per
     # memory access.
-    "radix": Budget("access", ops=556.1, calls=11.72, c_calls=5.80,
+    "radix": Budget("access", ops=517.2, calls=11.72, c_calls=4.80,
                     cycles=16831),
     # Blocked LU, n=16, block 8, 4 threads: the generator-form context
     # ops the other Splash kernels use; per memory access.
-    "lu": Budget("access", ops=551.3, calls=12.14, c_calls=3.31,
+    "lu": Budget("access", ops=475.5, calls=11.15, c_calls=3.12,
                  cycles=30049),
 }
 
