@@ -135,7 +135,7 @@ def test_ablation_burst_vs_block_transfers(benchmark):
         bank = MemoryBank(0, cfg)
         t = 0
         for _ in range(100):
-            t = bank.read_burst(t)
+            t = bank.burst(t)
         burst_time = t
         bank2 = MemoryBank(1, cfg)
         t = 0

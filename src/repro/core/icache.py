@@ -89,7 +89,7 @@ class InstructionCache:
             del lines[next(iter(lines))]
         lines[line] = None
         bank = banks[address_map.bank_of(line % address_map.max_memory)]
-        done = bank.read_burst(time)
+        done = bank.burst(time)
         _, extra = self.config.latency.mem_local_miss
         return max(done, time + extra), False
 

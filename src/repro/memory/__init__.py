@@ -38,7 +38,7 @@ on the hot path:
 from repro.memory.address import AddressMap, line_address, split_effective, make_effective
 from repro.memory.backing import BackingStore
 from repro.memory.bank import MemoryBank
-from repro.memory.cache import CacheUnit, AccessResult
+from repro.memory.cache import CacheUnit
 from repro.memory.interest_groups import (
     IG_ALL,
     IG_OWN,
@@ -58,7 +58,6 @@ from repro.memory.tracesim import (
 
 __all__ = [
     "AccessKind",
-    "AccessResult",
     "AddressMap",
     "BackingStore",
     "CacheUnit",

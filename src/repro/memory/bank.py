@@ -38,8 +38,9 @@ class MemoryBank(TimelineResource):
         if self.failed:
             raise MemoryFault(f"bank {self.bank_id} has failed")
 
-    def _burst(self, time: int) -> int:
-        """Reserve one burst at or after *time*; returns its grant.
+    def burst(self, time: int, write: bool = False) -> int:
+        """Service one 64-byte burst at or after *time*: a line fill, or
+        a writeback if *write*. Returns its completion time.
 
         :meth:`_require_healthy` and :meth:`reserve`, inlined: every
         line fill and writeback of a run comes through here. *time* is
@@ -62,19 +63,11 @@ class MemoryBank(TimelineResource):
         self.next_free = grant + busy
         self.busy_cycles += busy
         self.n_requests += 1
-        return grant
-
-    def read_burst(self, time: int) -> int:
-        """Service a 64-byte burst read (line fill). Returns completion time."""
-        grant = self._burst(time)
-        self.bytes_read += self._burst_bytes
-        return grant + self._burst_cycles
-
-    def write_burst(self, time: int) -> int:
-        """Service a 64-byte burst write (line writeback)."""
-        grant = self._burst(time)
-        self.bytes_written += self._burst_bytes
-        return grant + self._burst_cycles
+        if write:
+            self.bytes_written += self._burst_bytes
+        else:
+            self.bytes_read += self._burst_bytes
+        return grant + busy
 
     def read_block(self, time: int) -> int:
         """Service one isolated 32-byte block read (non-burst)."""

@@ -19,15 +19,22 @@ Two features beyond a plain cache are modeled:
   reproducing the paper's "potentially non-coherent system" semantics.
   The default mode keeps data in the backing store only (correct programs
   behave identically, and simulation is faster).
+
+A cache counts a hit once: the single-beat double hits that dominate
+every run are counted by the cache's switch port (see
+:class:`~repro.memory.switch.SwitchPort`), and ``hits``/``store_hits``
+add those to the hits the cache counts itself (narrow and multi-beat
+accesses, functional warming).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from repro.config import ChipConfig
 from repro.errors import CacheConfigError
+from repro.memory.backing import BackingStore
+from repro.memory.switch import SwitchPort
 
 
 @dataclass(slots=True)
@@ -45,36 +52,23 @@ class LineState:
     ready: int = 0
 
 
-class AccessResult(NamedTuple):
-    """Outcome of a cache miss: any victim line to write back."""
-
-    victim_line: int | None = None
-    victim_dirty: bool = False
-    victim_data: bytes | None = None
-
-
-#: Interned result of a victimless miss (immutable, so every one can
-#: share this instance and allocate nothing).
-_MISS_NO_VICTIM = AccessResult()
-
-#: ``tuple.__new__`` called directly builds an eviction's result in one C
-#: call, without the named tuple's keyword-capable ``__new__`` frame.
-_tuple_new = tuple.__new__
-
-
 class CacheUnit:
     """One 16 KB quad data cache: LRU sets, way partition, counters."""
 
-    def __init__(self, cache_id: int, config: ChipConfig,
-                 buffer_data: bool = False) -> None:
+    def __init__(self, cache_id: int, config: ChipConfig, port: SwitchPort,
+                 backing: BackingStore | None = None) -> None:
         self.cache_id = cache_id
         self.config = config
         self.line_bytes = config.dcache_line_bytes
         self.n_sets = config.dcache_sets
         self.total_ways = config.dcache_ways
         self.scratchpad_ways = 0
-        #: strict-incoherence mode: lines buffer their own bytes.
-        self.buffer_data = buffer_data
+        #: The switch port in front of this cache: it counts the double
+        #: hits (``hits`` and ``store_hits`` read them from it).
+        self.port = port
+        #: strict-incoherence mode: lines buffer their own bytes, and an
+        #: evicted dirty line's bytes are written to *backing*.
+        self.backing = backing
         #: One insertion-ordered dict per set, least recently used line
         #: first: a hit re-inserts its line (``pop`` + store, one C call)
         #: and a full set evicts its first key.
@@ -91,10 +85,10 @@ class CacheUnit:
         #: that decide whether dirty data architecturally reaches memory.
         #: The hit path (inlined in MemorySubsystem.access) never tests it.
         self.observer = None
-        # counters
-        self.hits = 0
+        # counters (hits beyond the port's double hits: see ``hits``)
+        self.other_hits = 0
+        self.other_store_hits = 0
         self.misses = 0
-        self.store_hits = 0
         self.store_misses = 0
         self.evictions = 0
         self.writebacks = 0
@@ -162,13 +156,16 @@ class CacheUnit:
         return self._sets[self._set_index(line_addr)].get(line_addr)
 
     def miss(self, lines: dict[int, LineState], line_addr: int,
-             is_store: bool) -> AccessResult:
+             is_store: bool, ready: int = 0) -> int:
         """Count a miss on *line_addr* in its set *lines*; allocate it.
 
         Callers probe the set themselves (the memory subsystem's inlined
         hit path), so the line must not be resident. The new line is the
-        set's most recently used entry, ``lines[line_addr]``; the result
-        reports any victim that must be written back.
+        set's most recently used entry, ``lines[line_addr]``, dirty for a
+        store, its fill landing at *ready*. A full set evicts its least
+        recently used line and hands that line's state over to the new
+        one. Returns the address of an evicted dirty line, whose burst
+        the caller writes back, or -1.
         """
         if is_store:
             self.store_misses += 1
@@ -177,24 +174,29 @@ class CacheUnit:
         effective_ways = self.total_ways - self.scratchpad_ways
         if effective_ways == 0:
             raise CacheConfigError("cache has no ways left for caching")
-        data = bytearray(self.line_bytes) if self.buffer_data else None
         if len(lines) < effective_ways:
-            lines[line_addr] = LineState(is_store, data)
-            return _MISS_NO_VICTIM
-        victim_line = next(iter(lines))
-        victim_state = lines.pop(victim_line)
-        victim_dirty = victim_state.dirty
-        victim_data = None
+            lines[line_addr] = LineState(
+                is_store,
+                None if self.backing is None else bytearray(self.line_bytes),
+                ready)
+            return -1
+        victim = next(iter(lines))
+        state = lines.pop(victim)
+        dirty = state.dirty
         self.evictions += 1
-        if victim_dirty:
+        if dirty:
             self.writebacks += 1
-            if victim_state.data is not None:
-                victim_data = bytes(victim_state.data)
+        if state.data is not None:
+            if dirty:
+                self.backing.write_block(victim, state.data)
+            # The new line's bytes start at zero, as a fresh line's do.
+            state.data = bytearray(self.line_bytes)
         if self.observer is not None:
-            self.observer.on_evict(self.cache_id, victim_line, victim_dirty)
-        lines[line_addr] = LineState(is_store, data)
-        return _tuple_new(AccessResult,
-                          (victim_line, victim_dirty, victim_data))
+            self.observer.on_evict(self.cache_id, victim, dirty)
+        state.dirty = is_store
+        state.ready = ready
+        lines[line_addr] = state
+        return victim if dirty else -1
 
     def invalidate(self, line_addr: int) -> LineState | None:
         """Drop a line without writing it back; returns its final state."""
@@ -220,6 +222,18 @@ class CacheUnit:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def hits(self) -> int:
+        """Load lookups that hit."""
+        port = self.port
+        return self.other_hits + port.local_loads + port.remote_loads
+
+    @property
+    def store_hits(self) -> int:
+        """Store lookups that hit."""
+        port = self.port
+        return self.other_store_hits + port.local_stores + port.remote_stores
+
     @property
     def accesses(self) -> int:
         """Total lookups."""

@@ -53,10 +53,7 @@ class OffChipMemory:
         step = self.config.burst_bytes
         for addr in range(physical, physical + n_bytes, step):
             bank = banks[address_map.bank_of(addr)]
-            if write:
-                bank.write_burst(time)
-            else:
-                bank.read_burst(time)
+            bank.burst(time, write)
 
     # ------------------------------------------------------------------
     def read_in(self, time: int, offchip_offset: int, physical: int,

@@ -47,7 +47,8 @@ from repro.memory.bank import MemoryBank
 from repro.memory.cache import CacheUnit
 from repro.memory.interest_groups import InterestGroup, Level
 from repro.memory.offchip import OffChipMemory
-from repro.memory.switch import CrossbarSwitch, build_cache_switch
+from repro.memory.switch import DOUBLE_BYTES, CrossbarSwitch, \
+    build_cache_switch
 
 
 class AccessKind(Enum):
@@ -97,11 +98,12 @@ class MemorySubsystem:
         self.address_map = AddressMap(config)
         self.backing = BackingStore(config.memory_bytes)
         self.banks = [MemoryBank(i, config) for i in range(config.n_memory_banks)]
+        self.cache_switch: CrossbarSwitch = build_cache_switch(config)
         self.caches = [
-            CacheUnit(i, config, buffer_data=strict_incoherence)
+            CacheUnit(i, config, self.cache_switch.ports[i],
+                      self.backing if strict_incoherence else None)
             for i in range(config.n_dcaches)
         ]
-        self.cache_switch: CrossbarSwitch = build_cache_switch(config)
         self.offchip = OffChipMemory(config)
         #: Decoded interest groups, keyed by the interest-group byte.
         #: Bounded by construction: there are only 256 possible bytes
@@ -147,6 +149,10 @@ class MemorySubsystem:
         self._transfer = self.cache_switch.transfer
         self._switch_ports = self.cache_switch.ports
         self._switch_bpc = self.cache_switch.bytes_per_cycle
+        #: Size of the accesses whose hits count once, on their port: a
+        #: double, when a port moves one in a single beat (else none).
+        self._double_size = DOUBLE_BYTES \
+            if self._switch_bpc >= DOUBLE_BYTES else -1
         self._trace_enabled = tracer.enabled
         #: Hit-path inlining: ``access()`` probes the tag sets directly
         #: (shift and mask, as CacheUnit._set_index) and only calls
@@ -166,11 +172,10 @@ class MemorySubsystem:
         #: latency beyond the burst, indexed by ``local``.
         self._fill_extra = (lat.mem_remote_miss[1] - config.burst_cycles,
                             lat.mem_local_miss[1] - config.burst_cycles)
-        self._reset_kind_counts()
-
-    def _reset_kind_counts(self) -> None:
-        # One attribute per kind (see the kind_counts property): an
-        # attribute increment is the cheapest counter on the access path.
+        # Access counts by kind, one attribute each (an attribute
+        # increment is the cheapest counter). The hits counted here are
+        # the narrow and multi-beat ones; the switch ports count the
+        # double hits (see ``kind_counts``).
         self._n_local_hit = self._n_local_miss = 0
         self._n_remote_hit = self._n_remote_miss = 0
         self._n_scratchpad = 0
@@ -178,9 +183,12 @@ class MemorySubsystem:
     @property
     def kind_counts(self) -> dict[AccessKind, int]:
         """Access counts by timing classification (Table 2 rows)."""
-        return {_LOCAL_HIT: self._n_local_hit,
+        ports = self._switch_ports
+        return {_LOCAL_HIT: self._n_local_hit + sum(
+                    p.local_loads + p.local_stores for p in ports),
                 _LOCAL_MISS: self._n_local_miss,
-                _REMOTE_HIT: self._n_remote_hit,
+                _REMOTE_HIT: self._n_remote_hit + sum(
+                    p.remote_loads + p.remote_stores for p in ports),
                 _REMOTE_MISS: self._n_remote_miss,
                 AccessKind.SCRATCHPAD: self._n_scratchpad}
 
@@ -256,7 +264,9 @@ class MemorySubsystem:
         allocates nothing beyond the returned plain tuple
         (:data:`AccessTiming`) — the address split is inlined, the target
         cache comes from the kept placement, the tag probe and the port
-        reservation are inlined, and a hit returns from inside the probe.
+        reservation are inlined, a double's hit counts once on its port,
+        and a hit returns from inside the probe. A miss continues in
+        :meth:`miss`.
         """
         if effective >> 32:
             raise AddressError(
@@ -272,7 +282,6 @@ class MemorySubsystem:
         line = physical & self._line_mask
         if ig_byte == 0:  # OWN: the requester's own quad cache
             target = quad_id
-            local = True
         else:
             # Inlined placement probes of target_cache(); the method runs
             # only to resolve a group or line for the first time. The
@@ -282,96 +291,141 @@ class MemorySubsystem:
                 target = self._placement[ig_byte][line >> self._line_shift]
                 if target < 0:
                     target = self.target_cache(ig_byte, physical, quad_id)
-            local = target == quad_id
-
-        # Single-beat switch traversal, inlined (CrossbarSwitch.transfer
-        # is a frame per access; a port's busy cycles and the switch's
-        # transfer count are derived from its request count).
-        if size <= self._switch_bpc:
-            port = self._switch_ports[target]
-            next_free = port.next_free
-            switch = self.cache_switch
-            if time >= next_free:
-                port.next_free = issue_end = time + 1
-            else:
-                port.next_free = issue_end = next_free + 1
-                switch.contention_cycles += next_free - time
-            port.n_requests += 1
-            switch.bytes_moved += size
-        else:
-            issue_end = self._transfer(target, time, size) + 1
 
         # Tag probe, inlined: a hit — the dominant outcome — re-inserts
         # its line at the set's most recently used end (one ``pop``),
-        # bumps two counters, allocates nothing, and returns from here;
-        # only a miss pays for CacheUnit.miss.
+        # allocates nothing, and returns from here.
         lines = self._cache_sets[target][
             (line >> self._cset_shift) & self._cset_mask
         ]
         state = lines.pop(line, None)
-        if state is not None:
-            lines[line] = state
-            if is_store:
-                state.dirty = True
-                self.caches[target].store_hits += 1
+        if state is None:
+            outcome = self.miss(time, quad_id, target, lines, line,
+                                is_store, size)
+            if self._trace_enabled:
+                self._trace(time, target, outcome[2], physical, is_store)
+            return outcome
+        lines[line] = state
+        if is_store:
+            state.dirty = True
+        local = target == quad_id
+        # Single-beat switch traversal, inlined (CrossbarSwitch.transfer
+        # is a frame per access). A double's hit counts once, on its
+        # port, where the cache's hits, the switch's transfers and bytes
+        # and the kind counts all read it; any other hit counts apart.
+        if size == self._double_size:
+            port = self._switch_ports[target]
+            next_free = port.next_free
+            if time >= next_free:
+                port.next_free = issue_end = time + 1
             else:
-                self.caches[target].hits += 1
-            # A line whose fill is still on its way from memory delivers
-            # only once the fill lands — the effect that penalizes the
-            # paper's cyclic partitioning, where eight threads pile onto
-            # each line "while the cache line is still being retrieved
-            # from main memory" (Section 3.2.2). Grants on one port only
-            # move forward, so once a hit issues at or after the fill,
-            # every later one does too.
-            complete = state.ready
-            if complete < issue_end:
-                complete = issue_end
+                port.next_free = issue_end = next_free + 1
+                self.cache_switch.contention_cycles += next_free - time
+            if is_store:
+                if local:
+                    port.local_stores += 1
+                else:
+                    port.remote_stores += 1
+            elif local:
+                port.local_loads += 1
+            else:
+                port.remote_loads += 1
+        else:
+            if size <= self._switch_bpc:
+                port = self._switch_ports[target]
+                next_free = port.next_free
+                if time >= next_free:
+                    port.next_free = issue_end = time + 1
+                else:
+                    port.next_free = issue_end = next_free + 1
+                    self.cache_switch.contention_cycles += next_free - time
+                port.other_requests += 1
+                self.cache_switch.other_bytes += size
+            else:
+                issue_end = self._transfer(target, time, size) + 1
+            if is_store:
+                self.caches[target].other_store_hits += 1
+            else:
+                self.caches[target].other_hits += 1
             if local:
                 self._n_local_hit += 1
-                kind = _LOCAL_HIT
-                complete += self._local_hit_extra
             else:
                 self._n_remote_hit += 1
-                kind = _REMOTE_HIT
-                complete += self._remote_hit_extra
-            if self._trace_enabled:
-                self._trace(time, target, kind, physical, is_store)
-            return issue_end, complete, kind, target
+        # A line whose fill is still on its way from memory delivers
+        # only once the fill lands — the effect that penalizes the
+        # paper's cyclic partitioning, where eight threads pile onto
+        # each line "while the cache line is still being retrieved
+        # from main memory" (Section 3.2.2). Grants on one port only
+        # move forward, so once a hit issues at or after the fill,
+        # every later one does too.
+        complete = state.ready
+        if complete < issue_end:
+            complete = issue_end
+        if local:
+            kind = _LOCAL_HIT
+            complete += self._local_hit_extra
+        else:
+            kind = _REMOTE_HIT
+            complete += self._remote_hit_extra
+        if self._trace_enabled:
+            self._trace(time, target, kind, physical, is_store)
+        return issue_end, complete, kind, target
 
-        result = self.caches[target].miss(lines, line, is_store)
+    def miss(self, time: int, quad_id: int, target: int,
+             lines: dict, line: int, is_store: bool,
+             size: int = DOUBLE_BYTES) -> AccessTiming:
+        """The rest of an access whose tag probe missed.
+
+        The caller has made every check of :meth:`access`, resolved the
+        *target* cache and probed its set *lines* for *line* without
+        finding it. This reserves the target's port, allocates the line
+        (:meth:`CacheUnit.miss`), queues the fill burst on the line's
+        bank (none for a write-validate store) and a dirty victim's
+        writeback burst, and counts the miss. It is the only miss path:
+        ``access`` and the fused double finishers of
+        :class:`~repro.runtime.context.ThreadCtx` both continue here.
+        """
+        # The port: one beat, inline, or the multi-beat transfer.
+        if size <= self._switch_bpc:
+            port = self._switch_ports[target]
+            next_free = port.next_free
+            if time >= next_free:
+                port.next_free = issue_end = time + 1
+            else:
+                port.next_free = issue_end = next_free + 1
+                self.cache_switch.contention_cycles += next_free - time
+            port.other_requests += 1
+            self.cache_switch.other_bytes += size
+        else:
+            issue_end = self._transfer(target, time, size) + 1
+        local = target == quad_id
+        cache = self.caches[target]
         if is_store and not self._fetch_store_miss:
             # Write-validate: the line is allocated dirty; the store
             # itself completes as soon as it issues.
             complete = issue_end
+            victim = cache.miss(lines, line, True)
         else:
             enabled = self._enabled_banks
-            done = self.banks[
+            complete = self.banks[
                 enabled[line // self._interleave % len(enabled)]
-            ].read_burst(issue_end)
-            complete = done + self._fill_extra[local]
-            lines[line].ready = complete
+            ].burst(issue_end) + self._fill_extra[local]
+            victim = cache.miss(lines, line, is_store, complete)
             if self.strict:
-                self._fill_line_buffer(self.caches[target], line)
-        if result.victim_dirty:
+                self._fill_line_buffer(cache, line)
+        if victim >= 0:
             # A dirty victim's burst write queues on its bank.
-            victim = result.victim_line
             if victim >= self.address_map._max_memory:
                 self.address_map.check(victim)
             enabled = self._enabled_banks
             self.banks[
                 enabled[victim // self._interleave % len(enabled)]
-            ].write_burst(issue_end)
-            if result.victim_data is not None:
-                self.backing.write_block(victim, result.victim_data)
+            ].burst(issue_end, True)
         if local:
             self._n_local_miss += 1
-            kind = _LOCAL_MISS
-        else:
-            self._n_remote_miss += 1
-            kind = _REMOTE_MISS
-        if self._trace_enabled:
-            self._trace(time, target, kind, physical, is_store)
-        return issue_end, complete, kind, target
+            return issue_end, complete, _LOCAL_MISS, target
+        self._n_remote_miss += 1
+        return issue_end, complete, _REMOTE_MISS, target
 
     def _trace(self, time: int, target: int, kind: AccessKind,
                physical: int, is_store: bool) -> None:
@@ -416,9 +470,9 @@ class MemorySubsystem:
             lines[line] = state
             if is_store:
                 state.dirty = True
-                self.caches[target].store_hits += 1
+                self.caches[target].other_store_hits += 1
             else:
-                self.caches[target].hits += 1
+                self.caches[target].other_hits += 1
 
     def _fill_line_buffer(self, cache: CacheUnit, line: int) -> None:
         """Strict mode: copy the line's bytes from backing into the cache."""
@@ -572,7 +626,7 @@ class MemorySubsystem:
         state = cache.invalidate(line)
         if state is not None and state.dirty:
             bank = self.banks[self.address_map.bank_of(line)]
-            done = bank.write_burst(complete)
+            done = bank.burst(complete, True)
             if state.data is not None:
                 self.backing.write_block(line, bytes(state.data))
             complete = done

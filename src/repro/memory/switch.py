@@ -26,18 +26,39 @@ class SwitchPort:
     Ports are reserved only at scheduler grant times, which never
     decrease, so a port keeps no request order test (a
     :class:`~repro.engine.resources.TimelineResource`'s
-    ``reorderings``). It counts each transfer once (``n_requests``);
-    ``busy_cycles`` is derived: one cycle per transfer plus the extra
-    beats of the multi-beat ones (``extra_beats``).
+    ``reorderings``). It counts each transfer once. A cache hit by a
+    single-beat double access, the dominant event, increments exactly
+    one of four counters, chosen by load or store and by whether the
+    requester's quad owns the cache (``local_loads``, ``local_stores``,
+    ``remote_loads``, ``remote_stores``); every other transfer (misses,
+    narrow and multi-beat accesses, flushes, invalidates, scratchpad)
+    counts in ``other_requests``. ``n_requests`` and ``busy_cycles`` are
+    derived: one cycle per transfer plus the extra beats of the
+    multi-beat ones (``extra_beats``).
     """
 
-    __slots__ = ("name", "next_free", "n_requests", "extra_beats")
+    __slots__ = ("name", "next_free", "local_loads", "local_stores",
+                 "remote_loads", "remote_stores", "other_requests",
+                 "extra_beats")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.next_free = 0
-        self.n_requests = 0
+        self.local_loads = self.local_stores = 0
+        self.remote_loads = self.remote_stores = 0
+        self.other_requests = 0
         self.extra_beats = 0
+
+    @property
+    def double_hits(self) -> int:
+        """Single-beat double accesses that hit in this port's cache."""
+        return (self.local_loads + self.local_stores
+                + self.remote_loads + self.remote_stores)
+
+    @property
+    def n_requests(self) -> int:
+        """Transfers through this port."""
+        return self.double_hits + self.other_requests
 
     @property
     def busy_cycles(self) -> int:
@@ -51,6 +72,10 @@ class SwitchPort:
         return self.busy_cycles / elapsed
 
 
+#: Bytes a port's double-hit counters each stand for.
+DOUBLE_BYTES = 8
+
+
 class CrossbarSwitch:
     """A crossbar with one busy timeline per output port."""
 
@@ -58,7 +83,8 @@ class CrossbarSwitch:
         self.name = name
         self.bytes_per_cycle = bytes_per_cycle
         self.ports = [SwitchPort(f"{name}.port{i}") for i in range(n_ports)]
-        self.bytes_moved = 0
+        #: Bytes of the transfers the ports count in ``other_requests``.
+        self.other_bytes = 0
         #: Cycles transfers waited for a busy output port.
         self.contention_cycles = 0
 
@@ -76,8 +102,8 @@ class CrossbarSwitch:
             cycles = -(-n_bytes // self.bytes_per_cycle)  # ceil division
             timeline.next_free = grant + cycles
             timeline.extra_beats += cycles - 1
-        timeline.n_requests += 1
-        self.bytes_moved += n_bytes
+        timeline.other_requests += 1
+        self.other_bytes += n_bytes
         return grant
 
     @property
@@ -85,6 +111,12 @@ class CrossbarSwitch:
         """Transfers through the switch: each reserves one output port
         once, so this is the ports' request count."""
         return sum(port.n_requests for port in self.ports)
+
+    @property
+    def bytes_moved(self) -> int:
+        """Bytes through the switch: the double hits' plus the rest."""
+        return self.other_bytes + DOUBLE_BYTES * sum(
+            port.double_hits for port in self.ports)
 
     def utilization(self, port: int, elapsed: int) -> float:
         """Busy fraction of one output port."""

@@ -41,7 +41,7 @@ class ThreadCtx:
                  "_strict", "_access", "_backing", "_branch_cycles",
                  "_mv_f64", "_bload_u32", "_bstore_u32",
                  "_fused", "_line_mask", "_line_shift", "_set_mask",
-                 "_cache_sets", "_caches", "_ports", "_switch",
+                 "_cache_sets", "_ports", "_switch",
                  "_local_hit_extra", "_remote_hit_extra")
 
     def __init__(self, kernel, tu) -> None:
@@ -87,7 +87,7 @@ class ThreadCtx:
         # ports are created once per chip and never replaced; the
         # placement (``_ig_target``, ``_placement``) is replaced by
         # ``remap_caches``, so the finishers read it through the
-        # subsystem on every access.
+        # subsystem on every access. A hit counts once, on its port.
         self._fused = (sanitizer is None and not chip_memory.strict
                        and not chip_memory.tracer.enabled
                        and chip_memory._switch_bpc >= 8
@@ -96,7 +96,6 @@ class ThreadCtx:
         self._line_shift = chip_memory._line_shift  # = the set index shift
         self._set_mask = chip_memory._cset_mask
         self._cache_sets = chip_memory._cache_sets
-        self._caches = chip_memory.caches
         self._ports = chip_memory._switch_ports
         self._switch = chip_memory.cache_switch
         self._local_hit_extra = chip_memory._local_hit_extra
@@ -143,160 +142,158 @@ class ThreadCtx:
         return earliest
 
     # The double finishers make the access themselves when they can: an
-    # aligned in-range double on a plain chip (``_fused``) that hits in
-    # its target cache. This is ``MemorySubsystem.access``'s hit path,
-    # inlined: address split, target lookup, tag probe, port grant and
-    # hit counting, one frame per op instead of two. A hit re-inserts its
-    # line at the set's most recently used end, as ``access`` does. A
-    # miss goes to ``access`` itself, which redoes the lookup (a failed
-    # ``pop`` changes nothing); so does anything unusual (misaligned, out
-    # of range, wider than 32 bits, or a strict, sanitized or traced
-    # chip), which therefore raises the same error after the same state
-    # change.
+    # aligned in-range double on a plain chip (``_fused``). This is
+    # ``MemorySubsystem.access`` inlined: address split, target lookup,
+    # tag probe, and on a hit the port grant and the one count on the
+    # port, one frame per op instead of two. A hit re-inserts its line at
+    # the set's most recently used end, as ``access`` does. A miss hands
+    # the probed set to ``MemorySubsystem.miss``, the one miss path, so
+    # nothing is looked up twice. Anything unusual (misaligned, out of
+    # range, wider than 32 bits, or a strict, sanitized or traced chip)
+    # goes to ``_f64_slow`` and so through ``access`` or the strict
+    # wrappers, which raise the same error after the same state change.
     def load_f64_finish(self, now: int, effective: int):
         """Phase 2 of a double load; returns ``(ready_time, value)``."""
         physical = effective & PHYSICAL_MASK
         memory = self.memory
-        if (self._fused and not effective & _MISFIT
-                and physical < memory.address_map._max_memory):
-            quad = self.quad_id
-            line = physical & self._line_mask
-            ig_byte = effective >> IG_SHIFT
-            if ig_byte:
-                target = memory._ig_target[ig_byte]
-                if target is None:
-                    target = memory._placement[ig_byte][
-                        line >> self._line_shift]
-                    if target < 0:
-                        target = memory.target_cache(ig_byte, physical, quad)
-            else:
-                target = quad
-            lines = self._cache_sets[target][
-                (line >> self._line_shift) & self._set_mask]
-            state = lines.pop(line, None)
-            if state is not None:
-                lines[line] = state
-                self._caches[target].hits += 1
-                port = self._ports[target]
-                next_free = port.next_free
-                if now >= next_free:
-                    port.next_free = issue_end = now + 1
-                else:
-                    port.next_free = issue_end = next_free + 1
-                    self._switch.contention_cycles += next_free - now
-                port.n_requests += 1
-                self._switch.bytes_moved += 8
-                complete = state.ready
-                if complete < issue_end:
-                    complete = issue_end
-                if target == quad:
-                    memory._n_local_hit += 1
-                    complete += self._local_hit_extra
-                else:
-                    memory._n_remote_hit += 1
-                    complete += self._remote_hit_extra
-            else:
-                issue_end, complete, _, _ = self._access(
-                    now, quad, effective, 8, False)
-            value = self._mv_f64[physical >> 3]
-        elif self._strict:
-            (issue_end, complete, _, _), value = memory.load_f64(
-                now, self.quad_id, effective
-            )
+        if (not self._fused or effective & _MISFIT
+                or physical >= memory.address_map._max_memory):
+            return self._f64_slow(now, effective, False, 0.0)
+        quad = self.quad_id
+        line = physical & self._line_mask
+        ig_byte = effective >> IG_SHIFT
+        if ig_byte:
+            target = memory._ig_target[ig_byte]
+            if target is None:
+                target = memory._placement[ig_byte][line >> self._line_shift]
+                if target < 0:
+                    target = memory.target_cache(ig_byte, physical, quad)
         else:
-            issue_end, complete, _, _ = self._access(
-                now, self.quad_id, effective, 8, False
-            )
-            # ``access`` has already raised unless the double lies below
-            # the max-memory register, which never exceeds the backing
-            # store; only the alignment half of its guard is left.
-            if physical & 7:
-                self._backing._check(physical, 8)  # raises
-            value = self._mv_f64[physical >> 3]
+            target = quad
+        lines = self._cache_sets[target][
+            (line >> self._line_shift) & self._set_mask]
+        state = lines.pop(line, None)
+        if state is None:
+            issue_end, complete, _, _ = memory.miss(
+                now, quad, target, lines, line, False)
+        else:
+            lines[line] = state
+            port = self._ports[target]
+            next_free = port.next_free
+            if now >= next_free:
+                port.next_free = issue_end = now + 1
+            else:
+                port.next_free = issue_end = next_free + 1
+                self._switch.contention_cycles += next_free - now
+            complete = state.ready
+            if complete < issue_end:
+                complete = issue_end
+            if target == quad:
+                port.local_loads += 1
+                complete += self._local_hit_extra
+            else:
+                port.remote_loads += 1
+                complete += self._remote_hit_extra
         # Inlined ThreadUnit.issue_at(issue_end - 1) and the clock half of
-        # retire(1): two method frames per memory op are measurable at
-        # STREAM scale.
+        # retire(1): the access stalled the thread iff it issues past the
+        # cycle after the thread's clock.
         tu = self.tu
-        issue = issue_end - 1
-        clock = tu.issue_time
-        if issue > clock:
+        clock = tu.issue_time + 1
+        if issue_end > clock:
             counters = tu.counters
-            counters.stall_cycles += issue - clock
+            counters.stall_cycles += issue_end - clock
             counters.stall_events += 1
-            clock = issue
-        tu.issue_time = clock + 1
-        return complete, value
+            tu.issue_time = issue_end
+        else:
+            tu.issue_time = clock
+        return complete, self._mv_f64[physical >> 3]
 
     def store_f64_finish(self, now: int, effective: int, value: float) -> int:
         """Phase 2 of a double store; returns the completion time."""
         physical = effective & PHYSICAL_MASK
         memory = self.memory
-        if (self._fused and not effective & _MISFIT
-                and physical < memory.address_map._max_memory):
-            quad = self.quad_id
-            line = physical & self._line_mask
-            ig_byte = effective >> IG_SHIFT
-            if ig_byte:
-                target = memory._ig_target[ig_byte]
-                if target is None:
-                    target = memory._placement[ig_byte][
-                        line >> self._line_shift]
-                    if target < 0:
-                        target = memory.target_cache(ig_byte, physical, quad)
+        if (not self._fused or effective & _MISFIT
+                or physical >= memory.address_map._max_memory):
+            return self._f64_slow(now, effective, True, value)[0]
+        quad = self.quad_id
+        line = physical & self._line_mask
+        ig_byte = effective >> IG_SHIFT
+        if ig_byte:
+            target = memory._ig_target[ig_byte]
+            if target is None:
+                target = memory._placement[ig_byte][line >> self._line_shift]
+                if target < 0:
+                    target = memory.target_cache(ig_byte, physical, quad)
+        else:
+            target = quad
+        lines = self._cache_sets[target][
+            (line >> self._line_shift) & self._set_mask]
+        state = lines.pop(line, None)
+        if state is None:
+            issue_end, complete, _, _ = memory.miss(
+                now, quad, target, lines, line, True)
+        else:
+            lines[line] = state
+            state.dirty = True
+            port = self._ports[target]
+            next_free = port.next_free
+            if now >= next_free:
+                port.next_free = issue_end = now + 1
             else:
-                target = quad
-            lines = self._cache_sets[target][
-                (line >> self._line_shift) & self._set_mask]
-            state = lines.pop(line, None)
-            if state is not None:
-                lines[line] = state
-                state.dirty = True
-                self._caches[target].store_hits += 1
-                port = self._ports[target]
-                next_free = port.next_free
-                if now >= next_free:
-                    port.next_free = issue_end = now + 1
-                else:
-                    port.next_free = issue_end = next_free + 1
-                    self._switch.contention_cycles += next_free - now
-                port.n_requests += 1
-                self._switch.bytes_moved += 8
-                complete = state.ready
-                if complete < issue_end:
-                    complete = issue_end
-                if target == quad:
-                    memory._n_local_hit += 1
-                    complete += self._local_hit_extra
-                else:
-                    memory._n_remote_hit += 1
-                    complete += self._remote_hit_extra
+                port.next_free = issue_end = next_free + 1
+                self._switch.contention_cycles += next_free - now
+            complete = state.ready
+            if complete < issue_end:
+                complete = issue_end
+            if target == quad:
+                port.local_stores += 1
+                complete += self._local_hit_extra
             else:
-                issue_end, complete, _, _ = self._access(
-                    now, quad, effective, 8, True)
-            # memoryview stores are strict about type; float() is a no-op
-            # for exact floats and converts ints/numpy scalars.
-            self._mv_f64[physical >> 3] = float(value)
-        elif self._strict:
-            issue_end, complete, _, _ = memory.store_f64(
-                now, self.quad_id, effective, value
-            )
+                port.remote_stores += 1
+                complete += self._remote_hit_extra
+        # memoryview stores are strict about type; float() is a no-op
+        # for exact floats and converts ints/numpy scalars.
+        self._mv_f64[physical >> 3] = float(value)
+        tu = self.tu
+        clock = tu.issue_time + 1
+        if issue_end > clock:
+            counters = tu.counters
+            counters.stall_cycles += issue_end - clock
+            counters.stall_events += 1
+            tu.issue_time = issue_end
+        else:
+            tu.issue_time = clock
+        return complete
+
+    def _f64_slow(self, now: int, effective: int, is_store: bool,
+                  value: float):
+        """A double access off the finishers' own path; returns
+        ``(ready_time, value)``."""
+        memory = self.memory
+        if self._strict:
+            if is_store:
+                issue_end, complete, _, _ = memory.store_f64(
+                    now, self.quad_id, effective, value)
+            else:
+                (issue_end, complete, _, _), value = memory.load_f64(
+                    now, self.quad_id, effective)
         else:
             issue_end, complete, _, _ = self._access(
-                now, self.quad_id, effective, 8, True
-            )
+                now, self.quad_id, effective, 8, is_store)
+            # ``access`` has already raised unless the double lies below
+            # the max-memory register, which never exceeds the backing
+            # store; only the alignment half of its guard is left.
+            physical = effective & PHYSICAL_MASK
             if physical & 7:
                 self._backing._check(physical, 8)  # raises
-            self._mv_f64[physical >> 3] = float(value)
+            if is_store:
+                self._mv_f64[physical >> 3] = float(value)
+            else:
+                value = self._mv_f64[physical >> 3]
         tu = self.tu
-        issue = issue_end - 1
-        clock = tu.issue_time
-        if issue > clock:
-            counters = tu.counters
-            counters.stall_cycles += issue - clock
-            counters.stall_events += 1
-            clock = issue
-        tu.issue_time = clock + 1
-        return complete
+        tu.issue_at(issue_end - 1)
+        tu.issue_time += 1
+        return complete, value
 
     # The generator forms compute ``op_begin``'s earliest issue cycle
     # inline: one frame fewer per operation.

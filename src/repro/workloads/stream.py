@@ -58,6 +58,16 @@ INIT_A, INIT_B, INIT_C = 1.0, 2.0, 3.0
 #: Loop-overhead charged per iteration: pointer bumps + count + branch.
 OVERHEAD_INT_OPS = 3
 
+#: Per kernel, the vector it writes (0 = a, 1 = b, 2 = c) and the value
+#: every element of it holds afterwards. The values are exact in binary64
+#: and every kernel is idempotent under warm-up.
+RESULT = {
+    "copy": (2, INIT_A),
+    "scale": (1, SCALAR * INIT_C),
+    "add": (2, INIT_A + INIT_B),
+    "triad": (0, INIT_B + SCALAR * INIT_C),
+}
+
 
 @dataclass(frozen=True)
 class StreamParams:
@@ -257,13 +267,35 @@ def _kernel_loop(ctx, kernel, eas, unroll):
     return _triad_loop(ctx, ea_b, ea_c, ea_a, SCALAR, unroll)
 
 
-def _thread_body(ctx, kernel, eas, unroll, warmup, start_barrier, section):
+def _thread_body(ctx, kernel, eas, unroll, warmup, start_barrier, section,
+                 write_back):
     if warmup:
         yield from _kernel_loop(ctx, kernel, eas, unroll)
     yield from start_barrier.wait(ctx)
     section.record_start(ctx.software_index, ctx.time)
     yield from _kernel_loop(ctx, kernel, eas, unroll)
     section.record_finish(ctx.software_index, ctx.time)
+    if write_back:
+        # Every thread's timed loop is done before any flush contends
+        # with it for ports and banks.
+        yield from start_barrier.wait(ctx)
+        yield from _flush_written(ctx, eas[RESULT[kernel][0]])
+
+
+def _flush_written(ctx, written):
+    """Flush each line holding an address of *written*, once.
+
+    On a strict-incoherence chip a cache line's bytes reach memory only
+    when the line leaves its cache, so without this the results a thread
+    leaves in its caches never reach the backing store the check reads.
+    """
+    line_mask = ~(ctx.chip.config.dcache_line_bytes - 1)
+    last = None
+    for effective in written:
+        line = effective & line_mask
+        if line != last:
+            last = line
+            yield from ctx.flush_line(effective)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +371,9 @@ def run_stream(params: StreamParams, chip: Chip | None = None) -> StreamResult:
         index_sets = cyclic_group_indices(n, n_threads)
 
     # --- spawn ----------------------------------------------------------
+    # A strict chip keeps cached data apart from memory: each thread
+    # writes its results back once its timed loop is done.
+    write_back = chip.memory.strict
     start_barrier = kernel.hardware_barrier(0, n_threads)
     section = TimedSection.empty()
     threads = []
@@ -357,7 +392,7 @@ def run_stream(params: StreamParams, chip: Chip | None = None) -> StreamResult:
         )
         threads.append(kernel.spawn(
             _thread_body, params.kernel, eas, params.unroll, warmup,
-            start_barrier, section, name=f"stream-{t}",
+            start_barrier, section, write_back, name=f"stream-{t}",
         ))
     kernel.run()
 
@@ -387,18 +422,11 @@ def run_stream(params: StreamParams, chip: Chip | None = None) -> StreamResult:
 def _verify(params: StreamParams, backing, bases, n: int) -> bool:
     """Check the kernel's arithmetic actually happened in memory.
 
-    The expected values (1, 9, 3, 11) are exact in binary64 and every
-    kernel is idempotent under warm-up, so the check is exact equality:
-    one bool vector, no float temporaries at the run's memory peak.
+    The expected values (:data:`RESULT`) are exact, so the check is exact
+    equality: one bool vector, no float temporaries at the run's memory
+    peak.
     """
-    expected = {
-        "copy": ("c", INIT_A),
-        "scale": ("b", SCALAR * INIT_C),
-        "add": ("c", INIT_A + INIT_B),
-        "triad": ("a", INIT_B + SCALAR * INIT_C),
-    }
-    which, value = expected[params.kernel]
-    slot = {"a": 0, "b": 1, "c": 2}[which]
+    slot, value = RESULT[params.kernel]
     for base_tuple in dict.fromkeys(bases):
         view = backing.f64_view(base_tuple[slot], n)
         if not bool((view == value).all()):

@@ -1,7 +1,8 @@
-"""The double finishers' own hit path against ``MemorySubsystem.access``.
+"""The double finishers' own access path against ``MemorySubsystem.access``.
 
 ``ThreadCtx.load_f64_finish`` and ``store_f64_finish`` make a plain
-chip's cache hits themselves and hand everything else (misses, bad
+chip's accesses themselves, hand a miss to ``MemorySubsystem.miss`` (the
+one miss path, which ``access`` takes too) and everything else (bad
 addresses, strict, sanitized and memory-traced chips) to
 ``MemorySubsystem.access``. Two chips run the same random op sequence:
 one with the fused finishers, one with every access through ``access``
@@ -13,10 +14,13 @@ same state change.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.core.faults import FaultController
 from repro.engine.tracing import Tracer
@@ -63,20 +67,26 @@ _OP = st.tuples(
 
 
 class _Side:
-    """One chip, its thread contexts and a count of ``access`` calls."""
+    """One chip, its thread contexts and counts of ``access`` and
+    ``miss`` calls."""
 
     def __init__(self, fused: bool) -> None:
         self.chip = chip = Chip()
         self.faults = FaultController(chip)
-        self.access_calls = 0
-        real = chip.memory.access
+        self.access_calls = self.miss_calls = 0
+        real_access, real_miss = chip.memory.access, chip.memory.miss
 
-        def counting(*args):
+        def counting_access(*args):
             self.access_calls += 1
-            return real(*args)
+            return real_access(*args)
+
+        def counting_miss(*args):
+            self.miss_calls += 1
+            return real_miss(*args)
 
         # Bound before the contexts exist: each binds it at construction.
-        chip.memory.access = counting
+        chip.memory.access = counting_access
+        chip.memory.miss = counting_miss
         kernel = Kernel(chip)
         self.ctxs = [ThreadCtx(kernel, chip.thread(tid)) for tid in TIDS]
         for ctx in self.ctxs:
@@ -129,19 +139,22 @@ def test_fused_finishers_match_access(ops):
         now += op[4]
         assert fused.apply(op, now) == generic.apply(op, now)
     assert fused.state(now + 1) == generic.state(now + 1)
-    # The fused side made its hits itself.
+    # The fused side made its accesses itself; both took one miss path.
     assert fused.access_calls <= generic.access_calls
+    assert fused.miss_calls == generic.miss_calls
 
 
-def test_hits_skip_access_and_misses_take_it():
+def test_hits_skip_access_and_misses_take_the_miss_path():
     side = _Side(True)
     ctx = side.ctxs[0]
     effective = make_effective(0x2000, IG_OWN)
     ctx.store_f64_finish(0, effective, 1.5)
-    assert side.access_calls == 1  # a write-validate miss
+    # A write-validate miss: straight from the probe to the miss path.
+    assert (side.access_calls, side.miss_calls) == (0, 1)
     assert ctx.load_f64_finish(1, effective)[1] == 1.5
-    assert side.access_calls == 1  # a hit
-    assert side.chip.memory.kind_counts[AccessKind.LOCAL_HIT] == 1
+    assert (side.access_calls, side.miss_calls) == (0, 1)  # a hit
+    kinds = side.chip.memory.kind_counts
+    assert kinds[AccessKind.LOCAL_HIT] == kinds[AccessKind.LOCAL_MISS] == 1
 
 
 @pytest.mark.parametrize("physical,error", [
@@ -213,8 +226,112 @@ def test_memory_trace_records_one_cache_event_per_load_and_store(
                          ids=["strict", "sanitized"])
 def test_strict_and_sanitized_chips_take_the_generic_finisher(
         monkeypatch, options):
-    # (A strict chip's triad leaves its results in the incoherent caches,
-    # so it does not verify against the backing store.)
     chip = Chip(**options)
     _, calls = _counted_stream(monkeypatch, chip)
     assert calls == _accesses(chip) > 0
+
+
+# ---------------------------------------------------------------------------
+# Derived counters against a plain tally
+# ---------------------------------------------------------------------------
+#: A counted op: its kind, thread, line index, group, time step and
+#: whether it is a store. Doubles dominate, as in every run.
+_COUNTED_OP = st.tuples(
+    st.sampled_from(["double"] * 8 + ["u32"] * 3
+                    + ["flush", "invalidate", "scratchpad", "warm"]),
+    st.integers(0, len(TIDS) - 1),
+    st.integers(0, len(ADDRESSES) - 1),
+    st.integers(0, len(GROUPS) - 1),
+    st.integers(0, 3),
+    st.booleans(),
+)
+
+
+class _Tally:
+    """Every counter the chip derives, counted plainly per event."""
+
+    def __init__(self, n_caches: int) -> None:
+        self.hits = [0] * n_caches
+        self.store_hits = [0] * n_caches
+        self.misses = [0] * n_caches
+        self.store_misses = [0] * n_caches
+        self.requests = [0] * n_caches
+        self.busy = [0] * n_caches
+        self.bytes = 0
+        self.kinds = dict.fromkeys(AccessKind, 0)
+
+    def transfer(self, port: int, n_bytes: int, bytes_per_cycle: int):
+        self.requests[port] += 1
+        self.busy[port] += -(-n_bytes // bytes_per_cycle)
+        self.bytes += n_bytes
+
+    def lookup(self, cache: int, hit: bool, is_store: bool):
+        counts = ((self.store_hits if hit else self.store_misses)
+                  if is_store else (self.hits if hit else self.misses))
+        counts[cache] += 1
+
+    def access(self, cache: int, local: bool, hit: bool, is_store: bool):
+        self.lookup(cache, hit, is_store)
+        kind = ((AccessKind.LOCAL_HIT if hit else AccessKind.LOCAL_MISS)
+                if local else
+                (AccessKind.REMOTE_HIT if hit else AccessKind.REMOTE_MISS))
+        self.kinds[kind] += 1
+
+
+@pytest.mark.parametrize("port_bytes", [8, 4], ids=["one_beat", "two_beat"])
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_COUNTED_OP, min_size=1, max_size=80))
+def test_derived_counters_match_a_plain_tally(port_bytes, ops):
+    chip = Chip(replace(ChipConfig.paper(),
+                        dcache_port_bytes_per_cycle=port_bytes))
+    memory = chip.memory
+    kernel = Kernel(chip)
+    ctxs = [ThreadCtx(kernel, chip.thread(tid)) for tid in TIDS]
+    assert all(ctx._fused == (port_bytes >= 8) for ctx in ctxs)
+    tally = _Tally(len(memory.caches))
+    now = 0
+    for kind, which, index, group, step, is_store in ops:
+        now += step
+        ctx = ctxs[which]
+        quad = ctx.quad_id
+        physical = ADDRESSES[index]
+        effective = make_effective(physical, GROUPS[group])
+        target = memory.target_cache(GROUPS[group], physical, quad)
+        hit = memory.caches[target].line(
+            physical & memory._line_mask) is not None
+        if kind == "double":
+            tally.transfer(target, 8, port_bytes)
+            tally.access(target, target == quad, hit, is_store)
+            if is_store:
+                ctx.store_f64_finish(now, effective, 1.0)
+            else:
+                ctx.load_f64_finish(now, effective)
+        elif kind == "u32":
+            tally.transfer(target, 4, port_bytes)
+            tally.access(target, target == quad, hit, is_store)
+            if is_store:
+                memory.store_u32(now, quad, effective, 7)
+            else:
+                memory.load_u32(now, quad, effective)
+        elif kind in ("flush", "invalidate"):
+            tally.transfer(target, 8, port_bytes)
+            line_op = memory.flush_line if kind == "flush" \
+                else memory.invalidate_line
+            line_op(now, quad, effective)
+        elif kind == "scratchpad":
+            tally.transfer(target, 8, port_bytes)
+            tally.kinds[AccessKind.SCRATCHPAD] += 1
+            memory.scratchpad_access(now, quad, target, 8)
+        else:
+            tally.lookup(target, hit, is_store)
+            memory.warm_access(quad, effective, is_store)
+    caches, switch = memory.caches, memory.cache_switch
+    assert [c.hits for c in caches] == tally.hits
+    assert [c.store_hits for c in caches] == tally.store_hits
+    assert [c.misses for c in caches] == tally.misses
+    assert [c.store_misses for c in caches] == tally.store_misses
+    assert [p.n_requests for p in switch.ports] == tally.requests
+    assert [p.busy_cycles for p in switch.ports] == tally.busy
+    assert switch.transfers == sum(tally.requests)
+    assert switch.bytes_moved == tally.bytes
+    assert memory.kind_counts == tally.kinds

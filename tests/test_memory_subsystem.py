@@ -129,8 +129,8 @@ class TestStoreMapping:
 class TestMemoryBank:
     def test_burst_timing_matches_paper(self):
         bank = MemoryBank(0, CFG)
-        assert bank.read_burst(0) == 12  # 64 bytes every 12 cycles
-        assert bank.read_burst(0) == 24  # second burst queues
+        assert bank.burst(0) == 12  # 64 bytes every 12 cycles
+        assert bank.burst(0) == 24  # second burst queues
 
     def test_block_cheaper_than_burst_but_less_efficient(self):
         bank = MemoryBank(0, CFG)
@@ -141,8 +141,8 @@ class TestMemoryBank:
 
     def test_traffic_counters(self):
         bank = MemoryBank(0, CFG)
-        bank.read_burst(0)
-        bank.write_burst(12)
+        bank.burst(0)
+        bank.burst(12, write=True)
         assert bank.bytes_read == 64
         assert bank.bytes_written == 64
         assert bank.bytes_total == 128
@@ -151,7 +151,7 @@ class TestMemoryBank:
         bank = MemoryBank(0, CFG)
         bank.fail()
         with pytest.raises(MemoryFault):
-            bank.read_burst(0)
+            bank.burst(0)
 
     def test_peak_bandwidth_41_7_gb_s(self):
         """16 banks x 64B/12cyc at 500 MHz is the paper's 42 GB/s peak."""

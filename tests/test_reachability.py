@@ -154,8 +154,6 @@ ALLOWED_NAMES = {
         "test oracle", "tests/test_isa_kernels.py"),
     "repro.configio.save_spec": ("documented API", "docs/exploration.md"),
     "repro.configio.load_spec": ("documented API", "docs/exploration.md"),
-    "repro.runtime.context.ThreadCtx.flush_line": (
-        "documented API", "docs/memory-model.md"),
     "repro.runtime.context.ThreadCtx.invalidate_line": (
         "documented API", "docs/memory-model.md"),
     "repro.system.collectives.broadcast": (

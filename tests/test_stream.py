@@ -106,6 +106,25 @@ class TestFunctionalCorrectness:
         assert result.verified
 
 
+@pytest.mark.parametrize("kernel", STREAM_KERNELS)
+@pytest.mark.parametrize("local_caches", [True, False],
+                         ids=["local", "shared"])
+def test_strict_incoherence_chip_verifies(kernel, local_caches):
+    """A strict chip keeps cached bytes apart from memory; each thread
+    writes its results back after the timed loop, so the check sees
+    them and the measured cycles are those of the loop alone."""
+    params = StreamParams(kernel=kernel, n_elements=512, n_threads=8,
+                          partition="block", local_caches=local_caches,
+                          unroll=4, warmup=False)
+    chip = Chip(strict_incoherence=True)
+    result = run_stream(params, chip=chip)
+    assert result.verified
+    assert not any(state.dirty for cache in chip.memory.caches
+                   for lines in cache._sets for state in lines.values())
+    if kernel == "triad" and local_caches:
+        assert result.cycles == 955  # the timed loop's alone
+
+
 class TestAddressStreams:
     """Address streams are ranges; element for element they equal the
     per-element ``make_effective`` list they replace."""
