@@ -58,8 +58,9 @@ def point(spec: JobSpec) -> dict:
         policy=policy,
         warmup=True,
     ), chip=chip)
-    hits = sum(c.hits + c.store_hits for c in chip.memory.caches)
-    accesses = sum(c.accesses for c in chip.memory.caches)
+    memory = chip.memory
+    hits = sum(sum(memory.cache_hits(c.cache_id)) for c in memory.caches)
+    accesses = hits + sum(c.misses + c.store_misses for c in memory.caches)
     return {
         "cycles": int(result.cycles),
         "hit_rate": hits / accesses if accesses else 0.0,

@@ -20,11 +20,10 @@ Two features beyond a plain cache are modeled:
   The default mode keeps data in the backing store only (correct programs
   behave identically, and simulation is faster).
 
-A cache counts a hit once: the single-beat double hits that dominate
-every run are counted by the cache's switch port (see
-:class:`~repro.memory.switch.SwitchPort`), and ``hits``/``store_hits``
-add those to the hits the cache counts itself (narrow and multi-beat
-accesses, functional warming).
+A cache counts its misses and the hits its switch port does not count
+(multi-beat accesses, functional warming): a single-beat hit counts
+once, on the port, and
+:meth:`~repro.memory.subsystem.MemorySubsystem.cache_hits` adds the two.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from dataclasses import dataclass
 from repro.config import ChipConfig
 from repro.errors import CacheConfigError
 from repro.memory.backing import BackingStore
-from repro.memory.switch import SwitchPort
 
 
 @dataclass(slots=True)
@@ -55,7 +53,7 @@ class LineState:
 class CacheUnit:
     """One 16 KB quad data cache: LRU sets, way partition, counters."""
 
-    def __init__(self, cache_id: int, config: ChipConfig, port: SwitchPort,
+    def __init__(self, cache_id: int, config: ChipConfig,
                  backing: BackingStore | None = None) -> None:
         self.cache_id = cache_id
         self.config = config
@@ -63,9 +61,6 @@ class CacheUnit:
         self.n_sets = config.dcache_sets
         self.total_ways = config.dcache_ways
         self.scratchpad_ways = 0
-        #: The switch port in front of this cache: it counts the double
-        #: hits (``hits`` and ``store_hits`` read them from it).
-        self.port = port
         #: strict-incoherence mode: lines buffer their own bytes, and an
         #: evicted dirty line's bytes are written to *backing*.
         self.backing = backing
@@ -85,7 +80,7 @@ class CacheUnit:
         #: that decide whether dirty data architecturally reaches memory.
         #: The hit path (inlined in MemorySubsystem.access) never tests it.
         self.observer = None
-        # counters (hits beyond the port's double hits: see ``hits``)
+        # counters (hits: only those the switch port does not count)
         self.other_hits = 0
         self.other_store_hits = 0
         self.misses = 0
@@ -218,31 +213,3 @@ class CacheUnit:
                     observer.on_evict(self.cache_id, addr, state.dirty)
             lines.clear()
         return dirty
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def hits(self) -> int:
-        """Load lookups that hit."""
-        port = self.port
-        return self.other_hits + port.local_loads + port.remote_loads
-
-    @property
-    def store_hits(self) -> int:
-        """Store lookups that hit."""
-        port = self.port
-        return self.other_store_hits + port.local_stores + port.remote_stores
-
-    @property
-    def accesses(self) -> int:
-        """Total lookups."""
-        return self.hits + self.misses + self.store_hits + self.store_misses
-
-    def hit_rate(self) -> float:
-        """Fraction of lookups that hit."""
-        total = self.accesses
-        if not total:
-            return 0.0
-        return (self.hits + self.store_hits) / total
-

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from repro.config import PHYSICAL_ADDRESS_BITS, ChipConfig
+from repro.config import DOUBLE_BYTES, PHYSICAL_ADDRESS_BITS, ChipConfig
 from repro.engine.tracing import NULL_TRACER, Tracer
 from repro.errors import AddressError
 from repro.memory.address import (
@@ -47,8 +47,7 @@ from repro.memory.bank import MemoryBank
 from repro.memory.cache import CacheUnit
 from repro.memory.interest_groups import InterestGroup, Level
 from repro.memory.offchip import OffChipMemory
-from repro.memory.switch import DOUBLE_BYTES, CrossbarSwitch, \
-    build_cache_switch
+from repro.memory.switch import CrossbarSwitch, build_cache_switch
 
 
 class AccessKind(Enum):
@@ -100,7 +99,7 @@ class MemorySubsystem:
         self.banks = [MemoryBank(i, config) for i in range(config.n_memory_banks)]
         self.cache_switch: CrossbarSwitch = build_cache_switch(config)
         self.caches = [
-            CacheUnit(i, config, self.cache_switch.ports[i],
+            CacheUnit(i, config,
                       self.backing if strict_incoherence else None)
             for i in range(config.n_dcaches)
         ]
@@ -149,10 +148,6 @@ class MemorySubsystem:
         self._transfer = self.cache_switch.transfer
         self._switch_ports = self.cache_switch.ports
         self._switch_bpc = self.cache_switch.bytes_per_cycle
-        #: Size of the accesses whose hits count once, on their port: a
-        #: double, when a port moves one in a single beat (else none).
-        self._double_size = DOUBLE_BYTES \
-            if self._switch_bpc >= DOUBLE_BYTES else -1
         self._trace_enabled = tracer.enabled
         #: Hit-path inlining: ``access()`` probes the tag sets directly
         #: (shift and mask, as CacheUnit._set_index) and only calls
@@ -172,10 +167,16 @@ class MemorySubsystem:
         #: latency beyond the burst, indexed by ``local``.
         self._fill_extra = (lat.mem_remote_miss[1] - config.burst_cycles,
                             lat.mem_local_miss[1] - config.burst_cycles)
-        # Access counts by kind, one attribute each (an attribute
-        # increment is the cheapest counter). The hits counted here are
-        # the narrow and multi-beat ones; the switch ports count the
-        # double hits (see ``kind_counts``).
+        # Counting, once per access. A single-beat access that hits (the
+        # dominant event) increments exactly one counter, on its target
+        # cache's switch port, chosen by load or store and by whether
+        # the requester's quad owns the cache. Every other access counts
+        # apart: the caches count their misses and their multi-beat and
+        # functionally warmed hits, the ports and the switch count those
+        # transfers, and the attributes below count their kinds (an
+        # attribute increment is the cheapest counter). ``kind_counts``
+        # and ``cache_hits`` add the two parts; the switch derives its
+        # requests and bytes alike.
         self._n_local_hit = self._n_local_miss = 0
         self._n_remote_hit = self._n_remote_miss = 0
         self._n_scratchpad = 0
@@ -191,6 +192,21 @@ class MemorySubsystem:
                     p.remote_loads + p.remote_stores for p in ports),
                 _REMOTE_MISS: self._n_remote_miss,
                 AccessKind.SCRATCHPAD: self._n_scratchpad}
+
+    def cache_hits(self, cache_id: int) -> tuple[int, int]:
+        """``(load hits, store hits)`` of one data cache."""
+        cache = self.caches[cache_id]
+        port = self._switch_ports[cache_id]
+        return (cache.other_hits + port.local_loads + port.remote_loads,
+                cache.other_store_hits + port.local_stores
+                + port.remote_stores)
+
+    def cache_hit_rate(self, cache_id: int) -> float:
+        """Fraction of one data cache's lookups that hit (0 if none)."""
+        cache = self.caches[cache_id]
+        hits = sum(self.cache_hits(cache_id))
+        lookups = hits + cache.misses + cache.store_misses
+        return hits / lookups if lookups else 0.0
 
     # ------------------------------------------------------------------
     # Interest-group resolution
@@ -257,80 +273,71 @@ class MemorySubsystem:
     # The main timed access path
     # ------------------------------------------------------------------
     def access(self, time: int, quad_id: int, effective: int, size: int,
-               is_store: bool) -> AccessTiming:
+               is_store: bool, target: int = 0,
+               lines: dict | None = None) -> AccessTiming:
         """Timed load/store of *size* bytes at a 32-bit effective address.
 
         This is the simulator's hottest function: the dominant hit path
         allocates nothing beyond the returned plain tuple
         (:data:`AccessTiming`) — the address split is inlined, the target
         cache comes from the kept placement, the tag probe and the port
-        reservation are inlined, a double's hit counts once on its port,
-        and a hit returns from inside the probe. A miss continues in
-        :meth:`miss`.
-        """
-        if effective >> 32:
-            raise AddressError(
-                f"effective address {effective:#x} exceeds 32 bits"
-            )
-        ig_byte = effective >> IG_SHIFT
-        physical = effective & PHYSICAL_MASK
-        # Guarded bounds test: `physical` is non-negative by masking, so
-        # one comparison against the cached max-memory register suffices;
-        # the slow call only runs to raise the detailed fault.
-        if physical + size > self.address_map._max_memory:
-            self.address_map.check(physical, size)
-        line = physical & self._line_mask
-        if ig_byte == 0:  # OWN: the requester's own quad cache
-            target = quad_id
-        else:
-            # Inlined placement probes of target_cache(); the method runs
-            # only to resolve a group or line for the first time. The
-            # bounds test above keeps the line inside the table.
-            target = self._ig_target[ig_byte]
-            if target is None:
-                target = self._placement[ig_byte][line >> self._line_shift]
-                if target < 0:
-                    target = self.target_cache(ig_byte, physical, quad_id)
+        reservation are inlined, a single-beat hit counts once on its
+        port, and a hit returns from inside the probe.
 
-        # Tag probe, inlined: a hit — the dominant outcome — re-inserts
-        # its line at the set's most recently used end (one ``pop``),
-        # allocates nothing, and returns from here.
-        lines = self._cache_sets[target][
-            (line >> self._cset_shift) & self._cset_mask
-        ]
-        state = lines.pop(line, None)
-        if state is None:
-            outcome = self.miss(time, quad_id, target, lines, line,
-                                is_store, size)
-            if self._trace_enabled:
-                self._trace(time, target, outcome[2], physical, is_store)
-            return outcome
-        lines[line] = state
-        if is_store:
-            state.dirty = True
-        local = target == quad_id
-        # Single-beat switch traversal, inlined (CrossbarSwitch.transfer
-        # is a frame per access). A double's hit counts once, on its
-        # port, where the cache's hits, the switch's transfers and bytes
-        # and the kind counts all read it; any other hit counts apart.
-        if size == self._double_size:
-            port = self._switch_ports[target]
-            next_free = port.next_free
-            if time >= next_free:
-                port.next_free = issue_end = time + 1
-            else:
-                port.next_free = issue_end = next_free + 1
-                self.cache_switch.contention_cycles += next_free - time
-            if is_store:
-                if local:
-                    port.local_stores += 1
-                else:
-                    port.remote_stores += 1
-            elif local:
-                port.local_loads += 1
-            else:
-                port.remote_loads += 1
+        It is also the one miss path. A caller that has made this
+        method's checks, resolved the *target* cache and probed its set
+        *lines* without finding the line (the fused double finishers of
+        :class:`~repro.runtime.context.ThreadCtx`) passes both, and the
+        access continues at the miss: a miss is checked, placed and
+        probed once, whoever starts it.
+        """
+        physical = effective & PHYSICAL_MASK
+        line = physical & self._line_mask
+        if lines is not None:
+            state = None  # the caller's probe missed
         else:
+            if effective >> 32:
+                raise AddressError(
+                    f"effective address {effective:#x} exceeds 32 bits"
+                )
+            # Guarded bounds test: `physical` is non-negative by masking,
+            # so one comparison against the cached max-memory register
+            # suffices; the slow call only runs to raise the detailed
+            # fault.
+            if physical + size > self.address_map._max_memory:
+                self.address_map.check(physical, size)
+            ig_byte = effective >> IG_SHIFT
+            if ig_byte == 0:  # OWN: the requester's own quad cache
+                target = quad_id
+            else:
+                # Inlined placement probes of target_cache(); the method
+                # runs only to resolve a group or line for the first
+                # time. The bounds test above keeps the line inside the
+                # table.
+                target = self._ig_target[ig_byte]
+                if target is None:
+                    target = self._placement[ig_byte][
+                        line >> self._line_shift]
+                    if target < 0:
+                        target = self.target_cache(ig_byte, physical,
+                                                   quad_id)
+            # Tag probe, inlined: a hit — the dominant outcome —
+            # re-inserts its line at the set's most recently used end
+            # (one ``pop``), allocates nothing, and returns below.
+            lines = self._cache_sets[target][
+                (line >> self._cset_shift) & self._cset_mask
+            ]
+            state = lines.pop(line, None)
+        local = target == quad_id
+
+        if state is not None:
+            lines[line] = state
+            if is_store:
+                state.dirty = True
+            # Single-beat switch traversal, inlined (CrossbarSwitch.transfer
+            # is a frame per access). The hit counts once, on its port;
+            # one narrower or wider than a double also corrects the
+            # switch's byte count.
             if size <= self._switch_bpc:
                 port = self._switch_ports[target]
                 next_free = port.next_free
@@ -339,53 +346,51 @@ class MemorySubsystem:
                 else:
                     port.next_free = issue_end = next_free + 1
                     self.cache_switch.contention_cycles += next_free - time
-                port.other_requests += 1
-                self.cache_switch.other_bytes += size
+                if is_store:
+                    if local:
+                        port.local_stores += 1
+                    else:
+                        port.remote_stores += 1
+                elif local:
+                    port.local_loads += 1
+                else:
+                    port.remote_loads += 1
+                if size != DOUBLE_BYTES:
+                    self.cache_switch.extra_bytes += size - DOUBLE_BYTES
             else:
                 issue_end = self._transfer(target, time, size) + 1
-            if is_store:
-                self.caches[target].other_store_hits += 1
-            else:
-                self.caches[target].other_hits += 1
+                if is_store:
+                    self.caches[target].other_store_hits += 1
+                else:
+                    self.caches[target].other_hits += 1
+                if local:
+                    self._n_local_hit += 1
+                else:
+                    self._n_remote_hit += 1
+            # A line whose fill is still on its way from memory delivers
+            # only once the fill lands — the effect that penalizes the
+            # paper's cyclic partitioning, where eight threads pile onto
+            # each line "while the cache line is still being retrieved
+            # from main memory" (Section 3.2.2). Grants on one port only
+            # move forward, so once a hit issues at or after the fill,
+            # every later one does too.
+            complete = state.ready
+            if complete < issue_end:
+                complete = issue_end
             if local:
-                self._n_local_hit += 1
+                kind = _LOCAL_HIT
+                complete += self._local_hit_extra
             else:
-                self._n_remote_hit += 1
-        # A line whose fill is still on its way from memory delivers
-        # only once the fill lands — the effect that penalizes the
-        # paper's cyclic partitioning, where eight threads pile onto
-        # each line "while the cache line is still being retrieved
-        # from main memory" (Section 3.2.2). Grants on one port only
-        # move forward, so once a hit issues at or after the fill,
-        # every later one does too.
-        complete = state.ready
-        if complete < issue_end:
-            complete = issue_end
-        if local:
-            kind = _LOCAL_HIT
-            complete += self._local_hit_extra
-        else:
-            kind = _REMOTE_HIT
-            complete += self._remote_hit_extra
-        if self._trace_enabled:
-            self._trace(time, target, kind, physical, is_store)
-        return issue_end, complete, kind, target
+                kind = _REMOTE_HIT
+                complete += self._remote_hit_extra
+            if self._trace_enabled:
+                self._trace(time, target, kind, physical, is_store)
+            return issue_end, complete, kind, target
 
-    def miss(self, time: int, quad_id: int, target: int,
-             lines: dict, line: int, is_store: bool,
-             size: int = DOUBLE_BYTES) -> AccessTiming:
-        """The rest of an access whose tag probe missed.
-
-        The caller has made every check of :meth:`access`, resolved the
-        *target* cache and probed its set *lines* for *line* without
-        finding it. This reserves the target's port, allocates the line
-        (:meth:`CacheUnit.miss`), queues the fill burst on the line's
-        bank (none for a write-validate store) and a dirty victim's
-        writeback burst, and counts the miss. It is the only miss path:
-        ``access`` and the fused double finishers of
-        :class:`~repro.runtime.context.ThreadCtx` both continue here.
-        """
-        # The port: one beat, inline, or the multi-beat transfer.
+        # A miss reserves the port as a hit does and counts apart; it
+        # allocates the line (CacheUnit.miss), queues the fill burst on
+        # the line's bank (none for a write-validate store) and a dirty
+        # victim's writeback burst.
         if size <= self._switch_bpc:
             port = self._switch_ports[target]
             next_free = port.next_free
@@ -395,10 +400,10 @@ class MemorySubsystem:
                 port.next_free = issue_end = next_free + 1
                 self.cache_switch.contention_cycles += next_free - time
             port.other_requests += 1
-            self.cache_switch.other_bytes += size
+            if size != DOUBLE_BYTES:
+                self.cache_switch.extra_bytes += size - DOUBLE_BYTES
         else:
             issue_end = self._transfer(target, time, size) + 1
-        local = target == quad_id
         cache = self.caches[target]
         if is_store and not self._fetch_store_miss:
             # Write-validate: the line is allocated dirty; the store
@@ -423,9 +428,13 @@ class MemorySubsystem:
             ].burst(issue_end, True)
         if local:
             self._n_local_miss += 1
-            return issue_end, complete, _LOCAL_MISS, target
-        self._n_remote_miss += 1
-        return issue_end, complete, _REMOTE_MISS, target
+            kind = _LOCAL_MISS
+        else:
+            self._n_remote_miss += 1
+            kind = _REMOTE_MISS
+        if self._trace_enabled:
+            self._trace(time, target, kind, physical, is_store)
+        return issue_end, complete, kind, target
 
     def _trace(self, time: int, target: int, kind: AccessKind,
                physical: int, is_store: bool) -> None:

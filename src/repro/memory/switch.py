@@ -17,7 +17,7 @@ latency constants derived from Table 2.
 
 from __future__ import annotations
 
-from repro.config import ChipConfig
+from repro.config import DOUBLE_BYTES, ChipConfig
 
 
 class SwitchPort:
@@ -27,14 +27,14 @@ class SwitchPort:
     decrease, so a port keeps no request order test (a
     :class:`~repro.engine.resources.TimelineResource`'s
     ``reorderings``). It counts each transfer once. A cache hit by a
-    single-beat double access, the dominant event, increments exactly
-    one of four counters, chosen by load or store and by whether the
+    single-beat access, the dominant event, increments exactly one of
+    four counters, chosen by load or store and by whether the
     requester's quad owns the cache (``local_loads``, ``local_stores``,
     ``remote_loads``, ``remote_stores``); every other transfer (misses,
-    narrow and multi-beat accesses, flushes, invalidates, scratchpad)
-    counts in ``other_requests``. ``n_requests`` and ``busy_cycles`` are
-    derived: one cycle per transfer plus the extra beats of the
-    multi-beat ones (``extra_beats``).
+    multi-beat hits, flushes, invalidates, scratchpad) counts in
+    ``other_requests``. ``n_requests`` and ``busy_cycles`` are derived:
+    one cycle per transfer plus the extra beats of the multi-beat ones
+    (``extra_beats``).
     """
 
     __slots__ = ("name", "next_free", "local_loads", "local_stores",
@@ -50,15 +50,10 @@ class SwitchPort:
         self.extra_beats = 0
 
     @property
-    def double_hits(self) -> int:
-        """Single-beat double accesses that hit in this port's cache."""
-        return (self.local_loads + self.local_stores
-                + self.remote_loads + self.remote_stores)
-
-    @property
     def n_requests(self) -> int:
         """Transfers through this port."""
-        return self.double_hits + self.other_requests
+        return (self.local_loads + self.local_stores + self.remote_loads
+                + self.remote_stores + self.other_requests)
 
     @property
     def busy_cycles(self) -> int:
@@ -72,10 +67,6 @@ class SwitchPort:
         return self.busy_cycles / elapsed
 
 
-#: Bytes a port's double-hit counters each stand for.
-DOUBLE_BYTES = 8
-
-
 class CrossbarSwitch:
     """A crossbar with one busy timeline per output port."""
 
@@ -83,8 +74,10 @@ class CrossbarSwitch:
         self.name = name
         self.bytes_per_cycle = bytes_per_cycle
         self.ports = [SwitchPort(f"{name}.port{i}") for i in range(n_ports)]
-        #: Bytes of the transfers the ports count in ``other_requests``.
-        self.other_bytes = 0
+        #: Bytes moved beyond one double per transfer (negative for a
+        #: narrower one): ``bytes_moved`` is a double per transfer plus
+        #: these, so a double's transfer adds nothing here.
+        self.extra_bytes = 0
         #: Cycles transfers waited for a busy output port.
         self.contention_cycles = 0
 
@@ -103,7 +96,7 @@ class CrossbarSwitch:
             timeline.next_free = grant + cycles
             timeline.extra_beats += cycles - 1
         timeline.other_requests += 1
-        self.other_bytes += n_bytes
+        self.extra_bytes += n_bytes - DOUBLE_BYTES
         return grant
 
     @property
@@ -114,9 +107,8 @@ class CrossbarSwitch:
 
     @property
     def bytes_moved(self) -> int:
-        """Bytes through the switch: the double hits' plus the rest."""
-        return self.other_bytes + DOUBLE_BYTES * sum(
-            port.double_hits for port in self.ports)
+        """Bytes through the switch."""
+        return DOUBLE_BYTES * self.transfers + self.extra_bytes
 
     def utilization(self, port: int, elapsed: int) -> float:
         """Busy fraction of one output port."""

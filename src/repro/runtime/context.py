@@ -147,11 +147,12 @@ class ThreadCtx:
     # tag probe, and on a hit the port grant and the one count on the
     # port, one frame per op instead of two. A hit re-inserts its line at
     # the set's most recently used end, as ``access`` does. A miss hands
-    # the probed set to ``MemorySubsystem.miss``, the one miss path, so
-    # nothing is looked up twice. Anything unusual (misaligned, out of
-    # range, wider than 32 bits, or a strict, sanitized or traced chip)
-    # goes to ``_f64_slow`` and so through ``access`` or the strict
-    # wrappers, which raise the same error after the same state change.
+    # the target and the probed set to ``access``, which continues at
+    # its miss path, so nothing is looked up twice. Anything unusual
+    # (misaligned, out of range, wider than 32 bits, or a strict,
+    # sanitized or traced chip) goes to ``_f64_slow`` and so through
+    # ``access`` or the strict wrappers, which raise the same error after
+    # the same state change.
     def load_f64_finish(self, now: int, effective: int):
         """Phase 2 of a double load; returns ``(ready_time, value)``."""
         physical = effective & PHYSICAL_MASK
@@ -174,8 +175,8 @@ class ThreadCtx:
             (line >> self._line_shift) & self._set_mask]
         state = lines.pop(line, None)
         if state is None:
-            issue_end, complete, _, _ = memory.miss(
-                now, quad, target, lines, line, False)
+            issue_end, complete, _, _ = self._access(
+                now, quad, effective, 8, False, target, lines)
         else:
             lines[line] = state
             port = self._ports[target]
@@ -230,8 +231,8 @@ class ThreadCtx:
             (line >> self._line_shift) & self._set_mask]
         state = lines.pop(line, None)
         if state is None:
-            issue_end, complete, _, _ = memory.miss(
-                now, quad, target, lines, line, True)
+            issue_end, complete, _, _ = self._access(
+                now, quad, effective, 8, True, target, lines)
         else:
             lines[line] = state
             state.dirty = True

@@ -145,14 +145,15 @@ class ChipInstrumentation:
         evictions = writebacks = 0
         hit_rate = registry.histogram("cache.hit_rate")
         for cache in memory.caches:
-            hits += cache.hits
+            cache_hits = memory.cache_hits(cache.cache_id)
+            hits += cache_hits[0]
             misses += cache.misses
-            store_hits += cache.store_hits
+            store_hits += cache_hits[1]
             store_misses += cache.store_misses
             evictions += cache.evictions
             writebacks += cache.writebacks
-            if cache.accesses:
-                hit_rate.observe(cache.hit_rate())
+            if sum(cache_hits) + cache.misses + cache.store_misses:
+                hit_rate.observe(memory.cache_hit_rate(cache.cache_id))
         registry.gauge("cache.hits").set(hits)
         registry.gauge("cache.misses").set(misses)
         registry.gauge("cache.store_hits").set(store_hits)

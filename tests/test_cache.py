@@ -31,6 +31,13 @@ def touch(memory: MemorySubsystem, line: int, is_store: bool = False) -> bool:
     return kind is AccessKind.LOCAL_HIT
 
 
+def lookups(memory: MemorySubsystem, cache_id: int = 0) -> int:
+    """Tag lookups made in one cache: its hits plus its misses."""
+    cache = memory.caches[cache_id]
+    return (sum(memory.cache_hits(cache_id)) + cache.misses
+            + cache.store_misses)
+
+
 def line_in_set(cache: CacheUnit, set_index: int, k: int) -> int:
     """The k-th distinct line address mapping to *set_index*."""
     return (set_index + k * cache.n_sets) * LINE
@@ -60,8 +67,8 @@ class TestHitsAndMisses:
         memory = make_memory()
         assert not touch(memory, 0)
         assert touch(memory, 0)
-        cache = memory.caches[0]
-        assert cache.hits == 1 and cache.misses == 1
+        assert memory.cache_hits(0)[0] == 1
+        assert memory.caches[0].misses == 1
 
     def test_different_lines_tracked_separately(self):
         memory = make_memory()
@@ -85,9 +92,9 @@ class TestHitsAndMisses:
         assert memory.caches[0].line(0).dirty
 
     def test_probe_does_not_change_state(self):
-        cache = make_cache()
-        assert cache.line(0) is None
-        assert cache.accesses == 0
+        memory = make_memory()
+        assert memory.caches[0].line(0) is None
+        assert lookups(memory) == 0
 
 
 class TestLRU:
@@ -141,7 +148,7 @@ class TestLRU:
             touch(memory, k * LINE, is_store=bool(k % 2))
         assert resident(cache, [k * LINE for k in range(64)]) \
             <= cache.n_sets * cache.total_ways
-        assert cache.accesses == len(accesses)
+        assert lookups(memory) == len(accesses)
 
 
 class TestInvalidateAndFlush:
@@ -247,7 +254,7 @@ class TestCounters:
         touch(memory, 0)
         touch(memory, 0)
         touch(memory, 0, is_store=True)
-        assert memory.caches[0].hit_rate() == pytest.approx(2 / 3)
+        assert memory.cache_hit_rate(0) == pytest.approx(2 / 3)
 
     def test_hit_rate_empty(self):
-        assert make_cache().hit_rate() == 0.0
+        assert make_memory().cache_hit_rate(0) == 0.0

@@ -1,10 +1,10 @@
 """The double finishers' own access path against ``MemorySubsystem.access``.
 
 ``ThreadCtx.load_f64_finish`` and ``store_f64_finish`` make a plain
-chip's accesses themselves, hand a miss to ``MemorySubsystem.miss`` (the
-one miss path, which ``access`` takes too) and everything else (bad
-addresses, strict, sanitized and memory-traced chips) to
-``MemorySubsystem.access``. Two chips run the same random op sequence:
+chip's accesses themselves, hand a miss with its probed set to
+``MemorySubsystem.access`` (the one miss path) and everything else (bad
+addresses, strict, sanitized and memory-traced chips) to ``access`` from
+the start. Two chips run the same random op sequence:
 one with the fused finishers, one with every access through ``access``
 and the generic finisher. Every returned value, thread clock, stall
 counter, cache set (tags, LRU order, line state), placement and harvested
@@ -67,26 +67,20 @@ _OP = st.tuples(
 
 
 class _Side:
-    """One chip, its thread contexts and counts of ``access`` and
-    ``miss`` calls."""
+    """One chip, its thread contexts and a count of ``access`` calls."""
 
     def __init__(self, fused: bool) -> None:
         self.chip = chip = Chip()
         self.faults = FaultController(chip)
-        self.access_calls = self.miss_calls = 0
-        real_access, real_miss = chip.memory.access, chip.memory.miss
+        self.access_calls = 0
+        real = chip.memory.access
 
-        def counting_access(*args):
+        def counting(*args):
             self.access_calls += 1
-            return real_access(*args)
-
-        def counting_miss(*args):
-            self.miss_calls += 1
-            return real_miss(*args)
+            return real(*args)
 
         # Bound before the contexts exist: each binds it at construction.
-        chip.memory.access = counting_access
-        chip.memory.miss = counting_miss
+        chip.memory.access = counting
         kernel = Kernel(chip)
         self.ctxs = [ThreadCtx(kernel, chip.thread(tid)) for tid in TIDS]
         for ctx in self.ctxs:
@@ -139,20 +133,18 @@ def test_fused_finishers_match_access(ops):
         now += op[4]
         assert fused.apply(op, now) == generic.apply(op, now)
     assert fused.state(now + 1) == generic.state(now + 1)
-    # The fused side made its accesses itself; both took one miss path.
+    # The fused side made its hits itself.
     assert fused.access_calls <= generic.access_calls
-    assert fused.miss_calls == generic.miss_calls
 
 
-def test_hits_skip_access_and_misses_take_the_miss_path():
+def test_hits_skip_access_and_misses_take_it():
     side = _Side(True)
     ctx = side.ctxs[0]
     effective = make_effective(0x2000, IG_OWN)
     ctx.store_f64_finish(0, effective, 1.5)
-    # A write-validate miss: straight from the probe to the miss path.
-    assert (side.access_calls, side.miss_calls) == (0, 1)
+    assert side.access_calls == 1  # a write-validate miss
     assert ctx.load_f64_finish(1, effective)[1] == 1.5
-    assert (side.access_calls, side.miss_calls) == (0, 1)  # a hit
+    assert side.access_calls == 1  # a hit
     kinds = side.chip.memory.kind_counts
     assert kinds[AccessKind.LOCAL_HIT] == kinds[AccessKind.LOCAL_MISS] == 1
 
@@ -278,7 +270,8 @@ class _Tally:
         self.kinds[kind] += 1
 
 
-@pytest.mark.parametrize("port_bytes", [8, 4], ids=["one_beat", "two_beat"])
+@pytest.mark.parametrize("port_bytes", [8, 4, 2],
+                         ids=["one_beat", "two_beat", "four_beat"])
 @settings(max_examples=60, deadline=None)
 @given(ops=st.lists(_COUNTED_OP, min_size=1, max_size=80))
 def test_derived_counters_match_a_plain_tally(port_bytes, ops):
@@ -326,8 +319,9 @@ def test_derived_counters_match_a_plain_tally(port_bytes, ops):
             tally.lookup(target, hit, is_store)
             memory.warm_access(quad, effective, is_store)
     caches, switch = memory.caches, memory.cache_switch
-    assert [c.hits for c in caches] == tally.hits
-    assert [c.store_hits for c in caches] == tally.store_hits
+    hits = [memory.cache_hits(c.cache_id) for c in caches]
+    assert [h[0] for h in hits] == tally.hits
+    assert [h[1] for h in hits] == tally.store_hits
     assert [c.misses for c in caches] == tally.misses
     assert [c.store_misses for c in caches] == tally.store_misses
     assert [p.n_requests for p in switch.ports] == tally.requests

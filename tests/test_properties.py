@@ -183,9 +183,9 @@ def test_cache_matches_reference_model(ops, fetches):
             continue
         is_store = op.endswith("store")
         if op.startswith("warm"):
-            hits = cache.hits + cache.store_hits
+            hits = sum(memory.cache_hits(0))
             memory.warm_access(0, addr, is_store)
-            hit = cache.hits + cache.store_hits > hits
+            hit = sum(memory.cache_hits(0)) > hits
         else:
             kind = memory.access(time, 0, addr, 8, is_store=is_store)[2]
             hit = kind is AccessKind.LOCAL_HIT

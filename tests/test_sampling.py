@@ -324,11 +324,12 @@ class TestWarming:
     def test_warm_access_counts_as_untimed_touch(self):
         chip = Chip()
         cache = chip.memory.caches[0]
-        before_hits, before_misses = cache.hits, cache.misses
+        before_hits, before_misses = chip.memory.cache_hits(0)[0], \
+            cache.misses
         effective = make_effective(0x10000, 0)  # ig 0 -> local quad 0
         chip.memory.warm_access(0, effective, False)
         chip.memory.warm_access(0, effective, False)
         # First touch misses (allocates the line), second hits — all
         # without advancing any clock.
-        assert cache.hits == before_hits + 1
+        assert chip.memory.cache_hits(0)[0] == before_hits + 1
         assert cache.misses == before_misses + 1
